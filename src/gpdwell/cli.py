@@ -185,8 +185,12 @@ def cmd_scan_critical(args) -> int:
     jobs = [(b, bracket, args.tol, args.L, args.D, cfg) for b in betas]
     workers = min(n_workers(), len(jobs))
     if workers > 1:
+        # A point's cost grows steeply with beta: hand out the heaviest first
+        # so that no long job starts last, then put the rows back in order.
+        order = sorted(range(len(jobs)), key=lambda i: -betas[i])
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_critical_point, jobs))
+            done = pool.map(_critical_point, [jobs[i] for i in order])
+            rows = [row for _, row in sorted(zip(order, done))]
     else:
         rows = [_critical_point(j) for j in jobs]
 
@@ -268,7 +272,7 @@ def cmd_overlaps(args) -> int:
         trap = TrapConfig(a=args.a, beta=beta)
         results = solve_spectrum(grid, trap, args.states, cfg)
         if all(r.converged for r in results):
-            m = overlap_matrix(grid, [r.state for r in results])
+            m = overlap_matrix(results[0].state.grid, [r.state for r in results])
             for i in range(m.k):
                 for j in range(m.k):
                     rows.append((beta, i, j, m.entries[i, j], "ok"))
@@ -361,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-critical", help="critical parameter a_c and energy E_c vs beta")
     p.add_argument("--betas", default="0:4:0.5", help="start:stop:step or single value")
-    p.add_argument("--bracket", default="0.5,3.0", help="bisection bracket a_lo,a_hi")
-    p.add_argument("--tol", type=float, default=1e-4, help="bisection tolerance on a")
+    p.add_argument("--bracket", default="0.5,3.0", help="sign-change bracket a_lo,a_hi")
+    p.add_argument("--tol", type=float, default=1e-4, help="final bracket width on a")
     _add_grid_args(p)
     _add_scf_args(p)
     p.add_argument("--output", default="scan_critical.csv")

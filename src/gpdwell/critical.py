@@ -2,19 +2,23 @@
 
 At a_c the ground-state curvature at the origin changes sign: below it
 the state has a single central peak, above it the origin becomes a local
-minimum between two peaks. a_c is bracketed and bisected on that sign;
-E_c is the per-particle energy of the critical ground state.
+minimum between two peaks. The curvature is smooth in a, so a_c is found
+by a Brent-Dekker zero search on it inside a sign-change bracket, each
+SCF solve warm-started from the nearest a already solved; E_c is the
+per-particle energy of the critical ground state, read off the solve
+made at a_c.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid, TrapConfig, make_grid
 from .hamiltonian import second_derivative_at
-from .scf import ScfConfig, solve_state
+from .scf import ScfConfig, ScfResult, solve_state
 
 
 @dataclass(frozen=True)
@@ -38,14 +42,57 @@ class QuadraticFit:
         return self.c0 + self.c1 * np.asarray(beta) + self.c2 * np.asarray(beta) ** 2
 
 
-def curvature_sign(trap: TrapConfig, grid: Grid, cfg: ScfConfig | None = None) -> float:
-    """Ground-state curvature at the origin, sign-normalized so psi(0) > 0."""
-    result = solve_state(grid, trap, 0, cfg)
+def _curvature(result: ScfResult) -> float:
+    """Curvature of a solved ground state at the origin, sign-normalized so psi(0) > 0."""
     psi = result.state.psi
     mid = result.state.grid.D // 2
     if psi[mid] < 0:
         psi = -psi
     return second_derivative_at(result.state.grid, psi, mid)
+
+
+def curvature_sign(trap: TrapConfig, grid: Grid, cfg: ScfConfig | None = None) -> float:
+    """Ground-state curvature at the origin, sign-normalized so psi(0) > 0."""
+    return _curvature(solve_state(grid, trap, 0, cfg))
+
+
+def _brent_root(f, xa: float, xb: float, fa: float, fb: float, tol: float) -> float:
+    """Brent-Dekker zero of f in [xa, xb], where fa = f(xa) and fb = f(xb) differ in sign.
+
+    Inverse quadratic interpolation or secant steps while they shrink the
+    bracket fast enough, bisection otherwise (after scipy's brentq.c, with
+    rtol = 0). Stops once the sign-change bracket is narrower than tol and
+    returns its end with the smaller |f|, a point f was evaluated at.
+    """
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    xblk, fblk, spre, scur = xa, fa, 0.0, 0.0
+    delta = 0.5 * tol
+    while True:
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        interpolate = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if interpolate:
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            interpolate = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        if interpolate:
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
 
 
 def find_critical_a(
@@ -55,35 +102,37 @@ def find_critical_a(
     grid: Grid | None = None,
     cfg: ScfConfig | None = None,
 ) -> CriticalResult:
-    """Bisect the curvature sign change in a to width tol; evaluate E_c there."""
+    """Locate a_c inside a sign-change bracket of the curvature to a final bracket width tol.
+
+    Each a is solved once; every trial inside the bracket is warm-started
+    from the converged density of the nearest a already solved. a_c is the
+    final Brent iterate, an a that was solved, so E_c and the curvature are
+    read off that solve.
+    """
     grid = grid or make_grid(6.0, 4000)
     a_lo, a_hi = bracket
     if not a_lo < a_hi:
         raise ValueError("bracket must satisfy a_lo < a_hi")
-    c_lo = curvature_sign(TrapConfig(a=a_lo, beta=beta), grid, cfg)
-    c_hi = curvature_sign(TrapConfig(a=a_hi, beta=beta), grid, cfg)
+
+    # The bracket ends start cold: they are far apart (one well against two),
+    # and a warm start from the other end takes more iterations than none.
+    solved = {a: solve_state(grid, TrapConfig(a=a, beta=beta), 0, cfg) for a in (a_lo, a_hi)}
+
+    def curvature(a: float) -> float:
+        nearest = solved[min(solved, key=lambda b: abs(b - a))]
+        warm = nearest.state.psi[1:-1] ** 2
+        solved[a] = solve_state(grid, TrapConfig(a=a, beta=beta), 0, cfg, warm)
+        return _curvature(solved[a])
+
+    c_lo, c_hi = _curvature(solved[a_lo]), _curvature(solved[a_hi])
     if np.sign(c_lo) == np.sign(c_hi):
         raise ValueError(
             f"curvature has the same sign ({np.sign(c_lo):+g}) at both bracket ends"
         )
-
-    lo, hi = a_lo, a_hi
-    c_mid = c_lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        c_mid = curvature_sign(TrapConfig(a=mid, beta=beta), grid, cfg)
-        if np.sign(c_mid) == np.sign(c_lo):
-            lo = mid
-        else:
-            hi = mid
-    a_c = 0.5 * (lo + hi)
-
-    trap_c = TrapConfig(a=a_c, beta=beta)
-    result = solve_state(grid, trap_c, 0, cfg)  # fills state.energy
-    e_c = result.state.energy
-    curv = curvature_sign(trap_c, grid, cfg)
+    a_c = _brent_root(curvature, a_lo, a_hi, c_lo, c_hi, tol)
     return CriticalResult(
-        beta=beta, a_c=a_c, E_c=e_c, curvature_at_ac=curv,
+        beta=beta, a_c=a_c, E_c=solved[a_c].state.energy,
+        curvature_at_ac=_curvature(solved[a_c]),
         bracket=(a_lo, a_hi), tolerance=tol,
     )
 

@@ -101,11 +101,19 @@ def _two_cycle(mu_history: list[float], tol: float) -> bool:
     return bool(np.max(np.abs(tail[2:] - tail[:-2])) < tol * scale)
 
 
-def _iterate(grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig) -> ScfResult:
-    # Constant initial iterate, unit-normalized under the grid quadrature.
-    psi = _embed(grid, np.ones(grid.D - 1))
-    psi /= np.sqrt(integrate(grid, psi**2))
-    density = psi[1:-1] ** 2
+def _iterate(
+    grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig, density: np.ndarray | None
+) -> ScfResult:
+    if density is None:
+        # Constant initial iterate, unit-normalized under the grid quadrature.
+        psi = _embed(grid, np.ones(grid.D - 1))
+        psi /= np.sqrt(integrate(grid, psi**2))
+        density = psi[1:-1] ** 2
+    else:
+        # Warm start: mirror-averaged and normalized like every later iterate.
+        density = 0.5 * (density + density[::-1])
+        density /= integrate(grid, _embed(grid, density))
+        psi = _embed(grid, np.sqrt(density))
 
     mu_history: list[float] = []
     overlap_history: list[float] = []
@@ -158,25 +166,45 @@ def _iterate(grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig) -> ScfResult:
     return result
 
 
-def solve_state(grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig | None = None) -> ScfResult:
+def solve_state(
+    grid: Grid,
+    trap: TrapConfig,
+    n: int,
+    cfg: ScfConfig | None = None,
+    initial_density: np.ndarray | None = None,
+) -> ScfResult:
     """Self-consistently solve for stationary state n on the given grid.
 
-    If the converged state does not vanish at the walls (tail above 1e-3),
-    the solve is repeated on a grid with L enlarged by 1.5x, at most
-    three times, keeping D fixed.
+    initial_density, if given, is |psi|^2 on the D-1 interior nodes of grid
+    and replaces the constant first iterate (a warm start, e.g. from the
+    converged state of a nearby trap); it is mirror-averaged and normalized
+    first. If the converged state does not vanish at the walls (tail above
+    1e-3), the solve is repeated on a grid with L enlarged by 1.5x, at most
+    three times, keeping D fixed; the repeats start cold, because the warm
+    density belongs to the old nodes.
     """
     if n < 0:
         raise ValueError(f"quantum index n must be >= 0, got {n}")
+    if initial_density is not None:
+        initial_density = np.asarray(initial_density, dtype=float)
+        if initial_density.shape != (grid.D - 1,):
+            raise ValueError(
+                f"initial_density must have length D-1={grid.D - 1}, "
+                f"got {initial_density.shape}"
+            )
+        if np.any(initial_density < 0) or not np.any(initial_density > 0):
+            raise ValueError("initial_density must be nonnegative and not all zero")
     cfg = cfg or ScfConfig()
 
     for _ in range(MAX_DOMAIN_GROWTHS + 1):
-        result = _iterate(grid, trap, n, cfg)
+        result = _iterate(grid, trap, n, cfg, initial_density)
         psi = result.state.psi
         tail = max(abs(psi[1]), abs(psi[-2]))
         if tail <= BOUNDARY_TAIL_MAX:
             _fill_energy(grid, result.state, trap)
             return result
         grid = make_grid(1.5 * grid.L, grid.D)
+        initial_density = None
     raise DomainTooSmall(
         f"state still leaks past the walls after {MAX_DOMAIN_GROWTHS} enlargements "
         f"(final L={grid.L / 1.5:g}, tail={tail:.2e})"
@@ -186,18 +214,28 @@ def solve_state(grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig | None = No
 def solve_spectrum(
     grid: Grid, trap: TrapConfig, k: int, cfg: ScfConfig | None = None
 ) -> list[ScfResult]:
-    """Independent solve_state runs for n = 0..k-1.
+    """Independent solve_state runs for n = 0..k-1, all on one grid.
 
     Each state is self-consistent with its own density; states do not share
     a common density. Per-state convergence failures are returned in place
-    (flags set) rather than aborting the remaining states.
+    (flags set) rather than aborting the remaining states. A state whose
+    solve grew the domain leaves the others on smaller grids; those are
+    solved again on the widest grid, until every state lives on it.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    results = []
-    for n in range(k):
-        try:
-            results.append(solve_state(grid, trap, n, cfg))
-        except MaxIterationsExceeded as exc:
-            results.append(exc.result)
-    return results
+    results = [_solve_or_partial(grid, trap, n, cfg) for n in range(k)]
+    while True:
+        widest = max((r.state.grid for r in results), key=lambda g: g.L)
+        stale = [n for n, r in enumerate(results) if r.state.grid.L != widest.L]
+        if not stale:
+            return results
+        for n in stale:
+            results[n] = _solve_or_partial(widest, trap, n, cfg)
+
+
+def _solve_or_partial(grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig | None) -> ScfResult:
+    try:
+        return solve_state(grid, trap, n, cfg)
+    except MaxIterationsExceeded as exc:
+        return exc.result

@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +100,16 @@ class TestScanCritical:
         assert "a_c_fit_c0" in footer and "E_c_fit_c1" in footer
         assert footer["a_c_fit_c1"] < 0.0
 
+    def test_output_independent_of_worker_count(self, tmp_path, monkeypatch):
+        argv = ["scan-critical", "--betas", "0:1.5:0.5", "--D", "600", "--tol", "1e-3"]
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("GPDWELL_THREADS", threads)
+            out = tmp_path / f"scan_{threads}.csv"
+            assert main(argv + ["--output", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_bad_bracket_partial(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GPDWELL_THREADS", "1")
         out = tmp_path / "scan.csv"
@@ -141,6 +153,19 @@ class TestWkbAndOverlaps:
         assert all(c <= 1e-8 for c in cross)
 
 
+    def test_overlaps_after_domain_growth(self, tmp_path):
+        # L=2.5 is too small for state 3 at a=5: its solve grows the domain
+        out = tmp_path / "ov.csv"
+        code = main(["overlaps", "--a", "5", "--betas", "0", "--L", "2.5",
+                     "--D", "400", "--output", str(out)])
+        assert code == EXIT_OK
+        _, _, rows, _ = read_csv(str(out))
+        assert len(rows) == 16
+        assert all(r[4] == "ok" for r in rows)
+        diag = [r[3] for r in rows if r[1] == r[2]]
+        assert all(abs(d - 1.0) <= 1e-9 for d in diag)
+
+
 class TestWignerCommand:
     def test_field_and_footer(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -175,6 +200,17 @@ class TestDynamicsCommands:
         assert footer["energy"] == pytest.approx(-2.0 * 1.2**2 + 1.2**4)
         assert footer["lyapunov"] == pytest.approx(2.0)
         assert all(r[1] > 0 for r in rows)  # negative energy stays in one well
+
+
+class TestImportCost:
+    def test_cli_import_skips_scipy_optimize(self):
+        # scipy.optimize alone nearly doubles the start-up of every command
+        import gpdwell
+
+        src = os.path.dirname(os.path.dirname(gpdwell.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = "import gpdwell.cli, sys; sys.exit('scipy.optimize' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
 
 
 class TestDeterminism:

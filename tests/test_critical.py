@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gpdwell.critical
 from gpdwell.critical import curvature_sign, find_critical_a, fit_quadratic
 from gpdwell.grid import TrapConfig, make_grid
 
@@ -41,6 +42,31 @@ class TestFindCriticalA:
         assert res.tolerance == 1e-3
         lo, hi = res.bracket
         assert lo < res.a_c < hi
+
+    def test_few_solves_none_repeated(self, grid_crit, monkeypatch):
+        solves = []
+        solve_state = gpdwell.critical.solve_state
+
+        def recording(grid, trap, n, *args):
+            result = solve_state(grid, trap, n, *args)
+            solves.append((trap.a, result))
+            return result
+
+        monkeypatch.setattr(gpdwell.critical, "solve_state", recording)
+        res = find_critical_a(1.0, tol=1e-4, grid=grid_crit)
+        assert len(solves) <= 8
+        at_ac = [r for a, r in solves if a == res.a_c]
+        assert len(at_ac) == 1  # E_c and the curvature come from the search's own solve
+        assert res.E_c == at_ac[0].state.energy
+        assert len({a for a, _ in solves}) == len(solves)
+
+    def test_sign_change_within_tol(self, grid_crit):
+        tol = 1e-3
+        res = find_critical_a(0.5, tol=tol, grid=grid_crit)
+        below = curvature_sign(TrapConfig(a=res.a_c - tol, beta=0.5), grid_crit)
+        above = curvature_sign(TrapConfig(a=res.a_c + tol, beta=0.5), grid_crit)
+        assert below < 0.0 < above
+        assert res.curvature_at_ac == pytest.approx(0.0, abs=min(-below, above))
 
     def test_bad_bracket_rejected(self, grid_crit):
         with pytest.raises(ValueError, match="bracket"):

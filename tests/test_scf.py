@@ -94,6 +94,32 @@ class TestConvergedStates:
         assert mus[0] <= mus[1] <= mus[2]
 
 
+class TestWarmStart:
+    def test_fewer_iterations_same_mu(self):
+        grid = make_grid(6.0, 600)
+        trap = TrapConfig(a=1.25, beta=4.0)
+        near = solve_state(grid, TrapConfig(a=1.26, beta=4.0), 0)
+        cold = solve_state(grid, trap, 0)
+        warm = solve_state(grid, trap, 0, initial_density=near.state.psi[1:-1] ** 2)
+        assert warm.converged
+        assert warm.iterations < cold.iterations
+        assert warm.state.mu == pytest.approx(cold.state.mu, abs=1e-8)
+
+    def test_wrong_length_rejected(self):
+        grid = make_grid(6.0, 400)
+        with pytest.raises(ValueError, match="D-1"):
+            solve_state(grid, TrapConfig(a=2.0, beta=1.0), 0, initial_density=np.ones(grid.D + 1))
+
+    def test_domain_growth_starts_cold(self):
+        grid = make_grid(2.0, 400)
+        trap = TrapConfig(a=2.0, beta=1.0)
+        cold = solve_state(grid, trap, 0)
+        warm = solve_state(grid, trap, 0, initial_density=np.exp(-4.0 * grid.interior**2))
+        assert warm.state.grid.L == cold.state.grid.L > grid.L
+        assert warm.iterations == cold.iterations
+        assert np.array_equal(warm.state.psi, cold.state.psi)
+
+
 class TestSpectrum:
     def test_ascending_mu_alternating_parity(self, grid4000):
         results = solve_spectrum(grid4000, TrapConfig(a=5.0, beta=0.0), 4)
@@ -111,6 +137,12 @@ class TestSpectrum:
             rs = solve_spectrum(grid4000, TrapConfig(a=2.0, beta=beta), 2)
             gaps.append(rs[1].state.energy - rs[0].state.energy)
         assert gaps[0] < gaps[1] < gaps[2]
+
+    def test_grown_spectrum_shares_one_grid(self):
+        # state 3 leaks out of L=3 and grows the domain; the rest must follow
+        results = solve_spectrum(make_grid(3.0, 400), TrapConfig(a=5.0), 4)
+        assert {r.state.grid.L for r in results} == {4.5}
+        assert all(r.converged for r in results)
 
     def test_k_validation(self, grid4000):
         with pytest.raises(ValueError):
