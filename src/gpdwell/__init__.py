@@ -3,11 +3,24 @@ symmetric quartic double-well trap: spectra, critical parameters, Wigner
 negativity, WKB transmission, eigenstate overlaps, and separatrix dynamics.
 """
 
-from .critical import CriticalResult, QuadraticFit, find_critical_a, fit_quadratic
+from .critical import (
+    CriticalResult,
+    NoSignChange,
+    QuadraticFit,
+    find_critical_a,
+    fit_quadratic,
+)
 from .dynamics import WavePacket, coherent_state, fotoc, growth_rate, propagate
 from .eigensolver import Eigenpair, lowest_eigenpairs
 from .grid import Grid, TrapConfig, integrate, make_grid, potential, quartic_rescale
-from .hamiltonian import TridiagonalOperator, assemble, kinetic_operator, second_derivative_at
+from .hamiltonian import (
+    TridiagonalOperator,
+    assemble,
+    kinetic_operator,
+    parity_block,
+    second_derivative_at,
+    unfold,
+)
 from .observables import OverlapMatrix, energy, overlap_matrix, parity_of, splitting
 from .scf import (
     DomainTooSmall,

@@ -7,8 +7,9 @@ content hash); summaries and fits as JSON. Identical configs produce
 byte-identical files: floats are written with 17 significant digits and
 no timestamps enter the data.
 
-Exit codes: 0 success, 2 validation error, 3 convergence failure (or a
-sweep where every point failed), 4 partial sweep failure.
+Exit codes: 0 success, 2 validation error (or a scan-critical bracket
+with no sign change at any beta), 3 convergence failure (or a sweep where
+every point failed), 4 partial sweep failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .critical import find_critical_a, fit_quadratic
+from .critical import NoSignChange, find_critical_a, fit_quadratic
 from .dynamics import coherent_state, default_fit_window, fotoc, growth_rate, propagate
 from .grid import TrapConfig, integrate, make_grid
 from .observables import overlap_matrix
@@ -159,7 +160,7 @@ def cmd_solve(args) -> int:
     if args.psi_out:
         rows = [
             (x, *(r.state.psi[i] for r in results))
-            for i, x in enumerate(grid.nodes)
+            for i, x in enumerate(results[0].state.grid.nodes)
         ]
         write_csv(args.psi_out, ["x"] + [f"psi_{r.state.n}" for r in results],
                   rows, _config_echo(args))
@@ -174,7 +175,7 @@ def _critical_point(job):
         res = find_critical_a(beta, bracket=bracket, tol=tol,
                               grid=make_grid(L, D), cfg=cfg)
         return (beta, res.a_c, res.E_c, res.curvature_at_ac, "ok")
-    except ScfError as exc:
+    except (ScfError, NoSignChange) as exc:
         return (beta, float("nan"), float("nan"), float("nan"), type(exc).__name__)
 
 
@@ -206,7 +207,9 @@ def cmd_scan_critical(args) -> int:
     write_csv(args.output, ["beta", "a_c", "E_c", "curvature", "status"],
               rows, _config_echo(args), footer=footer)
     if not ok:
-        return EXIT_CONVERGENCE
+        # A bracket that straddles no root at any beta is bad input.
+        no_root = all(r[4] == NoSignChange.__name__ for r in rows)
+        return EXIT_VALIDATION if no_root else EXIT_CONVERGENCE
     return EXIT_PARTIAL if len(ok) < len(rows) else EXIT_OK
 
 

@@ -21,6 +21,10 @@ from .hamiltonian import second_derivative_at
 from .scf import ScfConfig, ScfResult, solve_state
 
 
+class NoSignChange(ValueError):
+    """The curvature has the same sign at both ends of the bracket."""
+
+
 @dataclass(frozen=True)
 class CriticalResult:
     beta: float
@@ -126,7 +130,7 @@ def find_critical_a(
 
     c_lo, c_hi = _curvature(solved[a_lo]), _curvature(solved[a_hi])
     if np.sign(c_lo) == np.sign(c_hi):
-        raise ValueError(
+        raise NoSignChange(
             f"curvature has the same sign ({np.sign(c_lo):+g}) at both bracket ends"
         )
     a_c = _brent_root(curvature, a_lo, a_hi, c_lo, c_hi, tol)

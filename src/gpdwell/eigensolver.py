@@ -2,9 +2,9 @@
 
 Thin wrapper around LAPACK's tridiagonal solvers that fixes the
 conventions the rest of the package relies on: ascending eigenvalues,
-discrete-L2 normalization delta*sum(v^2) = 1, deterministic sign (largest
-magnitude entry positive), and even-before-odd ordering inside
-quasidegenerate pairs.
+discrete-L2 normalization delta*sum(v^2) = 1, and deterministic sign
+(largest magnitude entry positive). It knows nothing of parity; the SCF
+solves each state inside one parity block (hamiltonian.parity_block).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from .grid import Grid
 from .hamiltonian import TridiagonalOperator
 
-DEGENERACY_GAP = 1e-12
 RESIDUAL_TOL = 1e-10
 REFINE_STEPS = 3
 
@@ -29,17 +28,12 @@ class EigensolverError(RuntimeError):
 @dataclass(frozen=True)
 class Eigenpair:
     value: float
-    vector: np.ndarray  # interior nodes, delta*sum(v^2) = 1
+    vector: np.ndarray  # one entry per operator row, delta*sum(v^2) = 1
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     i = int(np.argmax(np.abs(v)))  # argmax takes the lowest index on ties
     return -v if v[i] < 0 else v
-
-
-def _parity_score(v: np.ndarray) -> float:
-    """Overlap of v with its own reversal; +1 even, -1 odd."""
-    return float(np.dot(v, v[::-1]) / np.dot(v, v))
 
 
 def _refine(op: TridiagonalOperator, lam: float, v: np.ndarray, delta: float):
@@ -107,10 +101,4 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, grid: Grid) -> list[Eigen
                 f"eigenpair {j} residual {resid_norm:.3e} exceeds tolerance"
             )
         pairs.append(Eigenpair(value=lam, vector=v))
-
-    # Quasidegenerate pairs come back in index order with the even vector first.
-    for j in range(k - 1):
-        if abs(pairs[j + 1].value - pairs[j].value) < DEGENERACY_GAP:
-            if _parity_score(pairs[j].vector) < _parity_score(pairs[j + 1].vector):
-                pairs[j], pairs[j + 1] = pairs[j + 1], pairs[j]
     return pairs

@@ -7,6 +7,13 @@ density |psi|^2 for the self-consistent interaction term.
 
 Wavefunctions cross module boundaries as length-(D+1) arrays with zeros at
 alpha = 0, D; operators act on the interior slice.
+
+The trap and the grid are exactly mirror-symmetric, so an operator built
+from an even density splits into two exact blocks on the half grid: the
+even vectors (nodes x >= 0, coupling to x = 0 scaled by sqrt(2)) and the
+odd vectors (nodes x > 0, Dirichlet at x = 0). parity_block compresses an
+operator onto one sector and unfold maps a block vector back; this module
+is the only place that knows the symmetry.
 """
 
 from __future__ import annotations
@@ -72,6 +79,37 @@ def assemble(grid: Grid, trap: TrapConfig, density: np.ndarray) -> TridiagonalOp
     kin = kinetic_operator(grid)
     diag = kin.diag + potential(grid.interior, trap.a) + trap.beta * density
     return TridiagonalOperator(diag=diag, offdiag=kin.offdiag)
+
+
+def parity_block(op: TridiagonalOperator, parity: int) -> TridiagonalOperator:
+    """Compress op onto the even (parity 0) or the odd (parity 1) vectors.
+
+    With u_m the unit vector at x = m*delta, the basis is e_m = (u_m + u_-m)/sqrt(2)
+    for m >= 1 plus e_0 = u_0 (even), or e_m = (u_m - u_-m)/sqrt(2) for m >= 1
+    (odd). The result is the exact compression P^T op P for any op; for an
+    even op the even block is the x >= 0 half with its first coupling scaled
+    by sqrt(2), and the odd block is its trailing principal submatrix, both
+    bitwise.
+    """
+    c = op.size // 2  # interior index of x = 0
+    diag = 0.5 * (op.diag[c:] + op.diag[c::-1])
+    off = 0.5 * (op.offdiag[c:] + op.offdiag[c - 1::-1])
+    if parity == 0:
+        off[0] *= np.sqrt(2.0)
+        return TridiagonalOperator(diag=diag, offdiag=off)
+    return TridiagonalOperator(diag=diag[1:], offdiag=off[1:])
+
+
+def unfold(w: np.ndarray, parity: int) -> np.ndarray:
+    """Map a parity_block vector back to the D-1 interior nodes.
+
+    The result is exactly even (parity 0) or odd (parity 1), and its norm
+    equals that of w: the block coordinates are w_0 = v(0), w_m = sqrt(2)*v(x_m).
+    """
+    half = w[1 - parity:] / np.sqrt(2.0)
+    if parity == 0:
+        return np.concatenate([half[::-1], w[:1], half])
+    return np.concatenate([-half[::-1], [0.0], half])
 
 
 def second_derivative_at(grid: Grid, psi, alpha: int) -> float:

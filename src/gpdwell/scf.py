@@ -1,13 +1,15 @@
 """Self-consistent solution of the nonlinear eigenvalue problem.
 
 Each stationary state n is iterated to self-consistency with its own
-density: build the operator from the previous iterate's |psi|^2, take the
-(n+1)-th lowest eigenpair, mix, repeat. Convergence requires both the
-eigenvalue and the state overlap to settle.
+density: build the operator from the previous iterate's |psi|^2, take
+eigenpair n // 2 of its block in parity sector n % 2 (even for even n),
+mix, repeat. Every iterate is therefore exactly even or odd and every
+density exactly even. Convergence requires both the eigenvalue and the
+state overlap to settle.
 
 For strong coupling in a deep well the pure iteration can enter a
-two-cycle, jumping between the two localized solutions; the mixing knob
-(eta < 1) damps the update, and the failure is reported with an
+two-cycle, the even density alternating between two profiles; the mixing
+knob (eta < 1) damps the update, and the failure is reported with an
 oscillation flag either way.
 """
 
@@ -19,9 +21,8 @@ import numpy as np
 
 from .eigensolver import lowest_eigenpairs
 from .grid import Grid, TrapConfig, integrate, make_grid
-from .hamiltonian import assemble
+from .hamiltonian import assemble, parity_block, unfold
 from .observables import energy as _fill_energy
-from .observables import parity_of
 
 BOUNDARY_TAIL_MAX = 1e-3
 MAX_DOMAIN_GROWTHS = 3
@@ -38,7 +39,7 @@ class MaxIterationsExceeded(ScfError):
         self.result = result
         msg = f"SCF did not converge in {result.iterations} iterations"
         if result.oscillation_detected:
-            msg += " (two-cycle oscillation between localized solutions detected)"
+            msg += " (two-cycle oscillation detected)"
         super().__init__(msg)
 
 
@@ -64,12 +65,17 @@ class ScfConfig:
 
 @dataclass
 class StationaryState:
-    """Converged eigenstate: psi has length D+1 with zeros at the walls."""
+    """Converged eigenstate: psi has length D+1 with zeros at the walls.
+
+    parity is "even" for even n and "odd" for odd n; the solver sets no
+    other value. psi is positive where |psi| peaks on x >= 0, so the x > 0
+    lobe of an odd state is positive.
+    """
 
     n: int
     psi: np.ndarray
     mu: float
-    parity: str  # "even" | "odd" | "none"
+    parity: str  # "even" | "odd"
     beta: float
     a: float
     grid: Grid
@@ -110,11 +116,10 @@ def _iterate(
         psi /= np.sqrt(integrate(grid, psi**2))
         density = psi[1:-1] ** 2
     else:
-        # Warm start: mirror-averaged and normalized like every later iterate.
-        density = 0.5 * (density + density[::-1])
-        density /= integrate(grid, _embed(grid, density))
+        density = density / integrate(grid, _embed(grid, density))
         psi = _embed(grid, np.sqrt(density))
 
+    index, parity = divmod(n, 2)  # state n is eigenpair n // 2 of sector n % 2
     mu_history: list[float] = []
     overlap_history: list[float] = []
     converged = False
@@ -122,9 +127,9 @@ def _iterate(
 
     for k in range(1, cfg.max_iter + 1):
         iterations = k
-        op = assemble(grid, trap, density)
-        pair = lowest_eigenpairs(op, n + 1, grid)[n]
-        psi_new = _embed(grid, pair.vector)
+        op = parity_block(assemble(grid, trap, density), parity)
+        pair = lowest_eigenpairs(op, index + 1, grid)[index]
+        psi_new = _embed(grid, unfold(pair.vector, parity))
         mu = pair.value
 
         overlap = abs(integrate(grid, psi_new * psi))
@@ -137,10 +142,6 @@ def _iterate(
         mu_history.append(mu)
 
         density = (1.0 - cfg.mixing) * density + cfg.mixing * psi_new[1:-1] ** 2
-        # The trap is even, so the exact iteration keeps the density even;
-        # averaging with the mirror image strips the rounding noise that
-        # otherwise seeds a spurious symmetry-breaking escape.
-        density = 0.5 * (density + density[::-1])
         density /= integrate(grid, _embed(grid, density))
         psi = psi_new
 
@@ -148,7 +149,7 @@ def _iterate(
         n=n,
         psi=psi,
         mu=mu_history[-1],
-        parity=parity_of(grid, psi),
+        parity=("even", "odd")[parity],
         beta=trap.beta,
         a=trap.a,
         grid=grid,
@@ -177,10 +178,11 @@ def solve_state(
 
     initial_density, if given, is |psi|^2 on the D-1 interior nodes of grid
     and replaces the constant first iterate (a warm start, e.g. from the
-    converged state of a nearby trap); it is mirror-averaged and normalized
-    first. If the converged state does not vanish at the walls (tail above
-    1e-3), the solve is repeated on a grid with L enlarged by 1.5x, at most
-    three times, keeping D fixed; the repeats start cold, because the warm
+    converged state of a nearby trap); it is normalized first, and only its
+    even part acts, because the state is solved in its parity sector. If
+    the converged state does not vanish at the walls (tail above 1e-3), the
+    solve is repeated on a grid with L enlarged by 1.5x, at most three
+    times, keeping D fixed; the repeats start cold, because the warm
     density belongs to the old nodes.
     """
     if n < 0:

@@ -62,6 +62,17 @@ class TestSolve:
         assert rows[0][0] == -6.0 and rows[-1][0] == 6.0
         assert rows[0][1] == 0.0 and rows[-1][1] == 0.0
 
+    def test_psi_csv_after_domain_growth(self, tmp_path):
+        # state 3 at a=5 leaks out of L=2.5: every state is solved on L=3.75
+        psi_out = tmp_path / "psi.csv"
+        code = main(["solve", "--a", "5", "--L", "2.5", "--D", "400", "--states", "4",
+                     "--output", str(tmp_path / "solve.json"), "--psi-out", str(psi_out)])
+        assert code == EXIT_OK
+        _, columns, rows, _ = read_csv(str(psi_out))
+        assert columns == ["x", "psi_0", "psi_1", "psi_2", "psi_3"]
+        assert len(rows) == 401
+        assert rows[0][0] == -3.75 and rows[-1][0] == 3.75
+
     def test_convergence_failure_reported(self, tmp_path):
         out = tmp_path / "solve.json"
         code = main(["solve", "--a", "5", "--beta", "9", "--D", "1000",
@@ -118,6 +129,25 @@ class TestScanCritical:
         assert code == EXIT_VALIDATION
 
 
+    def test_bracket_without_root_at_one_beta(self, tmp_path, monkeypatch):
+        # a_c(4) is below 1.3: only that point lacks a sign change
+        monkeypatch.setenv("GPDWELL_THREADS", "1")
+        out = tmp_path / "scan.csv"
+        code = main(["scan-critical", "--betas", "0:4:2", "--bracket", "1.3,3.0",
+                     "--D", "400", "--output", str(out)])
+        assert code == EXIT_PARTIAL
+        _, _, rows, _ = read_csv(str(out))
+        assert [r[0] for r in rows] == [0.0, 2.0, 4.0]
+        assert [r[4] for r in rows] == ["ok", "ok", "NoSignChange"]
+        assert np.isnan(rows[2][1])
+
+    def test_reversed_bracket_is_validation_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GPDWELL_THREADS", "1")
+        code = main(["scan-critical", "--betas", "0", "--bracket", "3.0,0.5",
+                     "--D", "400", "--output", str(tmp_path / "scan.csv")])
+        assert code == EXIT_VALIDATION
+
+
 class TestWkbAndOverlaps:
     def test_wkb_sweep(self, tmp_path):
         out = tmp_path / "wkb.csv"
@@ -128,6 +158,16 @@ class TestWkbAndOverlaps:
         assert columns == ["beta", "mu_0", "E_0", "E_1", "dE", "T_0", "status"]
         t0 = [r[5] for r in rows]
         assert t0[0] < t0[1] < t0[2]  # deep well: pumping raises transparency
+
+    def test_wkb_deep_well_splitting_positive(self, tmp_path):
+        out = tmp_path / "wkb.csv"
+        code = main(["wkb", "--a", "12", "--betas", "0:1:0.1", "--output", str(out)])
+        assert code == EXIT_OK
+        _, _, rows, _ = read_csv(str(out))
+        de = [r[4] for r in rows]
+        assert len(de) == 11
+        assert all(d > 0 for d in de)
+        assert de == sorted(de)  # pumping widens the doublet
 
     def test_wkb_partial_failure(self, tmp_path):
         out = tmp_path / "wkb.csv"

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
+from gpdwell.eigensolver import lowest_eigenpairs
 from gpdwell.grid import TrapConfig, make_grid, potential
-from gpdwell.hamiltonian import assemble, kinetic_operator, second_derivative_at
+from gpdwell.hamiltonian import (
+    TridiagonalOperator,
+    assemble,
+    kinetic_operator,
+    parity_block,
+    second_derivative_at,
+    unfold,
+)
+
+from oracles import tridiag_eigenvalue_bisection
 
 
 class TestKineticOperator:
@@ -102,3 +112,60 @@ class TestSecondDerivativeAt:
         grid = make_grid(3.0, 30)
         with pytest.raises(ValueError):
             second_derivative_at(grid, np.ones(grid.D + 1), alpha)
+
+
+def _sector_basis(size: int, parity: int) -> np.ndarray:
+    """Columns e_0 = u_0 (even only) and e_m = (u_{+m} +- u_{-m})/sqrt(2), dense."""
+    c = size // 2
+    sign = 1.0 if parity == 0 else -1.0
+    cols = [] if parity else [np.eye(size)[c]]
+    for m in range(1, c + 1):
+        col = np.zeros(size)
+        col[c + m], col[c - m] = 1.0 / np.sqrt(2.0), sign / np.sqrt(2.0)
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+class TestParitySectors:
+    def test_block_spectra_interleave_to_full_spectrum(self):
+        grid = make_grid(6.0, 800)
+        op = assemble(grid, TrapConfig(a=3.0, beta=0.0), np.zeros(grid.D - 1))
+        even = lowest_eigenpairs(parity_block(op, 0), 3, grid)
+        odd = lowest_eigenpairs(parity_block(op, 1), 3, grid)
+        sectors = [p.value for pair in zip(even, odd) for p in pair]
+        full = [p.value for p in lowest_eigenpairs(op, 6, grid)]
+        assert sectors == pytest.approx(full, rel=0, abs=1e-12)
+        for n, value in enumerate(sectors):
+            oracle = tridiag_eigenvalue_bisection(op.diag, op.offdiag, n)
+            assert value == pytest.approx(oracle, rel=1e-8, abs=1e-8)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_unfold_is_exactly_symmetric_and_keeps_norm(self, parity):
+        grid = make_grid(4.0, 40)
+        size = grid.D // 2 - parity
+        w = np.random.default_rng(parity).standard_normal(size)
+        v = unfold(w, parity)
+        assert v.shape == (grid.D - 1,)
+        assert np.array_equal(v, v[::-1] if parity == 0 else -v[::-1])
+        assert grid.delta * np.dot(v, v) == pytest.approx(grid.delta * np.dot(w, w), rel=1e-14)
+        np.testing.assert_allclose(v, _sector_basis(grid.D - 1, parity) @ w, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_block_of_non_even_operator_is_the_compression(self, parity):
+        rng = np.random.default_rng(7)
+        op = TridiagonalOperator(diag=rng.standard_normal(11), offdiag=rng.standard_normal(10))
+        p = _sector_basis(op.size, parity)
+        np.testing.assert_allclose(
+            parity_block(op, parity).dense(), p.T @ op.dense() @ p, rtol=0, atol=1e-14
+        )
+
+    def test_even_operator_blocks_are_the_half_grid_bitwise(self):
+        grid = make_grid(6.0, 400)
+        op = assemble(grid, TrapConfig(a=2.0, beta=0.5), np.exp(-grid.interior**2))
+        c = grid.D // 2 - 1
+        even, odd = parity_block(op, 0), parity_block(op, 1)
+        assert np.array_equal(even.diag, op.diag[c:])
+        assert even.offdiag[0] == np.sqrt(2.0) * op.offdiag[c]
+        assert np.array_equal(even.offdiag[1:], op.offdiag[c + 1:])
+        assert np.array_equal(odd.diag, op.diag[c + 1:])
+        assert np.array_equal(odd.offdiag, op.offdiag[c + 1:])

@@ -144,6 +144,23 @@ class TestSpectrum:
         assert {r.state.grid.L for r in results} == {4.5}
         assert all(r.converged for r in results)
 
+    @pytest.mark.parametrize("a", [12.0, 16.0])
+    def test_deep_well_states_keep_exact_parity(self, grid4000, a):
+        # The doublet splittings (1e-10 at a=12, 1e-14 at a=16) are below what
+        # a full-size solve resolves; each parity sector is solved on its own.
+        results = solve_spectrum(grid4000, TrapConfig(a=a), 4)
+        assert [r.state.parity for r in results] == ["even", "odd", "even", "odd"]
+        for r in results:
+            psi = r.state.psi
+            assert np.array_equal(psi, psi[::-1] if r.state.n % 2 == 0 else -psi[::-1])
+            right = psi[r.state.grid.D // 2:]  # x >= 0
+            assert right[np.argmax(np.abs(right))] > 0
+
+    def test_deep_well_splitting_is_positive(self, grid4000):
+        # At a=16 dE is about 1e-14, under one ulp of E ≈ -60: not gated there.
+        results = solve_spectrum(grid4000, TrapConfig(a=12.0), 2)
+        assert results[1].state.energy - results[0].state.energy > 0
+
     def test_k_validation(self, grid4000):
         with pytest.raises(ValueError):
             solve_spectrum(grid4000, TrapConfig(a=2.0), 0)
