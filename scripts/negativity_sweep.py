@@ -27,15 +27,17 @@ def main() -> int:
 
     grid = make_grid(args.L, args.D)
     for a in args.a:
-        rows = []
-        for beta in parse_range(args.betas):
+        betas = parse_range(args.betas)
+        negs, integrals = [], []
+        for beta in betas:
             result = solve_state(grid, TrapConfig(a=a, beta=beta), args.state)
             field = wigner_transform(result.state.grid, result.state.psi)
-            rows.append((beta, negativity(field), field.phase_space_integral()))
+            negs.append(negativity(field))
+            integrals.append(field.phase_space_integral())
         path = args.output.format(a=a)
-        write_csv(path, ["beta", "negativity", "integral"], rows,
+        write_csv(path, ["beta", "negativity", "integral"], [betas, negs, integrals],
                   {"a": a, "L": args.L, "D": args.D, "state": args.state})
-        print(f"wrote {path} ({len(rows)} points)")
+        print(f"wrote {path} ({len(betas)} points)")
     return 0
 
 

@@ -28,7 +28,14 @@ from .critical import NoSignChange, find_critical_a, fit_quadratic
 from .dynamics import coherent_state, default_fit_window, fotoc, growth_rate, propagate
 from .grid import TrapConfig, integrate, make_grid
 from .observables import overlap_matrix
-from .scf import MaxIterationsExceeded, ScfConfig, ScfError, solve_spectrum, solve_state
+from .scf import (
+    MaxIterationsExceeded,
+    ScfConfig,
+    ScfError,
+    domain_growths,
+    solve_spectrum,
+    solve_state,
+)
 from .semiclassics import classical_trajectory, lyapunov_exponent, transmission
 from .wigner import negativity, wigner_transform
 
@@ -58,20 +65,39 @@ def parse_range(spec: str) -> list[float]:
     return [start + i * step for i in range(n) if start + i * step <= stop + 0.5 * step]
 
 
-def write_csv(path: str, columns: list[str], rows: list[tuple], config: dict,
+def _fmt_column(col) -> list[str]:
+    """Every field of one column, formatted as _fmt formats it.
+
+    A float64 array formats each distinct bit pattern once; keying on the
+    bits rather than the value keeps -0.0 apart from 0.0.
+    """
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        distinct = np.array([f"{x:.17g}" for x in bits.view(np.float64).tolist()],
+                            dtype=object)
+        return distinct[inverse].tolist()
+    return [_fmt(v) for v in col]
+
+
+def write_csv(path: str, names: list[str], columns: list, config: dict,
               footer: dict | None = None) -> None:
-    """CSV with provenance header: version, config echo, sha256 of the data."""
-    data_lines = [",".join(columns)]
-    data_lines += [",".join(_fmt(v) for v in row) for row in rows]
+    """CSV with provenance header: version, config echo, sha256 of the data.
+
+    columns holds one sequence per name, all of the same length (a table
+    with no rows may pass no columns at all). Floats are written with 17
+    significant digits, anything else with str().
+    """
+    lines = [",".join(names)]
+    lines += map(",".join, zip(*map(_fmt_column, columns), strict=True))
     if footer:
-        data_lines += [f"# {key} = {_fmt(val)}" for key, val in footer.items()]
-    payload = "\n".join(data_lines) + "\n"
-    digest = hashlib.sha256(payload.encode()).hexdigest()
+        lines += [f"# {key} = {_fmt(val)}" for key, val in footer.items()]
+    payload = ("\n".join(lines) + "\n").encode()
     header = [f"# gpdwell {__version__}"]
     header += [f"# config: {key} = {_fmt(val)}" for key, val in sorted(config.items())]
-    header += [f"# sha256: {digest}"]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(header) + "\n" + payload)
+    header += [f"# sha256: {hashlib.sha256(payload).hexdigest()}"]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode())
+        fh.write(payload)
 
 
 def read_csv(path: str):
@@ -147,6 +173,8 @@ def cmd_solve(args) -> int:
             "iterations": r.iterations,
             "converged": r.converged,
             "oscillation_detected": r.oscillation_detected,
+            "L": r.state.grid.L,
+            "domain_growths": domain_growths(grid, r.state.grid),
         })
     failed = [s for s in states if not s["converged"]]
     record = {"states": states, "error": None}
@@ -158,12 +186,9 @@ def cmd_solve(args) -> int:
         }
     write_json(args.output, record, _config_echo(args))
     if args.psi_out:
-        rows = [
-            (x, *(r.state.psi[i] for r in results))
-            for i, x in enumerate(results[0].state.grid.nodes)
-        ]
         write_csv(args.psi_out, ["x"] + [f"psi_{r.state.n}" for r in results],
-                  rows, _config_echo(args))
+                  [results[0].state.grid.nodes] + [r.state.psi for r in results],
+                  _config_echo(args))
     return EXIT_CONVERGENCE if failed else EXIT_OK
 
 
@@ -205,7 +230,7 @@ def cmd_scan_critical(args) -> int:
             "E_c_fit_c0": fit_e.c0, "E_c_fit_c1": fit_e.c1, "E_c_fit_c2": fit_e.c2,
         }
     write_csv(args.output, ["beta", "a_c", "E_c", "curvature", "status"],
-              rows, _config_echo(args), footer=footer)
+              list(zip(*rows)), _config_echo(args), footer=footer)
     if not ok:
         # A bracket that straddles no root at any beta is bad input.
         no_root = all(r[4] == NoSignChange.__name__ for r in rows)
@@ -225,12 +250,10 @@ def cmd_wigner(args) -> int:
         return EXIT_CONVERGENCE
     grid = result.state.grid
     field = wigner_transform(grid, result.state.psi, p_max=args.pmax, P=args.P)
-    rows = [
-        (x, p, field.values[i, j])
-        for i, x in enumerate(field.x_nodes)
-        for j, p in enumerate(field.p_nodes)
-    ]
-    write_csv(args.output, ["x", "p", "W"], rows, _config_echo(args),
+    columns = [np.repeat(field.x_nodes, field.p_nodes.size),
+               np.tile(field.p_nodes, field.x_nodes.size),
+               field.values.ravel()]
+    write_csv(args.output, ["x", "p", "W"], columns, _config_echo(args),
               footer={"negativity": negativity(field),
                       "phase_space_integral": field.phase_space_integral()})
     return EXIT_OK
@@ -258,7 +281,7 @@ def cmd_wkb(args) -> int:
             rows.append((beta, float("nan"), float("nan"), float("nan"),
                          float("nan"), float("nan"), type(exc).__name__))
     write_csv(args.output, ["beta", "mu_0", "E_0", "E_1", "dE", "T_0", "status"],
-              rows, _config_echo(args))
+              list(zip(*rows)), _config_echo(args))
     if n_ok == 0:
         return EXIT_CONVERGENCE
     return EXIT_PARTIAL if n_ok < len(rows) else EXIT_OK
@@ -285,7 +308,7 @@ def cmd_overlaps(args) -> int:
                 for j in range(args.states):
                     rows.append((beta, i, j, float("nan"), "MaxIterationsExceeded"))
     write_csv(args.output, ["beta", "i", "j", "C_ij", "status"],
-              rows, _config_echo(args))
+              list(zip(*rows)), _config_echo(args))
     if n_ok == 0:
         return EXIT_CONVERGENCE
     return EXIT_PARTIAL if n_ok < len(betas) else EXIT_OK
@@ -313,8 +336,8 @@ def cmd_dynamics(args) -> int:
                        "fit_t_lo": window[0], "fit_t_hi": window[1]})
     except ValueError:
         pass  # no growth window in this run; data still goes out
-    rows = list(zip(series.times, series.F, series.var_x, series.var_p))
-    write_csv(args.output, ["t", "F", "var_x", "var_p"], rows,
+    write_csv(args.output, ["t", "F", "var_x", "var_p"],
+              [series.times, series.F, series.var_x, series.var_p],
               _config_echo(args), footer=footer)
     return EXIT_OK
 
@@ -323,11 +346,9 @@ def cmd_dynamics(args) -> int:
 
 def cmd_classical(args) -> int:
     traj = classical_trajectory(args.a, args.x0, args.p0, args.dt, args.tmax)
-    rows = [
-        (t, xp[0], xp[1])
-        for t, xp in zip(traj.times[::args.stride], traj.points[::args.stride])
-    ]
-    write_csv(args.output, ["t", "x", "p"], rows, _config_echo(args),
+    points = traj.points[::args.stride]
+    write_csv(args.output, ["t", "x", "p"],
+              [traj.times[::args.stride], points[:, 0], points[:, 1]], _config_echo(args),
               footer={"energy": traj.energy,
                       "lyapunov": lyapunov_exponent(args.a)})
     return EXIT_OK

@@ -15,6 +15,7 @@ oscillation flag either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .observables import energy as _fill_energy
 
 BOUNDARY_TAIL_MAX = 1e-3
 MAX_DOMAIN_GROWTHS = 3
+DOMAIN_GROWTH = 1.5  # factor on L per domain enlargement
 
 
 class ScfError(RuntimeError):
@@ -205,11 +207,11 @@ def solve_state(
         if tail <= BOUNDARY_TAIL_MAX:
             _fill_energy(grid, result.state, trap)
             return result
-        grid = make_grid(1.5 * grid.L, grid.D)
+        grid = make_grid(DOMAIN_GROWTH * grid.L, grid.D)
         initial_density = None
     raise DomainTooSmall(
         f"state still leaks past the walls after {MAX_DOMAIN_GROWTHS} enlargements "
-        f"(final L={grid.L / 1.5:g}, tail={tail:.2e})"
+        f"(final L={grid.L / DOMAIN_GROWTH:g}, tail={tail:.2e})"
     )
 
 
@@ -241,3 +243,8 @@ def _solve_or_partial(grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig | Non
         return solve_state(grid, trap, n, cfg)
     except MaxIterationsExceeded as exc:
         return exc.result
+
+
+def domain_growths(requested: Grid, solved_on: Grid) -> int:
+    """Number of domain enlargements between the requested grid and a state's grid."""
+    return round(math.log(solved_on.L / requested.L) / math.log(DOMAIN_GROWTH))

@@ -3,12 +3,16 @@
 These deliberately avoid the library's own solver paths: tridiagonal
 eigenvalues come from Sturm-sequence bisection (shooting on the 3-term
 recurrence), continuum eigenvalues from Numerov integration, and Wigner
-point values from direct quadrature of the transform integral.
+point values from direct quadrature of the transform integral. The
+bitwise references keep the plain forms of the fast paths: the CSV
+payload written row by row, RK4 on 2-vectors, and Crank-Nicolson with a
+banded solve per step.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, lam: float) -> int:
@@ -96,3 +100,60 @@ def wigner_point_quadrature(grid, psi, x: float, p: float) -> float:
     y = np.linspace(-grid.L, grid.L, 16 * grid.D + 1)
     integrand = psi_interp(x - y) * psi_interp(x + y) * np.cos(2.0 * p * y)
     return float(np.trapezoid(integrand, y) / np.pi)
+
+
+def csv_payload_rowwise(names, rows, footer=None) -> bytes:
+    """Data part of a gpdwell CSV built row by row, one field at a time.
+
+    Floats (Python or numpy) are written with 17 significant digits and
+    everything else with str(), as the CLI's per-field formatter does.
+    """
+
+    def field(v):
+        if isinstance(v, (float, np.floating)):
+            return f"{float(v):.17g}"
+        return str(v)
+
+    lines = [",".join(names)]
+    lines += [",".join(field(v) for v in row) for row in rows]
+    lines += [f"# {key} = {field(val)}" for key, val in (footer or {}).items()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def rk4_vector(a: float, x0: float, p0: float, dt: float, n_steps: int) -> np.ndarray:
+    """Classical RK4 on 2-vectors (x, p): the (n_steps+1, 2) points."""
+
+    def deriv(y):
+        x, p = y
+        return np.array([p, 2.0 * a * x - 4.0 * x**3])
+
+    y = np.array([x0, p0], dtype=float)
+    points = np.empty((n_steps + 1, 2))
+    points[0] = y
+    for i in range(n_steps):
+        k1 = deriv(y)
+        k2 = deriv(y + 0.5 * dt * k1)
+        k3 = deriv(y + 0.5 * dt * k2)
+        k4 = deriv(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        points[i + 1] = y
+    return points
+
+
+def crank_nicolson_banded(op, psi: np.ndarray, dt: float, steps: int) -> list[np.ndarray]:
+    """Crank-Nicolson steps with a fresh banded solve of 1 + i dt/2 H each step.
+
+    op is the interior tridiagonal operator (diag, offdiag, apply); psi the
+    interior start vector. Returns the interior state after every step.
+    """
+    z = 0.5j * dt
+    ab = np.zeros((3, op.size), dtype=complex)
+    ab[0, 1:] = z * op.offdiag
+    ab[1, :] = 1.0 + z * op.diag
+    ab[2, :-1] = z * op.offdiag
+    out = []
+    psi = psi.astype(complex)
+    for _ in range(steps):
+        psi = solve_banded((1, 1), ab, psi - z * op.apply(psi))
+        out.append(psi)
+    return out

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import csv_payload_rowwise
 
 from gpdwell.cli import (
     EXIT_CONVERGENCE,
@@ -15,6 +16,7 @@ from gpdwell.cli import (
     main,
     parse_range,
     read_csv,
+    write_csv,
 )
 
 FAST_SCF = ["--tol-mu", "1e-9", "--max-iter", "500"]
@@ -73,6 +75,20 @@ class TestSolve:
         assert len(rows) == 401
         assert rows[0][0] == -3.75 and rows[-1][0] == 3.75
 
+    def test_json_records_solved_grid(self, tmp_path):
+        out = tmp_path / "solve.json"
+        code = main(["solve", "--a", "5", "--L", "2.5", "--D", "400", "--states", "4",
+                     "--output", str(out)])
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["config"]["L"] == 2.5  # the echo keeps the requested input
+        assert [s["L"] for s in doc["states"]] == [3.75] * 4
+        assert [s["domain_growths"] for s in doc["states"]] == [1] * 4
+
+        main(["solve", "--a", "2", "--D", "400", "--output", str(out)])
+        state = json.loads(out.read_text())["states"][0]
+        assert state["L"] == 6.0 and state["domain_growths"] == 0
+
     def test_convergence_failure_reported(self, tmp_path):
         out = tmp_path / "solve.json"
         code = main(["solve", "--a", "5", "--beta", "9", "--D", "1000",
@@ -85,6 +101,56 @@ class TestSolve:
     def test_validation_error(self, tmp_path):
         code = main(["solve", "--a", "-1", "--output", str(tmp_path / "x.json")])
         assert code == EXIT_VALIDATION
+
+
+def _payload(path):
+    """(sha256 header value, data bytes) of an emitted CSV."""
+    _, _, data = path.read_bytes().partition(b"# sha256: ")
+    digest, _, data = data.partition(b"\n")
+    return digest.decode(), data
+
+
+class TestWriteCsv:
+    def test_matches_rowwise_reference(self, tmp_path):
+        import hashlib
+
+        nan_payload = (np.array([np.nan]).view(np.int64) | 1).view(np.float64)[0]
+        x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1 / 3, 1 / 3, 0.1,
+                      -0.0, 0.0, 5e-324, -1e300, nan_payload, -np.nan, 2.5])
+        n = x.size
+        columns = [
+            x,
+            x[::-1].copy(),
+            np.linspace(-1.0, 1.0, 2 * n)[::2],  # strided view
+            list(range(-3, n - 3)),  # Python ints
+            np.arange(n, dtype=np.int64),  # numpy ints
+            ["ok", "nan", "MaxIterationsExceeded"] * (n // 3),
+            [float(v) for v in x],  # Python floats
+            np.linspace(0.0, 1.0, n, dtype=np.float32),
+        ]
+        names = [f"c{i}" for i in range(len(columns))]
+        footer = {"rate": 0.1, "zero": -0.0, "count": 3}
+        out = tmp_path / "t.csv"
+        write_csv(str(out), names, columns, {"a": 1.5, "D": 4}, footer=footer)
+        digest, data = _payload(out)
+        ref = csv_payload_rowwise(names, list(zip(*columns)), footer)
+        assert data == ref
+        assert digest == hashlib.sha256(ref).hexdigest()
+        lines = data.split(b"\n")
+        assert lines[1].startswith(b"0,") and lines[2].startswith(b"-0,")  # -0.0 kept
+
+    def test_zero_rows(self, tmp_path):
+        names = ["beta", "a_c", "status"]
+        ref = csv_payload_rowwise(names, [])
+        for columns in ([np.empty(0), np.empty(0), []], []):
+            out = tmp_path / "empty.csv"
+            write_csv(str(out), names, columns, {})
+            assert _payload(out)[1] == ref == b"beta,a_c,status\n"
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(str(tmp_path / "bad.csv"), ["x", "y"],
+                      [np.zeros(3), np.zeros(2)], {})
 
 
 class TestScanCritical:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import crank_nicolson_banded
 
 from gpdwell.dynamics import (
     FotocSeries,
@@ -10,6 +11,7 @@ from gpdwell.dynamics import (
     propagate,
 )
 from gpdwell.grid import TrapConfig, integrate, make_grid
+from gpdwell.hamiltonian import assemble
 from gpdwell.scf import solve_state
 from gpdwell.semiclassics import lyapunov_exponent
 
@@ -83,6 +85,22 @@ class TestPropagate:
         packet = coherent_state(grid_dyn, 0.0, 0.0)
         with pytest.raises(ValueError):
             propagate(grid_dyn, 2.0, packet, dt=0.0, steps=10)
+
+    def test_rejects_nonfinite_dt(self, grid_dyn):
+        packet = coherent_state(grid_dyn, 0.0, 0.0)
+        for dt in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                propagate(grid_dyn, 2.0, packet, dt=dt, steps=10)
+
+    def test_bitwise_per_step_banded_solve(self, grid_dyn):
+        packet = coherent_state(grid_dyn, 0.4, -0.7)
+        op = assemble(grid_dyn, TrapConfig(a=10.0, beta=0.0), np.zeros(grid_dyn.D - 1))
+        ref = crank_nicolson_banded(op, packet.values[1:-1], 1e-3, 200)
+        snaps = propagate(grid_dyn, 10.0, packet, dt=1e-3, steps=200)
+        assert len(snaps) == 201
+        for snap, psi in zip(snaps[1:], ref):
+            assert snap.values[1:-1].tobytes() == psi.tobytes()
+            assert snap.values[0] == snap.values[-1] == 0.0
 
 
 class TestFotoc:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import rk4_vector
 
 from gpdwell.grid import TrapConfig, make_grid, potential
 from gpdwell.scf import solve_spectrum, solve_state
@@ -125,6 +126,17 @@ class TestClassicalTrajectory:
         back = classical_trajectory(2.0, xT, -pT, 1e-4, 3.0)
         assert back.points[-1, 0] == pytest.approx(1.1, abs=1e-8)
         assert back.points[-1, 1] == pytest.approx(-0.3, abs=1e-8)
+
+    @pytest.mark.parametrize("a, x0, p0, dt, t_max", [
+        (10.0, 1.5, 0.0, 1e-4, 2.0),  # the benchmark orbit, shortened
+        (2.0, -0.7, 1.3, 1e-3, 20.0),  # above the separatrix
+        (3, 1, 0, 1e-3, 5.0),  # integer inputs
+    ])
+    def test_bitwise_vector_rk4(self, a, x0, p0, dt, t_max):
+        traj = classical_trajectory(a, x0, p0, dt, t_max)
+        ref = rk4_vector(a, x0, p0, dt, len(traj.times) - 1)
+        assert traj.points.dtype == ref.dtype and traj.points.shape == ref.shape
+        assert traj.points.tobytes() == ref.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
