@@ -145,10 +145,7 @@ def n_workers() -> int:
 
 
 def _scf_config(args) -> ScfConfig:
-    return ScfConfig(
-        tol_mu=args.tol_mu, tol_state=args.tol_state,
-        max_iter=args.max_iter, mixing=args.mixing,
-    )
+    return ScfConfig(tol=args.scf_tol, max_iter=args.max_iter)
 
 
 def _config_echo(args) -> dict:
@@ -172,7 +169,7 @@ def cmd_solve(args) -> int:
             "parity": r.state.parity,
             "iterations": r.iterations,
             "converged": r.converged,
-            "oscillation_detected": r.oscillation_detected,
+            "residual": r.residual,
             "L": r.state.grid.L,
             "domain_growths": domain_growths(grid, r.state.grid),
         })
@@ -182,7 +179,7 @@ def cmd_solve(args) -> int:
         record["error"] = {
             "kind": "MaxIterationsExceeded",
             "failed_states": [s["n"] for s in failed],
-            "oscillation_detected": any(s["oscillation_detected"] for s in failed),
+            "max_residual": max(s["residual"] for s in failed),
         }
     write_json(args.output, record, _config_echo(args))
     if args.psi_out:
@@ -271,7 +268,7 @@ def cmd_wkb(args) -> int:
         try:
             results = solve_spectrum(grid, trap, 2, cfg)
             if not all(r.converged for r in results):
-                raise MaxIterationsExceeded(next(r for r in results if not r.converged))
+                raise MaxIterationsExceeded(next(r for r in results if not r.converged), cfg.tol)
             s0, s1 = results[0].state, results[1].state
             t0 = transmission(s0.grid, s0, trap)
             rows.append((beta, s0.mu, s0.energy, s1.energy,
@@ -362,10 +359,10 @@ def _add_grid_args(p, L=6.0, D=4000):
 
 
 def _add_scf_args(p):
-    p.add_argument("--tol-mu", type=float, default=1e-9)
-    p.add_argument("--tol-state", type=float, default=1e-4)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--mixing", type=float, default=1.0)
+    p.add_argument("--scf-tol", type=float, default=ScfConfig.tol,
+                   help="SCF stop: ||H psi - mu psi|| <= scf_tol * (1 + |mu|)")
+    p.add_argument("--max-iter", type=int, default=ScfConfig.max_iter,
+                   help="SCF iteration budget per state")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,9 @@
 Thin wrapper around LAPACK's tridiagonal solvers that fixes the
 conventions the rest of the package relies on: ascending eigenvalues,
 discrete-L2 normalization delta*sum(v^2) = 1, and deterministic sign
-(largest magnitude entry positive). It knows nothing of parity; the SCF
+(largest magnitude entry positive). Pairs are refined in extended
+precision on request; the SCF iterates on unrefined pairs and refines only
+the one it keeps (refine_eigenpair). It knows nothing of parity; the SCF
 solves each state inside one parity block (hamiltonian.parity_block).
 """
 
@@ -80,8 +82,30 @@ def _refine(op: TridiagonalOperator, lam: float, v: np.ndarray, delta: float):
     return best[2], best[3], best[0]
 
 
-def lowest_eigenpairs(op: TridiagonalOperator, k: int, grid: Grid) -> list[Eigenpair]:
-    """k lowest eigenpairs, ascending, normalized and sign-fixed."""
+def refine_eigenpair(op: TridiagonalOperator, pair: Eigenpair, grid: Grid) -> Eigenpair:
+    """Refine one pair of op in extended precision, sign-fix it and check its residual.
+
+    Raises EigensolverError if the refined residual exceeds
+    RESIDUAL_TOL * (1 + |lambda|).
+    """
+    lam, v, resid_norm = _refine(op, pair.value, pair.vector, grid.delta)
+    if resid_norm > RESIDUAL_TOL * (1.0 + abs(lam)):
+        raise EigensolverError(f"eigenpair residual {resid_norm:.3e} exceeds tolerance")
+    return Eigenpair(value=lam, vector=_fix_sign(v))
+
+
+def lowest_eigenpairs(
+    op: TridiagonalOperator, k: int, grid: Grid, refine: bool = True
+) -> list[Eigenpair]:
+    """k lowest eigenpairs, ascending, normalized and sign-fixed.
+
+    With refine=True each pair goes through refine_eigenpair. With
+    refine=False the pairs are LAPACK's, only normalized and sign-fixed;
+    their residual ||A v - lambda v|| sits at the float64 floor of the
+    eigensolve, which grows like D^2 (measured on double-well operators: up
+    to 1.3e-10 * (1 + |lambda|) at D = 4000 and 6.7e-10 * (1 + |lambda|) at
+    D = 8000), and is not checked.
+    """
     if not 1 <= k <= op.size:
         raise ValueError(f"k must be in [1, {op.size}], got {k}")
     try:
@@ -94,11 +118,8 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, grid: Grid) -> list[Eigen
     pairs = []
     for j in range(k):
         v = vecs[:, j] / np.sqrt(grid.delta * np.dot(vecs[:, j], vecs[:, j]))
-        lam, v, resid_norm = _refine(op, float(vals[j]), v, grid.delta)
-        v = _fix_sign(v)
-        if resid_norm > RESIDUAL_TOL * (1.0 + abs(lam)):
-            raise EigensolverError(
-                f"eigenpair {j} residual {resid_norm:.3e} exceeds tolerance"
-            )
-        pairs.append(Eigenpair(value=lam, vector=v))
+        if refine:
+            pairs.append(refine_eigenpair(op, Eigenpair(value=float(vals[j]), vector=v), grid))
+        else:
+            pairs.append(Eigenpair(value=float(vals[j]), vector=_fix_sign(v)))
     return pairs

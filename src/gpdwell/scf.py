@@ -1,16 +1,18 @@
 """Self-consistent solution of the nonlinear eigenvalue problem.
 
 Each stationary state n is iterated to self-consistency with its own
-density: build the operator from the previous iterate's |psi|^2, take
-eigenpair n // 2 of its block in parity sector n % 2 (even for even n),
-mix, repeat. Every iterate is therefore exactly even or odd and every
-density exactly even. Convergence requires both the eigenvalue and the
-state overlap to settle.
+density: build the operator from the input density, take eigenpair n // 2
+of its block in parity sector n % 2 (even for even n), and mix the output
+density |psi|^2 with the earlier ones by Anderson (type II) mixing of
+depth ANDERSON_DEPTH (Anderson, J. ACM 12, 547 (1965); Walker & Ni, SIAM
+J. Numer. Anal. 49, 1715 (2011)). Every iterate is therefore exactly even
+or odd, and every mixed density exactly even.
 
-For strong coupling in a deep well the pure iteration can enter a
-two-cycle, the even density alternating between two profiles; the mixing
-knob (eta < 1) damps the update, and the failure is reported with an
-oscillation flag either way.
+A solve stops on the nonlinear residual ||H[psi^2] psi - mu psi|| of the
+unrefined pair, once it is at most tol * (1 + |mu|); the pair kept is then
+refined once in extended precision. tol must stay above the float64 floor
+of the unrefined eigensolve (up to 1.3e-10 relative at D = 4000 and
+6.7e-10 at D = 8000, growing like D^2), or a solve can stall on roundoff.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolver import lowest_eigenpairs
+from .eigensolver import lowest_eigenpairs, refine_eigenpair
 from .grid import Grid, TrapConfig, integrate, make_grid
 from .hamiltonian import assemble, parity_block, unfold
 from .observables import energy as _fill_energy
@@ -28,6 +30,7 @@ from .observables import energy as _fill_energy
 BOUNDARY_TAIL_MAX = 1e-3
 MAX_DOMAIN_GROWTHS = 3
 DOMAIN_GROWTH = 1.5  # factor on L per domain enlargement
+ANDERSON_DEPTH = 5  # earlier iterates kept by the mixing
 
 
 class ScfError(RuntimeError):
@@ -37,12 +40,12 @@ class ScfError(RuntimeError):
 class MaxIterationsExceeded(ScfError):
     """Iteration budget exhausted; carries the partial result."""
 
-    def __init__(self, result: "ScfResult"):
+    def __init__(self, result: "ScfResult", tol: float):
         self.result = result
-        msg = f"SCF did not converge in {result.iterations} iterations"
-        if result.oscillation_detected:
-            msg += " (two-cycle oscillation detected)"
-        super().__init__(msg)
+        super().__init__(
+            f"SCF did not converge in {result.iterations} iterations "
+            f"(residual {result.residual:.3e} > tol {tol:g})"
+        )
 
 
 class DomainTooSmall(ScfError):
@@ -51,16 +54,12 @@ class DomainTooSmall(ScfError):
 
 @dataclass(frozen=True)
 class ScfConfig:
-    tol_mu: float = 1e-9
-    tol_state: float = 1e-4
+    tol: float = 1e-9  # on ||H[psi^2] psi - mu psi|| / (1 + |mu|)
     max_iter: int = 500
-    mixing: float = 1.0  # eta in (0, 1]; 1.0 is the pure update
 
     def __post_init__(self):
-        if self.tol_mu <= 0 or self.tol_state <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0 < self.mixing <= 1:
-            raise ValueError(f"mixing must be in (0, 1], got {self.mixing}")
+        if not self.tol > 0:  # also rejects nan
+            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -88,10 +87,9 @@ class StationaryState:
 class ScfResult:
     state: StationaryState
     iterations: int
-    mu_history: list[float] = field(default_factory=list)
-    overlap_history: list[float] = field(default_factory=list)
+    mu_history: list[float] = field(default_factory=list)  # mu of each unrefined pair
     converged: bool = False
-    oscillation_detected: bool = False
+    residual: float = math.inf  # ||H[psi^2] psi - mu psi|| of the last unrefined pair
 
 
 def _embed(grid: Grid, interior: np.ndarray) -> np.ndarray:
@@ -100,57 +98,65 @@ def _embed(grid: Grid, interior: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _two_cycle(mu_history: list[float], tol: float) -> bool:
-    """Is the tail of the mu history 2-periodic but not 1-periodic?"""
-    if len(mu_history) < 6:
-        return False
-    tail = np.asarray(mu_history[-6:])
-    scale = 1.0 + np.max(np.abs(tail))
-    return bool(np.max(np.abs(tail[2:] - tail[:-2])) < tol * scale)
+def _anderson(inputs: list[np.ndarray], outputs: list[np.ndarray]) -> np.ndarray:
+    """Next input density from the last iterates' inputs x_i and outputs g_i = G(x_i).
+
+    Type II: with f_i = g_i - x_i and the columns of dF, dG the differences of
+    consecutive f_i and g_i, x_next = g - dG @ gamma where gamma minimizes
+    ||f - dF @ gamma||.
+    """
+    g = outputs[-1]
+    if len(inputs) == 1:
+        return g
+    f = [gi - xi for xi, gi in zip(inputs, outputs)]
+    d_f = np.column_stack([b - a for a, b in zip(f, f[1:])])
+    d_g = np.column_stack([b - a for a, b in zip(outputs, outputs[1:])])
+    return g - d_g @ np.linalg.lstsq(d_f, f[-1], rcond=None)[0]
 
 
 def _iterate(
     grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig, density: np.ndarray | None
 ) -> ScfResult:
     if density is None:
-        # Constant initial iterate, unit-normalized under the grid quadrature.
-        psi = _embed(grid, np.ones(grid.D - 1))
-        psi /= np.sqrt(integrate(grid, psi**2))
-        density = psi[1:-1] ** 2
-    else:
-        density = density / integrate(grid, _embed(grid, density))
-        psi = _embed(grid, np.sqrt(density))
+        density = np.ones(grid.D - 1)
+    density = density / integrate(grid, _embed(grid, density))
 
     index, parity = divmod(n, 2)  # state n is eigenpair n // 2 of sector n % 2
+    c = (grid.D - 1) // 2  # interior index of x = 0
+    # Mixing history on the x >= 0 half: the densities are even, and the
+    # mixed one is mirrored from its half, so it stays exactly even.
+    inputs: list[np.ndarray] = []
+    outputs: list[np.ndarray] = []
     mu_history: list[float] = []
-    overlap_history: list[float] = []
     converged = False
-    iterations = 0
 
-    for k in range(1, cfg.max_iter + 1):
-        iterations = k
-        op = parity_block(assemble(grid, trap, density), parity)
-        pair = lowest_eigenpairs(op, index + 1, grid)[index]
-        psi_new = _embed(grid, unfold(pair.vector, parity))
+    for iterations in range(1, cfg.max_iter + 1):
+        full = assemble(grid, trap, density)
+        op = parity_block(full, parity)
+        pair = lowest_eigenpairs(op, index + 1, grid, refine=False)[index]
+        psi = unfold(pair.vector, parity)
         mu = pair.value
-
-        overlap = abs(integrate(grid, psi_new * psi))
-        overlap_history.append(overlap)
-        if mu_history and abs(mu - mu_history[-1]) < cfg.tol_mu and (1.0 - overlap) < cfg.tol_state:
-            mu_history.append(mu)
-            psi = psi_new
+        mu_history.append(mu)
+        rho = psi * psi
+        # H[rho] psi - mu psi, from H[density] by the change of the diagonal
+        r = full.apply(psi) - mu * psi + trap.beta * (rho - density) * psi
+        residual = math.sqrt(grid.delta * np.dot(r, r))
+        if residual <= cfg.tol * (1.0 + abs(mu)):
             converged = True
             break
-        mu_history.append(mu)
 
-        density = (1.0 - cfg.mixing) * density + cfg.mixing * psi_new[1:-1] ** 2
+        inputs.append(density[c:])
+        outputs.append(rho[c:])
+        del inputs[:-(ANDERSON_DEPTH + 1)], outputs[:-(ANDERSON_DEPTH + 1)]
+        half = np.maximum(_anderson(inputs, outputs), 0.0)
+        density = np.concatenate([half[:0:-1], half])
         density /= integrate(grid, _embed(grid, density))
-        psi = psi_new
 
+    pair = refine_eigenpair(op, pair, grid)
     state = StationaryState(
         n=n,
-        psi=psi,
-        mu=mu_history[-1],
+        psi=_embed(grid, unfold(pair.vector, parity)),
+        mu=pair.value,
         parity=("even", "odd")[parity],
         beta=trap.beta,
         a=trap.a,
@@ -160,12 +166,11 @@ def _iterate(
         state=state,
         iterations=iterations,
         mu_history=mu_history,
-        overlap_history=overlap_history,
         converged=converged,
-        oscillation_detected=not converged and _two_cycle(mu_history, 1e-6),
+        residual=residual,
     )
     if not converged:
-        raise MaxIterationsExceeded(result)
+        raise MaxIterationsExceeded(result, cfg.tol)
     return result
 
 
@@ -181,11 +186,11 @@ def solve_state(
     initial_density, if given, is |psi|^2 on the D-1 interior nodes of grid
     and replaces the constant first iterate (a warm start, e.g. from the
     converged state of a nearby trap); it is normalized first, and only its
-    even part acts, because the state is solved in its parity sector. If
-    the converged state does not vanish at the walls (tail above 1e-3), the
-    solve is repeated on a grid with L enlarged by 1.5x, at most three
-    times, keeping D fixed; the repeats start cold, because the warm
-    density belongs to the old nodes.
+    even part enters the operator's parity block. If the converged state
+    does not vanish at the walls (tail above 1e-3), the solve is repeated
+    on a grid with L enlarged by 1.5x, at most three times, keeping D
+    fixed; the repeats start cold, because the warm density belongs to the
+    old nodes.
     """
     if n < 0:
         raise ValueError(f"quantum index n must be >= 0, got {n}")
@@ -222,7 +227,7 @@ def solve_spectrum(
 
     Each state is self-consistent with its own density; states do not share
     a common density. Per-state convergence failures are returned in place
-    (flags set) rather than aborting the remaining states. A state whose
+    (converged False) rather than aborting the remaining states. A state whose
     solve grew the domain leaves the others on smaller grids; those are
     solved again on the widest grid, until every state lives on it.
     """

@@ -19,9 +19,6 @@ from gpdwell.cli import (
     write_csv,
 )
 
-FAST_SCF = ["--tol-mu", "1e-9", "--max-iter", "500"]
-
-
 class TestParseRange:
     def test_single_value(self):
         assert parse_range("0.3") == [0.3]
@@ -92,11 +89,25 @@ class TestSolve:
     def test_convergence_failure_reported(self, tmp_path):
         out = tmp_path / "solve.json"
         code = main(["solve", "--a", "5", "--beta", "9", "--D", "1000",
-                     "--max-iter", "40", "--output", str(out)])
+                     "--max-iter", "2", "--output", str(out)])
         assert code == EXIT_CONVERGENCE
         doc = json.loads(out.read_text())
         assert doc["error"]["kind"] == "MaxIterationsExceeded"
         assert doc["error"]["failed_states"] == [0]
+        assert doc["error"]["max_residual"] == doc["states"][0]["residual"] > 1e-9
+
+    def test_scf_tol_flag(self, tmp_path):
+        out = tmp_path / "solve.json"
+        code = main(["solve", "--a", "5", "--beta", "1", "--D", "800",
+                     "--scf-tol", "1e-6", "--output", str(out)])
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["config"]["scf_tol"] == 1e-6
+        state = doc["states"][0]
+        assert state["residual"] <= 1e-6 * (1.0 + abs(state["mu"]))
+        for removed in ("--tol-mu", "--tol-state", "--mixing"):
+            with pytest.raises(SystemExit):
+                main(["solve", "--a", "5", removed, "0.5", "--output", str(out)])
 
     def test_validation_error(self, tmp_path):
         code = main(["solve", "--a", "-1", "--output", str(tmp_path / "x.json")])
@@ -238,7 +249,7 @@ class TestWkbAndOverlaps:
     def test_wkb_partial_failure(self, tmp_path):
         out = tmp_path / "wkb.csv"
         code = main(["wkb", "--a", "5", "--betas", "0:9:9", "--D", "1000",
-                     "--max-iter", "40", "--output", str(out)])
+                     "--max-iter", "2", "--output", str(out)])
         assert code == EXIT_PARTIAL
         _, _, rows, _ = read_csv(str(out))
         assert rows[0][6] == "ok"

@@ -60,6 +60,20 @@ class TestFindCriticalA:
         assert res.E_c == at_ac[0].state.energy
         assert len({a for a, _ in solves}) == len(solves)
 
+    def test_few_scf_iterations_near_critical(self, monkeypatch):
+        # Guards the work count, not seconds: the plain fixed point took 565.
+        iterations = []
+        solve_state = gpdwell.critical.solve_state
+
+        def recording(*args):
+            result = solve_state(*args)
+            iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(gpdwell.critical, "solve_state", recording)
+        find_critical_a(4.0, tol=1e-4, grid=make_grid(6.0, 600))
+        assert sum(iterations) <= 100
+
     def test_sign_change_within_tol(self, grid_crit):
         tol = 1e-3
         res = find_critical_a(0.5, tol=tol, grid=grid_crit)
