@@ -1,15 +1,18 @@
 """Command-line frontend and deterministic data export.
 
-Subcommands map one-to-one onto the analysis workflows: solve,
-scan-critical, wigner, wkb, overlaps, dynamics, classical. Tables go out
-as RFC-4180 CSV with a '#' provenance header (tool version, config echo,
+Subcommands map one-to-one onto the analysis workflows: solve, wigner,
+dynamics and classical compute one case; scan-critical, wkb, overlaps and
+negativity sweep beta over --betas, all through _sweep. Tables go out as
+RFC-4180 CSV with a '#' provenance header (tool version, config echo,
 content hash); summaries and fits as JSON. Identical configs produce
 byte-identical files: floats are written with 17 significant digits and
 no timestamps enter the data.
 
-Exit codes: 0 success, 2 validation error (or a scan-critical bracket
-with no sign change at any beta), 3 convergence failure (or a sweep where
-every point failed), 4 partial sweep failure.
+Exit codes: 0 success; 2 validation error, or a sweep whose every point
+is a NoSignChange (a bracket with no root at any beta); 3 convergence or
+eigensolver failure, or a sweep with no point ok; 4 a sweep with some
+points failed, which keep their rows with NaN values and the failure's
+type name as status.
 """
 
 from __future__ import annotations
@@ -20,12 +23,14 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .critical import NoSignChange, find_critical_a, fit_quadratic
 from .dynamics import coherent_state, default_fit_window, fotoc, growth_rate, propagate
+from .eigensolver import EigensolverError
 from .grid import TrapConfig, integrate, make_grid
 from .observables import overlap_matrix
 from .scf import (
@@ -53,16 +58,20 @@ def _fmt(x) -> str:
 
 def parse_range(spec: str) -> list[float]:
     """start:stop:step, endpoints inclusive within half a step; or a single value."""
-    parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    parts = [float(p) for p in spec.split(":")]
+    if len(parts) not in (1, 3):
         raise ValueError(f"range must be 'start:stop:step', got {spec!r}")
-    start, stop, step = (float(p) for p in parts)
+    if not np.isfinite(parts).all():
+        raise ValueError(f"range values must be finite, got {spec!r}")
+    if len(parts) == 1:
+        return parts
+    start, stop, step = parts
     if step <= 0:
         raise ValueError(f"range step must be positive, got {step}")
-    n = int(np.floor((stop - start) / step + 0.5)) + 1
-    return [start + i * step for i in range(n) if start + i * step <= stop + 0.5 * step]
+    n = np.floor((stop - start) / step + 0.5) + 1
+    if not 1 <= n <= 1e6:  # also rejects a count that overflows to inf
+        raise ValueError(f"range {spec!r} is empty or has more than a million points")
+    return [start + i * step for i in range(int(n)) if start + i * step <= stop + 0.5 * step]
 
 
 def _fmt_column(col) -> list[str]:
@@ -189,64 +198,16 @@ def cmd_solve(args) -> int:
     return EXIT_CONVERGENCE if failed else EXIT_OK
 
 
-# ------------------------------------------------------- scan-critical
-
-def _critical_point(job):
-    beta, bracket, tol, L, D, cfg = job
-    try:
-        res = find_critical_a(beta, bracket=bracket, tol=tol,
-                              grid=make_grid(L, D), cfg=cfg)
-        return (beta, res.a_c, res.E_c, res.curvature_at_ac, "ok")
-    except (ScfError, NoSignChange) as exc:
-        return (beta, float("nan"), float("nan"), float("nan"), type(exc).__name__)
-
-
-def cmd_scan_critical(args) -> int:
-    betas = parse_range(args.betas)
-    cfg = _scf_config(args)
-    bracket = tuple(float(b) for b in args.bracket.split(","))
-    jobs = [(b, bracket, args.tol, args.L, args.D, cfg) for b in betas]
-    workers = min(n_workers(), len(jobs))
-    if workers > 1:
-        # A point's cost grows steeply with beta: hand out the heaviest first
-        # so that no long job starts last, then put the rows back in order.
-        order = sorted(range(len(jobs)), key=lambda i: -betas[i])
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(_critical_point, [jobs[i] for i in order])
-            rows = [row for _, row in sorted(zip(order, done))]
-    else:
-        rows = [_critical_point(j) for j in jobs]
-
-    ok = [r for r in rows if r[4] == "ok"]
-    footer = {}
-    if len(ok) >= 4:
-        fit_a = fit_quadratic([(r[0], r[1]) for r in ok])
-        fit_e = fit_quadratic([(r[0], r[2]) for r in ok])
-        footer = {
-            "a_c_fit_c0": fit_a.c0, "a_c_fit_c1": fit_a.c1, "a_c_fit_c2": fit_a.c2,
-            "E_c_fit_c0": fit_e.c0, "E_c_fit_c1": fit_e.c1, "E_c_fit_c2": fit_e.c2,
-        }
-    write_csv(args.output, ["beta", "a_c", "E_c", "curvature", "status"],
-              list(zip(*rows)), _config_echo(args), footer=footer)
-    if not ok:
-        # A bracket that straddles no root at any beta is bad input.
-        no_root = all(r[4] == NoSignChange.__name__ for r in rows)
-        return EXIT_VALIDATION if no_root else EXIT_CONVERGENCE
-    return EXIT_PARTIAL if len(ok) < len(rows) else EXIT_OK
-
-
 # ------------------------------------------------------------- wigner
 
+def _wigner_field(args, beta, p_max=None, P=None):
+    result = solve_state(make_grid(args.L, args.D), TrapConfig(a=args.a, beta=beta),
+                         args.state, _scf_config(args))
+    return wigner_transform(result.state.grid, result.state.psi, p_max=p_max, P=P)
+
+
 def cmd_wigner(args) -> int:
-    grid = make_grid(args.L, args.D)
-    trap = TrapConfig(a=args.a, beta=args.beta)
-    try:
-        result = solve_state(grid, trap, args.state, _scf_config(args))
-    except ScfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    grid = result.state.grid
-    field = wigner_transform(grid, result.state.psi, p_max=args.pmax, P=args.P)
+    field = _wigner_field(args, args.beta, args.pmax, args.P)
     columns = [np.repeat(field.x_nodes, field.p_nodes.size),
                np.tile(field.p_nodes, field.x_nodes.size),
                field.values.ravel()]
@@ -256,59 +217,98 @@ def cmd_wigner(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------- wkb
+# -------------------------------------------------------------- sweeps
+
+def _sweep(args, names, solve_point, workers=1, keys=((),), footer=None) -> int:
+    """Solve every beta of args.betas, write one CSV, and return the exit code.
+
+    solve_point(beta) returns the point's rows without their status. A point
+    that raises ScfError, NoSignChange or EigensolverError gets one row
+    (beta, *key, NaN..., type(exc).__name__) per key in keys instead; any
+    other error aborts the sweep. footer(rows) gives the CSV footer.
+    """
+    betas = parse_range(args.betas)
+    workers = min(workers, len(betas))
+    if workers > 1:
+        # A point's cost grows steeply with beta: hand out the heaviest first
+        # so that no long job starts last.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {b: pool.submit(solve_point, b) for b in sorted(set(betas), reverse=True)}
+        points = [futures[b].result for b in betas]
+    else:
+        points = [partial(solve_point, b) for b in betas]
+    rows, failed = [], []
+    for beta, point in zip(betas, points):
+        try:
+            rows += [row + ("ok",) for row in point()]
+        except (ScfError, NoSignChange, EigensolverError) as exc:
+            failed.append(type(exc).__name__)
+            nans = (np.nan,) * (len(names) - len(keys[0]) - 2)
+            rows += [(beta, *key, *nans, failed[-1]) for key in keys]
+    write_csv(args.output, names, list(zip(*rows)), _config_echo(args),
+              footer=footer(rows) if footer else None)
+    if len(failed) < len(betas):
+        return EXIT_PARTIAL if failed else EXIT_OK
+    return EXIT_VALIDATION if set(failed) == {NoSignChange.__name__} else EXIT_CONVERGENCE
+
+
+def _critical_point(args, beta):
+    bracket = tuple(float(b) for b in args.bracket.split(","))
+    res = find_critical_a(beta, bracket=bracket, tol=args.tol,
+                          grid=make_grid(args.L, args.D), cfg=_scf_config(args))
+    return [(beta, res.a_c, res.E_c, res.curvature_at_ac)]
+
+
+def _critical_fits(rows) -> dict:
+    ok = [r for r in rows if r[-1] == "ok"]
+    if len(ok) < 4:
+        return {}
+    fit_a = fit_quadratic([(r[0], r[1]) for r in ok])
+    fit_e = fit_quadratic([(r[0], r[2]) for r in ok])
+    return {"a_c_fit_c0": fit_a.c0, "a_c_fit_c1": fit_a.c1, "a_c_fit_c2": fit_a.c2,
+            "E_c_fit_c0": fit_e.c0, "E_c_fit_c1": fit_e.c1, "E_c_fit_c2": fit_e.c2}
+
+
+def cmd_scan_critical(args) -> int:
+    # Only scan-critical fans out, as its points are costly. The other sweeps
+    # run serially: one worker process would about double their peak memory.
+    return _sweep(args, ["beta", "a_c", "E_c", "curvature", "status"],
+                  partial(_critical_point, args), workers=n_workers(), footer=_critical_fits)
+
+
+def _spectrum(args, beta, k):
+    """The trap at beta and its k lowest states, all converged."""
+    trap = TrapConfig(a=args.a, beta=beta)
+    cfg = _scf_config(args)
+    results = solve_spectrum(make_grid(args.L, args.D), trap, k, cfg)
+    for r in results:
+        if not r.converged:
+            raise MaxIterationsExceeded(r, cfg.tol)
+    return trap, [r.state for r in results]
+
 
 def cmd_wkb(args) -> int:
-    grid = make_grid(args.L, args.D)
-    betas = parse_range(args.betas)
-    cfg = _scf_config(args)
-    rows, n_ok = [], 0
-    for beta in betas:
-        trap = TrapConfig(a=args.a, beta=beta)
-        try:
-            results = solve_spectrum(grid, trap, 2, cfg)
-            if not all(r.converged for r in results):
-                raise MaxIterationsExceeded(next(r for r in results if not r.converged), cfg.tol)
-            s0, s1 = results[0].state, results[1].state
-            t0 = transmission(s0.grid, s0, trap)
-            rows.append((beta, s0.mu, s0.energy, s1.energy,
-                         s1.energy - s0.energy, t0, "ok"))
-            n_ok += 1
-        except ScfError as exc:
-            rows.append((beta, float("nan"), float("nan"), float("nan"),
-                         float("nan"), float("nan"), type(exc).__name__))
-    write_csv(args.output, ["beta", "mu_0", "E_0", "E_1", "dE", "T_0", "status"],
-              list(zip(*rows)), _config_echo(args))
-    if n_ok == 0:
-        return EXIT_CONVERGENCE
-    return EXIT_PARTIAL if n_ok < len(rows) else EXIT_OK
+    def point(beta):
+        trap, (s0, s1) = _spectrum(args, beta, 2)
+        return [(beta, s0.mu, s0.energy, s1.energy, s1.energy - s0.energy,
+                 transmission(s0.grid, s0, trap))]
+    return _sweep(args, ["beta", "mu_0", "E_0", "E_1", "dE", "T_0", "status"], point)
 
-
-# ------------------------------------------------------------ overlaps
 
 def cmd_overlaps(args) -> int:
-    grid = make_grid(args.L, args.D)
-    betas = parse_range(args.betas)
-    cfg = _scf_config(args)
-    rows, n_ok = [], 0
-    for beta in betas:
-        trap = TrapConfig(a=args.a, beta=beta)
-        results = solve_spectrum(grid, trap, args.states, cfg)
-        if all(r.converged for r in results):
-            m = overlap_matrix(results[0].state.grid, [r.state for r in results])
-            for i in range(m.k):
-                for j in range(m.k):
-                    rows.append((beta, i, j, m.entries[i, j], "ok"))
-            n_ok += 1
-        else:
-            for i in range(args.states):
-                for j in range(args.states):
-                    rows.append((beta, i, j, float("nan"), "MaxIterationsExceeded"))
-    write_csv(args.output, ["beta", "i", "j", "C_ij", "status"],
-              list(zip(*rows)), _config_echo(args))
-    if n_ok == 0:
-        return EXIT_CONVERGENCE
-    return EXIT_PARTIAL if n_ok < len(betas) else EXIT_OK
+    def point(beta):
+        _, states = _spectrum(args, beta, args.states)
+        m = overlap_matrix(states[0].grid, states)
+        return [(beta, i, j, m.entries[i, j]) for i in range(m.k) for j in range(m.k)]
+    return _sweep(args, ["beta", "i", "j", "C_ij", "status"], point,
+                  keys=[(i, j) for i in range(args.states) for j in range(args.states)])
+
+
+def cmd_negativity(args) -> int:
+    def point(beta):
+        field = _wigner_field(args, beta)
+        return [(beta, negativity(field), field.phase_space_integral())]
+    return _sweep(args, ["beta", "negativity", "integral", "status"], point)
 
 
 # ------------------------------------------------------------ dynamics
@@ -365,6 +365,16 @@ def _add_scf_args(p):
                    help="SCF iteration budget per state")
 
 
+def _add_sweep(sub, name, func, help, betas="0:0.5:0.1", L=6.0, D=4000):
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--betas", default=betas, help="start:stop:step or single value")
+    _add_grid_args(p, L, D)
+    _add_scf_args(p)
+    p.add_argument("--output", default=name.replace("-", "_") + ".csv")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpdwell",
@@ -384,14 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi-out", default=None, help="optional CSV of wavefunctions")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("scan-critical", help="critical parameter a_c and energy E_c vs beta")
-    p.add_argument("--betas", default="0:4:0.5", help="start:stop:step or single value")
+    p = _add_sweep(sub, "scan-critical", cmd_scan_critical,
+                   "critical parameter a_c and energy E_c vs beta", betas="0:4:0.5")
     p.add_argument("--bracket", default="0.5,3.0", help="sign-change bracket a_lo,a_hi")
     p.add_argument("--tol", type=float, default=1e-4, help="final bracket width on a")
-    _add_grid_args(p)
-    _add_scf_args(p)
-    p.add_argument("--output", default="scan_critical.csv")
-    p.set_defaults(func=cmd_scan_critical)
 
     p = sub.add_parser("wigner", help="Wigner function and negativity of a state")
     p.add_argument("--a", type=float, required=True)
@@ -404,22 +410,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="wigner.csv")
     p.set_defaults(func=cmd_wigner)
 
-    p = sub.add_parser("wkb", help="transmission and splitting sweep over beta")
+    p = _add_sweep(sub, "wkb", cmd_wkb, "transmission and splitting sweep over beta")
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--betas", default="0:0.5:0.1")
-    _add_grid_args(p)
-    _add_scf_args(p)
-    p.add_argument("--output", default="wkb.csv")
-    p.set_defaults(func=cmd_wkb)
 
-    p = sub.add_parser("overlaps", help="eigenstate overlap matrix sweep over beta")
+    p = _add_sweep(sub, "overlaps", cmd_overlaps, "eigenstate overlap matrix sweep over beta")
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--betas", default="0:0.5:0.1")
     p.add_argument("--states", type=int, default=4)
-    _add_grid_args(p)
-    _add_scf_args(p)
-    p.add_argument("--output", default="overlaps.csv")
-    p.set_defaults(func=cmd_overlaps)
+
+    p = _add_sweep(sub, "negativity", cmd_negativity,
+                   "Wigner negativity of a state, swept over beta", L=12.0, D=1200)
+    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--state", type=int, default=0)
 
     p = sub.add_parser("dynamics", help="coherent-state evolution and FOTOC growth")
     p.add_argument("--a", type=float, required=True)
@@ -449,12 +450,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ScfError, EigensolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ScfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+        return EXIT_VALIDATION if isinstance(exc, (ValueError, OSError)) else EXIT_CONVERGENCE
 
 
 if __name__ == "__main__":

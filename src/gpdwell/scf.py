@@ -42,10 +42,14 @@ class MaxIterationsExceeded(ScfError):
 
     def __init__(self, result: "ScfResult", tol: float):
         self.result = result
+        self.tol = tol
         super().__init__(
             f"SCF did not converge in {result.iterations} iterations "
             f"(residual {result.residual:.3e} > tol {tol:g})"
         )
+
+    def __reduce__(self):  # rebuilt from its arguments when sent back from a worker
+        return type(self), (self.result, self.tol)
 
 
 class DomainTooSmall(ScfError):

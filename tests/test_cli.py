@@ -1,23 +1,33 @@
+import argparse
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import csv_payload_rowwise
 
+import gpdwell.cli
+import gpdwell.scf
 from gpdwell.cli import (
     EXIT_CONVERGENCE,
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_VALIDATION,
+    build_parser,
     main,
     parse_range,
     read_csv,
     write_csv,
 )
+from gpdwell.eigensolver import EigensolverError
+from gpdwell.scf import DomainTooSmall
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 class TestParseRange:
     def test_single_value(self):
@@ -30,10 +40,10 @@ class TestParseRange:
         assert parse_range("0:0.45:0.2") == pytest.approx([0.0, 0.2, 0.4])
 
     def test_rejects_bad_specs(self):
-        with pytest.raises(ValueError):
-            parse_range("0:1")
-        with pytest.raises(ValueError):
-            parse_range("0:1:-0.5")
+        for spec in ("0:1", "0:1:-0.5", "0:inf:1", "-inf:0:1", "0:1:nan", "nan", "inf",
+                     "1:0:0.5", "0:1e308:1e-10", "0:2e6:1"):
+            with pytest.raises(ValueError):
+                parse_range(spec)
 
 
 class TestSolve:
@@ -112,6 +122,14 @@ class TestSolve:
     def test_validation_error(self, tmp_path):
         code = main(["solve", "--a", "-1", "--output", str(tmp_path / "x.json")])
         assert code == EXIT_VALIDATION
+
+    def test_eigensolver_failure_reported(self, tmp_path, capsys):
+        # at D=16000 the refined residual floor lies above the eigensolver's tolerance
+        code = main(["solve", "--a", "2", "--D", "16000",
+                     "--output", str(tmp_path / "x.json")])
+        assert code == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("error: eigenpair residual") and "Traceback" not in err
 
 
 def _payload(path):
@@ -224,6 +242,19 @@ class TestScanCritical:
                      "--D", "400", "--output", str(tmp_path / "scan.csv")])
         assert code == EXIT_VALIDATION
 
+    def test_failures_independent_of_worker_count(self, tmp_path, monkeypatch):
+        # a worker's MaxIterationsExceeded comes back to the parent as a status row
+        argv = ["scan-critical", "--betas", "0:4:2", "--D", "400", "--max-iter", "3"]
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("GPDWELL_THREADS", threads)
+            out = tmp_path / f"scan_{threads}.csv"
+            assert main(argv + ["--output", str(out)]) == EXIT_PARTIAL
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        _, _, rows, _ = read_csv(str(out))
+        assert [r[4] for r in rows] == ["ok", "MaxIterationsExceeded", "MaxIterationsExceeded"]
+
 
 class TestWkbAndOverlaps:
     def test_wkb_sweep(self, tmp_path):
@@ -255,6 +286,44 @@ class TestWkbAndOverlaps:
         assert rows[0][6] == "ok"
         assert rows[1][6] == "MaxIterationsExceeded"
         assert np.isnan(rows[1][5])
+
+    def test_wkb_eigensolver_failure_at_one_beta(self, tmp_path, monkeypatch):
+        refine, calls = gpdwell.scf.refine_eigenpair, []
+
+        def refine_failing_third(*args):
+            calls.append(args)
+            if len(calls) == 3:  # state 0 at beta = 0.1; states 0, 1 at beta = 0 came first
+                raise EigensolverError("injected")
+            return refine(*args)
+
+        monkeypatch.setattr(gpdwell.scf, "refine_eigenpair", refine_failing_third)
+        out = tmp_path / "wkb.csv"
+        code = main(["wkb", "--a", "5", "--betas", "0:0.2:0.1", "--D", "600",
+                     "--output", str(out)])
+        assert code == EXIT_PARTIAL
+        _, _, rows, _ = read_csv(str(out))
+        assert [r[6] for r in rows] == ["ok", "EigensolverError", "ok"]
+        assert all(np.isnan(v) for v in rows[1][1:6])
+        assert all(np.isfinite(v) for v in rows[0][1:6] + rows[2][1:6])
+
+    def test_overlaps_domain_failure_at_one_beta(self, tmp_path, monkeypatch):
+        solve_spectrum = gpdwell.cli.solve_spectrum
+
+        def solve_spectrum_failing(grid, trap, k, cfg=None):
+            if trap.beta == 0.1:
+                raise DomainTooSmall("injected")
+            return solve_spectrum(grid, trap, k, cfg)
+
+        monkeypatch.setattr(gpdwell.cli, "solve_spectrum", solve_spectrum_failing)
+        out = tmp_path / "ov.csv"
+        code = main(["overlaps", "--a", "5", "--betas", "0:0.2:0.1", "--states", "2",
+                     "--D", "600", "--output", str(out)])
+        assert code == EXIT_PARTIAL
+        _, _, rows, _ = read_csv(str(out))
+        assert [(r[0], r[1], r[2]) for r in rows] == [
+            (b, i, j) for b in (0.0, 0.1, 0.2) for i in (0, 1) for j in (0, 1)]
+        assert [r[4] for r in rows] == ["ok"] * 4 + ["DomainTooSmall"] * 4 + ["ok"] * 4
+        assert all(np.isnan(r[3]) for r in rows[4:8])
 
     def test_overlaps_sweep(self, tmp_path):
         out = tmp_path / "ov.csv"
@@ -295,6 +364,35 @@ class TestWignerCommand:
         assert footer["negativity"] > 0.0
 
 
+class TestNegativityCommand:
+    def test_sweep_matches_wigner_footer(self, tmp_path):
+        out = tmp_path / "neg.csv"
+        code = main(["negativity", "--a", "2", "--betas", "0:0.2:0.1", "--D", "600",
+                     "--output", str(out)])
+        assert code == EXIT_OK
+        _, columns, rows, _ = read_csv(str(out))
+        assert columns == ["beta", "negativity", "integral", "status"]
+        assert [r[0] for r in rows] == [0.0, 0.1, 0.2]
+        assert [r[3] for r in rows] == ["ok"] * 3
+
+        w_out = tmp_path / "w.csv"
+        assert main(["wigner", "--a", "2", "--beta", "0", "--D", "600",
+                     "--output", str(w_out)]) == EXIT_OK
+        _, _, _, footer = read_csv(str(w_out))
+        assert rows[0][1] == footer["negativity"]
+        assert rows[0][2] == footer["phase_space_integral"]
+
+
+class TestSweepInput:
+    @pytest.mark.parametrize("command", [["scan-critical"], ["wkb", "--a", "5"],
+                                         ["overlaps", "--a", "5"], ["negativity", "--a", "2"]])
+    @pytest.mark.parametrize("betas", ["0:inf:1", "nan", "1:0:0.5"])
+    def test_bad_range_writes_nothing(self, tmp_path, command, betas):
+        out = tmp_path / "sweep.csv"
+        assert main(command + ["--betas", betas, "--output", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
+
 class TestDynamicsCommands:
     def test_dynamics_footer(self, tmp_path):
         out = tmp_path / "dyn.csv"
@@ -317,6 +415,19 @@ class TestDynamicsCommands:
         assert footer["energy"] == pytest.approx(-2.0 * 1.2**2 + 1.2**4)
         assert footer["lyapunov"] == pytest.approx(2.0)
         assert all(r[1] > 0 for r in rows)  # negative energy stays in one well
+
+
+class TestReadme:
+    def test_cli_block_lists_every_subcommand(self):
+        text = README.read_text()
+        block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for name in sub.choices:
+            assert f"gpdwell {name} " in block, name
+
+    def test_no_scripts_directory(self):
+        assert "scripts/" not in README.read_text()
 
 
 class TestImportCost:
