@@ -179,6 +179,7 @@ def cmd_solve(args) -> int:
             "iterations": r.iterations,
             "converged": r.converged,
             "residual": r.residual,
+            "eigensolves": r.eigensolves,
             "L": r.state.grid.L,
             "domain_growths": domain_growths(grid, r.state.grid),
         })

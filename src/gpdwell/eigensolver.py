@@ -1,4 +1,4 @@
-"""Lowest eigenpairs of symmetric tridiagonal operators.
+"""Eigenpairs of symmetric tridiagonal operators.
 
 Thin wrapper around LAPACK's tridiagonal solvers that fixes the
 conventions the rest of the package relies on: ascending eigenvalues,
@@ -7,6 +7,16 @@ discrete-L2 normalization delta*sum(v^2) = 1, and deterministic sign
 precision on request; the SCF iterates on unrefined pairs and refines only
 the one it keeps (refine_eigenpair). It knows nothing of parity; the SCF
 solves each state inside one parity block (hamiltonian.parity_block).
+
+There are two ways to a pair. lowest_eigenpairs is the cold path: LAPACK
+bisection over the whole spectrum plus inverse iteration. follow_eigenpair
+is the warm path for an operator close to one whose pair is known: two
+steps of inverse iteration shifted to the old vector's Rayleigh quotient
+(Parlett, The Symmetric Eigenvalue Problem, ch. 4). A warm pair is
+returned only with a certificate: its residual ball [lambda - h, lambda + h]
+holds an eigenvalue, and Sturm counts at its ends show that this is
+eigenvalue `index` and the only one there. Without the certificate it
+returns None and the caller takes the cold path.
 """
 
 from __future__ import annotations
@@ -15,12 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from .grid import Grid
 from .hamiltonian import TridiagonalOperator
 
 RESIDUAL_TOL = 1e-10
 REFINE_STEPS = 3
+EPS = float(np.finfo(float).eps)
 
 
 class EigensolverError(RuntimeError):
@@ -31,6 +43,25 @@ class EigensolverError(RuntimeError):
 class Eigenpair:
     value: float
     vector: np.ndarray  # one entry per operator row, delta*sum(v^2) = 1
+
+
+def _norm_inf(op: TridiagonalOperator) -> float:
+    rows = np.abs(op.diag)
+    rows[:-1] += np.abs(op.offdiag)
+    rows[1:] += np.abs(op.offdiag)
+    return float(rows.max())
+
+
+def count_below(op: TridiagonalOperator, x: float) -> int:
+    """Sturm count: the number of eigenvalues of op at or below x.
+
+    LAPACK's bisection (dstebz) on (-inf, x] with an absolute tolerance so
+    loose that it stops after counting.
+    """
+    m, *_, info = dstebz(op.diag, op.offdiag, 1, -np.inf, x, 0, 0, 1e300, b"B")
+    if info != 0:  # pragma: no cover - LAPACK failure path
+        raise EigensolverError(f"Sturm count failed (info={info})")
+    return int(m)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -86,11 +117,48 @@ def refine_eigenpair(op: TridiagonalOperator, pair: Eigenpair, grid: Grid) -> Ei
     """Refine one pair of op in extended precision, sign-fix it and check its residual.
 
     Raises EigensolverError if the refined residual exceeds
-    RESIDUAL_TOL * (1 + |lambda|).
+    max(RESIDUAL_TOL * (1 + |lambda|), eps * ||op||_inf): the refined residual
+    sits near 0.15 * eps * ||op||_inf, and ||op||_inf grows like D^2, so at
+    D = 16000 (eps * ||op||_inf = 8.7e-10) the fixed tolerance alone would
+    reject pairs at their roundoff floor.
     """
     lam, v, resid_norm = _refine(op, pair.value, pair.vector, grid.delta)
-    if resid_norm > RESIDUAL_TOL * (1.0 + abs(lam)):
+    tol = max(RESIDUAL_TOL * (1.0 + abs(lam)), EPS * _norm_inf(op))
+    if resid_norm > tol:
         raise EigensolverError(f"eigenpair residual {resid_norm:.3e} exceeds tolerance")
+    return Eigenpair(value=lam, vector=_fix_sign(v))
+
+
+def follow_eigenpair(
+    op: TridiagonalOperator, previous: Eigenpair, index: int, grid: Grid
+) -> Eigenpair | None:
+    """Eigenpair `index` of op by inverse iteration from a pair of a nearby operator.
+
+    The shift sigma is the Rayleigh quotient of previous.vector on op;
+    op - sigma is factored once (LAPACK gttrf) and two solves (gttrs) follow.
+    The result is unrefined, normalized and sign-fixed like the pairs of
+    lowest_eigenpairs(..., refine=False). It is returned only if certified:
+    with h = max(||op v - lambda v||, 1e-12 * (1 + |lambda|)) there is an
+    eigenvalue within h of lambda, and the Sturm counts below lambda - h and
+    lambda + h must be index and index + 1. Otherwise the result is None.
+    """
+    delta = grid.delta
+    v = previous.vector
+    sigma = np.dot(v, op.apply(v)) / np.dot(v, v)
+    dl, d, du, du2, ipiv, info = dgttrf(op.offdiag, op.diag - sigma, op.offdiag)
+    if info != 0:  # op - sigma exactly singular, or LAPACK failed
+        return None
+    for _ in range(2):
+        v = dgttrs(dl, d, du, du2, ipiv, v)[0]
+        v = v / np.sqrt(delta * np.dot(v, v))
+    av = op.apply(v)
+    lam = float(delta * np.dot(v, av))
+    if not np.isfinite(lam):
+        return None
+    r = av - lam * v
+    h = max(float(np.sqrt(delta * np.dot(r, r))), 1e-12 * (1.0 + abs(lam)))
+    if count_below(op, lam - h) != index or count_below(op, lam + h) != index + 1:
+        return None
     return Eigenpair(value=lam, vector=_fix_sign(v))
 
 

@@ -8,11 +8,20 @@ depth ANDERSON_DEPTH (Anderson, J. ACM 12, 547 (1965); Walker & Ni, SIAM
 J. Numer. Anal. 49, 1715 (2011)). Every iterate is therefore exactly even
 or odd, and every mixed density exactly even.
 
+Only the first iterate is a full eigensolve (eigensolver.lowest_eigenpairs).
+Each later one follows the previous pair onto the new operator, which
+differs from the old by beta times the change of density, by certified
+inverse iteration (eigensolver.follow_eigenpair); a full eigensolve is
+made again only when the certificate fails. ScfResult.eigensolves counts
+the full eigensolves.
+
 A solve stops on the nonlinear residual ||H[psi^2] psi - mu psi|| of the
 unrefined pair, once it is at most tol * (1 + |mu|); the pair kept is then
 refined once in extended precision. tol must stay above the float64 floor
 of the unrefined eigensolve (up to 1.3e-10 relative at D = 4000 and
-6.7e-10 at D = 8000, growing like D^2), or a solve can stall on roundoff.
+6.7e-10 at D = 8000, growing like D^2), or a solve can stall on roundoff:
+a ground state at a = 2 stops at 8.3e-10 on D = 12000 and needs tol 1e-8
+on D = 16000.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolver import lowest_eigenpairs, refine_eigenpair
+from .eigensolver import follow_eigenpair, lowest_eigenpairs, refine_eigenpair
 from .grid import Grid, TrapConfig, integrate, make_grid
 from .hamiltonian import assemble, parity_block, unfold
 from .observables import energy as _fill_energy
@@ -94,6 +103,7 @@ class ScfResult:
     mu_history: list[float] = field(default_factory=list)  # mu of each unrefined pair
     converged: bool = False
     residual: float = math.inf  # ||H[psi^2] psi - mu psi|| of the last unrefined pair
+    eigensolves: int = 0  # lowest_eigenpairs calls: the first iterate plus failed certificates
 
 
 def _embed(grid: Grid, interior: np.ndarray) -> np.ndarray:
@@ -133,11 +143,17 @@ def _iterate(
     outputs: list[np.ndarray] = []
     mu_history: list[float] = []
     converged = False
+    pair = None
+    eigensolves = 0
 
     for iterations in range(1, cfg.max_iter + 1):
         full = assemble(grid, trap, density)
         op = parity_block(full, parity)
-        pair = lowest_eigenpairs(op, index + 1, grid, refine=False)[index]
+        if pair is not None:
+            pair = follow_eigenpair(op, pair, index, grid)
+        if pair is None:
+            pair = lowest_eigenpairs(op, index + 1, grid, refine=False)[index]
+            eigensolves += 1
         psi = unfold(pair.vector, parity)
         mu = pair.value
         mu_history.append(mu)
@@ -172,6 +188,7 @@ def _iterate(
         mu_history=mu_history,
         converged=converged,
         residual=residual,
+        eigensolves=eigensolves,
     )
     if not converged:
         raise MaxIterationsExceeded(result, cfg.tol)

@@ -59,6 +59,16 @@ class TestSolve:
         assert doc["states"][1]["parity"] == "odd"
         assert doc["states"][0]["mu"] < doc["states"][1]["mu"]
         assert all(s["converged"] for s in doc["states"])
+        assert [s["eigensolves"] for s in doc["states"]] == [1, 1]
+
+    def test_fine_grid_solves(self, tmp_path):
+        # at D=16000 the refined residual floor (1.2e-10) lies above RESIDUAL_TOL,
+        # inside the eps * ||op|| allowance; the unrefined floor needs a larger tol
+        out = tmp_path / "solve.json"
+        code = main(["solve", "--a", "2", "--D", "16000", "--scf-tol", "1e-8",
+                     "--output", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["states"][0]["converged"]
 
     def test_psi_csv(self, tmp_path):
         out = tmp_path / "solve.json"
@@ -123,9 +133,12 @@ class TestSolve:
         code = main(["solve", "--a", "-1", "--output", str(tmp_path / "x.json")])
         assert code == EXIT_VALIDATION
 
-    def test_eigensolver_failure_reported(self, tmp_path, capsys):
-        # at D=16000 the refined residual floor lies above the eigensolver's tolerance
-        code = main(["solve", "--a", "2", "--D", "16000",
+    def test_eigensolver_failure_reported(self, tmp_path, capsys, monkeypatch):
+        def refine_failing(*args):
+            raise EigensolverError("eigenpair residual injected")
+
+        monkeypatch.setattr(gpdwell.scf, "refine_eigenpair", refine_failing)
+        code = main(["solve", "--a", "2", "--D", "400",
                      "--output", str(tmp_path / "x.json")])
         assert code == EXIT_CONVERGENCE
         err = capsys.readouterr().err

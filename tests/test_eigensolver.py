@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from gpdwell.eigensolver import lowest_eigenpairs, refine_eigenpair
+from gpdwell.eigensolver import count_below, follow_eigenpair, lowest_eigenpairs, refine_eigenpair
 from gpdwell.grid import TrapConfig, make_grid
 from gpdwell.hamiltonian import TridiagonalOperator, assemble, kinetic_operator, parity_block
 
-from oracles import numerov_even_eigenvalue, tridiag_eigenvalue_bisection
+from oracles import numerov_even_eigenvalue, sturm_count, tridiag_eigenvalue_bisection
 
 
 def test_pure_kinetic_matches_toeplitz_closed_form():
@@ -134,3 +134,41 @@ def test_k_out_of_range():
         lowest_eigenpairs(op, 0, grid)
     with pytest.raises(ValueError):
         lowest_eigenpairs(op, op.size + 1, grid)
+
+
+def test_count_below_matches_sturm_oracle():
+    rng = np.random.default_rng(3)
+    for size in (2, 7, 60):
+        op = TridiagonalOperator(diag=rng.normal(size=size), offdiag=rng.normal(size=size - 1))
+        vals = np.linalg.eigvalsh(op.dense())
+        points = list(rng.uniform(vals[0] - 1.0, vals[-1] + 1.0, size=20))
+        points += [v + s for v in vals for s in (-1e-9, 1e-9)]
+        for x in points:
+            assert count_below(op, x) == sturm_count(op.diag, op.offdiag, x)
+
+
+def _block_and_pairs(density_scale):
+    grid = make_grid(6.0, 1200)
+    density = np.exp(-density_scale * grid.interior**2)
+    op = parity_block(assemble(grid, TrapConfig(a=3.0, beta=0.5), density), 0)
+    return grid, op, lowest_eigenpairs(op, 3, grid, refine=False)
+
+
+def test_follow_reaches_the_cold_pair_of_a_nearby_operator():
+    grid, _, old = _block_and_pairs(1.0)
+    _, op, cold = _block_and_pairs(1.01)
+    for index in range(3):
+        pair = follow_eigenpair(op, old[index], index, grid)
+        assert pair is not None
+        assert pair.value == pytest.approx(cold[index].value, abs=1e-10)
+        np.testing.assert_allclose(pair.vector, cold[index].vector, atol=1e-8)
+        assert grid.delta * np.dot(pair.vector, pair.vector) == pytest.approx(1.0, abs=1e-12)
+        assert pair.vector[np.argmax(np.abs(pair.vector))] > 0
+
+
+def test_follow_rejects_a_pair_of_another_index():
+    # inverse iteration from eigenpair 1 stays there; the Sturm counts say so
+    grid, op, pairs = _block_and_pairs(1.0)
+    assert follow_eigenpair(op, pairs[1], 0, grid) is None
+    assert follow_eigenpair(op, pairs[0], 1, grid) is None
+    assert follow_eigenpair(op, pairs[1], 1, grid) is not None

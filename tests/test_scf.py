@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gpdwell.scf
 from gpdwell.eigensolver import lowest_eigenpairs
 from gpdwell.grid import TrapConfig, integrate, make_grid
 from gpdwell.hamiltonian import assemble
@@ -179,6 +180,30 @@ class TestSpectrum:
     def test_k_validation(self, grid4000):
         with pytest.raises(ValueError):
             solve_spectrum(grid4000, TrapConfig(a=2.0), 0)
+
+
+class TestWarmEigenpairs:
+    def test_one_eigensolve_per_state(self, spectrum_a5_b01):
+        assert [r.eigensolves for r in spectrum_a5_b01] == [1, 1, 1, 1]
+        assert all(r.iterations > 1 for r in spectrum_a5_b01[1:])
+
+    def test_failed_certificate_falls_back_to_eigensolve(self, grid4000, monkeypatch):
+        monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", lambda *args: None)
+        result = solve_state(grid4000, TrapConfig(a=5.0, beta=0.5), 1)
+        assert result.iterations > 1
+        assert result.eigensolves == result.iterations
+
+    def test_same_states_as_full_eigensolves(self, grid4000, monkeypatch):
+        cases = [(a, beta, n) for a in (5.0, 12.0) for beta in (0.0, 0.5, 1.0) for n in range(4)]
+        cases += [(5.0, 9.0, 0), (2.0, 20.0, 0)]
+        warm = [solve_state(grid4000, TrapConfig(a=a, beta=b), n) for a, b, n in cases]
+        monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", lambda *args: None)
+        for (a, b, n), w in zip(cases, warm):
+            cold = solve_state(grid4000, TrapConfig(a=a, beta=b), n)
+            scale = 1e-9 * (1.0 + abs(cold.state.mu))
+            assert w.state.mu == pytest.approx(cold.state.mu, abs=scale)
+            assert w.state.energy == pytest.approx(cold.state.energy, abs=scale)
+            assert abs(w.iterations - cold.iterations) <= 1
 
 
 class TestFailureModes:
