@@ -10,7 +10,7 @@ from .critical import (
     find_critical_a,
     fit_quadratic,
 )
-from .dynamics import WavePacket, coherent_state, fotoc, growth_rate, propagate
+from .dynamics import GrowthFit, WavePacket, coherent_state, fotoc, growth_rate, propagate
 from .eigensolver import Eigenpair, lowest_eigenpairs, refine_eigenpair
 from .grid import Grid, TrapConfig, integrate, make_grid, potential, quartic_rescale
 from .hamiltonian import (

@@ -74,18 +74,24 @@ def parse_range(spec: str) -> list[float]:
     return [start + i * step for i in range(int(n)) if start + i * step <= stop + 0.5 * step]
 
 
-def _fmt_column(col) -> list[str]:
-    """Every field of one column, formatted as _fmt formats it.
+CSV_CHUNK = 65536  # rows formatted, joined, encoded and hashed at a time
 
-    A float64 array formats each distinct bit pattern once; keying on the
-    bits rather than the value keeps -0.0 apart from 0.0.
+
+def _column_fields(col):
+    """fields(lo, hi): the fields of col[lo:hi], formatted as _fmt formats them.
+
+    A float64 array formats each distinct bit pattern of the whole column
+    once, up front; keying on the bits rather than the value keeps -0.0
+    apart from 0.0. Finding them over the whole column rather than per
+    chunk costs less on tables like the Wigner grid, whose chunks repeat
+    each other's values.
     """
     if isinstance(col, np.ndarray) and col.dtype == np.float64:
         bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
         distinct = np.array([f"{x:.17g}" for x in bits.view(np.float64).tolist()],
                             dtype=object)
-        return distinct[inverse].tolist()
-    return [_fmt(v) for v in col]
+        return lambda lo, hi: distinct[inverse[lo:hi]].tolist()
+    return lambda lo, hi: [_fmt(v) for v in col[lo:hi]]
 
 
 def write_csv(path: str, names: list[str], columns: list, config: dict,
@@ -95,18 +101,38 @@ def write_csv(path: str, names: list[str], columns: list, config: dict,
     columns holds one sequence per name, all of the same length (a table
     with no rows may pass no columns at all). Floats are written with 17
     significant digits, anything else with str().
+
+    The data are formatted, joined, encoded and hashed CSV_CHUNK rows at a
+    time, so the table is held once, as the encoded chunks, rather than as
+    field lists, line lists and a joined string besides. The header carries
+    the digest and so goes out after the last chunk is hashed; the file is
+    written front to back without seeking, so path may be a pipe or
+    /dev/stdout.
     """
-    lines = [",".join(names)]
-    lines += map(",".join, zip(*map(_fmt_column, columns), strict=True))
+    rows = len(columns[0]) if columns else 0
+    if any(len(col) != rows for col in columns):
+        raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")
+    fields = [_column_fields(col) for col in columns]
+    digest = hashlib.sha256()
+    chunks = []
+
+    def add(text: str) -> None:
+        chunk = text.encode()
+        digest.update(chunk)
+        chunks.append(chunk)
+
+    add(",".join(names) + "\n")
+    for lo in range(0, rows, CSV_CHUNK):
+        hi = min(lo + CSV_CHUNK, rows)
+        add("\n".join(map(",".join, zip(*(f(lo, hi) for f in fields)))) + "\n")
     if footer:
-        lines += [f"# {key} = {_fmt(val)}" for key, val in footer.items()]
-    payload = ("\n".join(lines) + "\n").encode()
+        add("".join(f"# {key} = {_fmt(val)}\n" for key, val in footer.items()))
     header = [f"# gpdwell {__version__}"]
     header += [f"# config: {key} = {_fmt(val)}" for key, val in sorted(config.items())]
-    header += [f"# sha256: {hashlib.sha256(payload).hexdigest()}"]
+    header += [f"# sha256: {digest.hexdigest()}"]
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode())
-        fh.write(payload)
+        fh.writelines(chunks)
 
 
 def read_csv(path: str):
@@ -328,10 +354,9 @@ def cmd_dynamics(args) -> int:
               "lyapunov": lyapunov_exponent(args.a),
               "two_lyapunov": 2.0 * lyapunov_exponent(args.a)}
     try:
-        window = default_fit_window(series)
-        growth_rate(series, window)
-        footer.update({"fit_rate": series.fit_rate, "fit_r2": series.fit_r2,
-                       "fit_t_lo": window[0], "fit_t_hi": window[1]})
+        fit = growth_rate(series, default_fit_window(series))
+        footer.update({"fit_rate": fit.rate, "fit_r2": fit.r2,
+                       "fit_t_lo": fit.window[0], "fit_t_hi": fit.window[1]})
     except ValueError:
         pass  # no growth window in this run; data still goes out
     write_csv(args.output, ["t", "F", "var_x", "var_p"],
@@ -361,7 +386,8 @@ def _add_grid_args(p, L=6.0, D=4000):
 
 def _add_scf_args(p):
     p.add_argument("--scf-tol", type=float, default=ScfConfig.tol,
-                   help="SCF stop: ||H psi - mu psi|| <= scf_tol * (1 + |mu|)")
+                   help="SCF stop: ||H psi - mu psi|| <= scf_tol * (1 + |mu|), "
+                        "or the float64 roundoff floor of that residual on fine grids")
     p.add_argument("--max-iter", type=int, default=ScfConfig.max_iter,
                    help="SCF iteration budget per state")
 

@@ -30,9 +30,15 @@ class FotocSeries:
     F: np.ndarray
     var_x: np.ndarray
     var_p: np.ndarray
-    fit_rate: float | None = None
-    fit_window: tuple[float, float] | None = None
-    fit_r2: float | None = None
+
+
+@dataclass(frozen=True)
+class GrowthFit:
+    """Least-squares line through log F over a time window."""
+
+    rate: float  # slope of log F
+    r2: float  # coefficient of determination of the line
+    window: tuple[float, float]
 
 
 def coherent_state(grid: Grid, x0: float, p0: float, width: float = 0.5) -> WavePacket:
@@ -138,8 +144,8 @@ def default_fit_window(series: FotocSeries) -> tuple[float, float]:
     return float(series.times[above[0]]), float(series.times[upper[0]])
 
 
-def growth_rate(series: FotocSeries, window: tuple[float, float]) -> float:
-    """Least-squares slope of log F over the window; stores fit fields."""
+def growth_rate(series: FotocSeries, window: tuple[float, float]) -> GrowthFit:
+    """Least-squares fit of log F over the window: its slope, r^2 and window."""
     t_lo, t_hi = window
     if t_lo < series.times[0] or t_hi > series.times[-1]:
         raise ValueError("window outside the time span")
@@ -152,7 +158,4 @@ def growth_rate(series: FotocSeries, window: tuple[float, float]) -> float:
     resid = y - (slope * t + intercept)
     ss_tot = np.sum((y - y.mean()) ** 2)
     r2 = 1.0 - float(np.sum(resid**2) / ss_tot) if ss_tot > 0 else 1.0
-    series.fit_rate = float(slope)
-    series.fit_window = (t_lo, t_hi)
-    series.fit_r2 = r2
-    return float(slope)
+    return GrowthFit(rate=float(slope), r2=r2, window=(t_lo, t_hi))

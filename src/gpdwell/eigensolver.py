@@ -45,7 +45,8 @@ class Eigenpair:
     vector: np.ndarray  # one entry per operator row, delta*sum(v^2) = 1
 
 
-def _norm_inf(op: TridiagonalOperator) -> float:
+def norm_inf(op: TridiagonalOperator) -> float:
+    """The largest absolute row sum of op: the scale of its float64 roundoff."""
     rows = np.abs(op.diag)
     rows[:-1] += np.abs(op.offdiag)
     rows[1:] += np.abs(op.offdiag)
@@ -123,7 +124,7 @@ def refine_eigenpair(op: TridiagonalOperator, pair: Eigenpair, grid: Grid) -> Ei
     reject pairs at their roundoff floor.
     """
     lam, v, resid_norm = _refine(op, pair.value, pair.vector, grid.delta)
-    tol = max(RESIDUAL_TOL * (1.0 + abs(lam)), EPS * _norm_inf(op))
+    tol = max(RESIDUAL_TOL * (1.0 + abs(lam)), EPS * norm_inf(op))
     if resid_norm > tol:
         raise EigensolverError(f"eigenpair residual {resid_norm:.3e} exceeds tolerance")
     return Eigenpair(value=lam, vector=_fix_sign(v))

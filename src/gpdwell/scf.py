@@ -16,12 +16,13 @@ made again only when the certificate fails. ScfResult.eigensolves counts
 the full eigensolves.
 
 A solve stops on the nonlinear residual ||H[psi^2] psi - mu psi|| of the
-unrefined pair, once it is at most tol * (1 + |mu|); the pair kept is then
-refined once in extended precision. tol must stay above the float64 floor
-of the unrefined eigensolve (up to 1.3e-10 relative at D = 4000 and
-6.7e-10 at D = 8000, growing like D^2), or a solve can stall on roundoff:
-a ground state at a = 2 stops at 8.3e-10 on D = 12000 and needs tol 1e-8
-on D = 16000.
+unrefined pair, once it is at most max(tol * (1 + |mu|), ROUNDOFF_FLOOR *
+eps * ||op||_inf); the pair kept is then refined once in extended
+precision. The second term is the float64 floor of that residual: it grows
+like D^2 (eps * ||op||_inf is 5.6e-12 at D = 1200, 5.4e-11 at D = 4000 and
+8.7e-10 at D = 16000), and below it a solve would stall on roundoff, as a
+ground state at a = 2 on D = 16000 did at 2.2e-9 with tol 1e-9. On grids
+up to D = 4000 the floor stays below the default tol and does not bind.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolver import follow_eigenpair, lowest_eigenpairs, refine_eigenpair
+from .eigensolver import EPS, follow_eigenpair, lowest_eigenpairs, norm_inf, refine_eigenpair
 from .grid import Grid, TrapConfig, integrate, make_grid
 from .hamiltonian import assemble, parity_block, unfold
 from .observables import energy as _fill_energy
@@ -40,6 +41,13 @@ BOUNDARY_TAIL_MAX = 1e-3
 MAX_DOMAIN_GROWTHS = 3
 DOMAIN_GROWTH = 1.5  # factor on L per domain enlargement
 ANDERSON_DEPTH = 5  # earlier iterates kept by the mixing
+# Residual stop floor in units of eps * ||op||_inf. A row of the residual
+# sums the three products of op psi, mu psi and a beta term small beside
+# them, so rounding alone moves it by up to about 4 eps (|op| |psi|)_i, or
+# 4 eps ||op||_inf in norm; the float64 pair, from a backward-stable
+# tridiagonal solve, carries a true residual of the same order. Residuals
+# stalled at up to 2.5 eps ||op||_inf at D = 16000.
+ROUNDOFF_FLOOR = 8.0
 
 
 class ScfError(RuntimeError):
@@ -161,7 +169,7 @@ def _iterate(
         # H[rho] psi - mu psi, from H[density] by the change of the diagonal
         r = full.apply(psi) - mu * psi + trap.beta * (rho - density) * psi
         residual = math.sqrt(grid.delta * np.dot(r, r))
-        if residual <= cfg.tol * (1.0 + abs(mu)):
+        if residual <= max(cfg.tol * (1.0 + abs(mu)), ROUNDOFF_FLOOR * EPS * norm_inf(op)):
             converged = True
             break
 

@@ -211,7 +211,7 @@ def test_09_dynamics_suite():
     snaps = propagate(grid, 10.0, packet, dt=1e-4, steps=6000, snapshot_stride=20)
     norm_drift = max(abs(integrate(grid, np.abs(s.values) ** 2) - 1.0) for s in snaps)
     series = fotoc(snaps, grid)
-    rate = growth_rate(series, default_fit_window(series))
+    fit = growth_rate(series, default_fit_window(series))
     lam = lyapunov_exponent(10.0)
 
     traj = classical_trajectory(10.0, 1.0, 0.0, 1e-4, 10.0)
@@ -221,10 +221,10 @@ def test_09_dynamics_suite():
     _report(9, "separatrix dynamics at a=10", [
         (f"norm drift {norm_drift:.1e} <= 1e-6", norm_drift <= 1e-6),
         (f"F(0)={series.F[0]:.5f} = 1 +- 1e-3", abs(series.F[0] - 1.0) <= 1e-3),
-        (f"fit r2={series.fit_r2:.4f} >= 0.98", series.fit_r2 >= 0.98),
-        (f"rate {rate:.2f} in [{0.75 * lam:.2f}, {2.5 * lam:.2f}] "
+        (f"fit r2={fit.r2:.4f} >= 0.98", fit.r2 >= 0.98),
+        (f"rate {fit.rate:.2f} in [{0.75 * lam:.2f}, {2.5 * lam:.2f}] "
          f"(lambda={lam:.2f}, 2*lambda={2 * lam:.2f})",
-         0.75 * lam <= rate <= 2.5 * lam),
+         0.75 * lam <= fit.rate <= 2.5 * lam),
         (f"classical energy drift {e_drift:.1e} <= 1e-8", e_drift <= 1e-8),
         ("E<0 trajectory never crosses x=0",
          traj.energy < 0 and float(np.min(traj.points[:, 0])) > 0.0),

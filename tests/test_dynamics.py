@@ -124,12 +124,11 @@ class TestFotoc:
     def test_growth_rate_near_lyapunov(self, separatrix_run):
         _, series = separatrix_run
         window = default_fit_window(series)
-        rate = growth_rate(series, window)
+        fit = growth_rate(series, window)
         lam = lyapunov_exponent(10.0)
-        assert 0.75 * lam <= rate <= 2.5 * lam
-        assert series.fit_r2 >= 0.98
-        assert series.fit_rate == rate
-        assert series.fit_window == window
+        assert 0.75 * lam <= fit.rate <= 2.5 * lam
+        assert fit.r2 >= 0.98
+        assert fit.window == window
 
     def test_window_validation(self, separatrix_run):
         _, series = separatrix_run
