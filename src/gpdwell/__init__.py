@@ -16,12 +16,13 @@ from .grid import Grid, TrapConfig, integrate, make_grid, potential, quartic_res
 from .hamiltonian import (
     TridiagonalOperator,
     assemble,
+    assemble_block,
+    fold,
     kinetic_operator,
-    parity_block,
     second_derivative_at,
     unfold,
 )
-from .observables import OverlapMatrix, energy, overlap_matrix, parity_of, splitting
+from .observables import OverlapMatrix, energy, overlap_matrix, splitting
 from .scf import (
     DomainTooSmall,
     MaxIterationsExceeded,

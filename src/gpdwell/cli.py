@@ -340,7 +340,15 @@ def cmd_negativity(args) -> int:
 
 # ------------------------------------------------------------ dynamics
 
+def _check_stepping(args) -> None:
+    if not args.dt > 0:  # also rejects nan
+        raise ValueError(f"--dt must be positive, got {args.dt:g}")
+    if args.stride < 1:
+        raise ValueError(f"--stride must be >= 1, got {args.stride}")
+
+
 def cmd_dynamics(args) -> int:
+    _check_stepping(args)
     grid = make_grid(args.L, args.D)
     packet = coherent_state(grid, args.x0, args.p0)
     steps = int(round(args.tmax / args.dt))
@@ -368,6 +376,7 @@ def cmd_dynamics(args) -> int:
 # ----------------------------------------------------------- classical
 
 def cmd_classical(args) -> int:
+    _check_stepping(args)
     traj = classical_trajectory(args.a, args.x0, args.p0, args.dt, args.tmax)
     points = traj.points[::args.stride]
     write_csv(args.output, ["t", "x", "p"],

@@ -3,10 +3,10 @@
 Thin wrapper around LAPACK's tridiagonal solvers that fixes the
 conventions the rest of the package relies on: ascending eigenvalues,
 discrete-L2 normalization delta*sum(v^2) = 1, and deterministic sign
-(largest magnitude entry positive). Pairs are refined in extended
-precision on request; the SCF iterates on unrefined pairs and refines only
-the one it keeps (refine_eigenpair). It knows nothing of parity; the SCF
-solves each state inside one parity block (hamiltonian.parity_block).
+(largest magnitude entry positive). Pairs come unrefined; refine_eigenpair
+refines one in extended precision, and the SCF refines only the one it
+keeps. It knows nothing of parity; the SCF solves each state inside one
+parity block (hamiltonian.assemble_block).
 
 There are two ways to a pair. lowest_eigenpairs is the cold path: LAPACK
 bisection over the whole spectrum plus inverse iteration. follow_eigenpair
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from .grid import Grid
@@ -86,32 +86,26 @@ def _refine(op: TridiagonalOperator, lam: float, v: np.ndarray, delta: float):
         out[1:] += off * w[:-1]
         return out
 
-    ab = np.zeros((3, op.size))
-    ab[0, 1:] = op.offdiag
-    ab[2, :-1] = op.offdiag
-
     def resid_norm(lam_, v_):
         r = apply_ld(v_.astype(ld)) - ld(lam_) * v_.astype(ld)
         return float(np.sqrt(ld(delta) * np.dot(r, r))), r
 
-    best = resid_norm(lam, v) + (lam, v)
+    best = (np.inf, lam, v)
     for _ in range(REFINE_STEPS):
         rnorm, r = resid_norm(lam, v)
         if rnorm < best[0]:
-            best = (rnorm, r, lam, v)
-        ab[1, :] = op.diag - lam
-        try:
-            d = solve_banded((1, 1), ab, r.astype(float))
-        except np.linalg.LinAlgError:
+            best = (rnorm, lam, v)
+        *lu, info = dgttrf(op.offdiag, op.diag - lam, op.offdiag)
+        if info != 0:  # op - lam exactly singular
             break
-        v = v - d
+        v = v - dgttrs(*lu, r.astype(float))[0]
         v /= np.sqrt(delta * np.dot(v, v))
         vl = v.astype(ld)
         lam = float(np.dot(vl, apply_ld(vl)) / np.dot(vl, vl))
-    rnorm, r = resid_norm(lam, v)
+    rnorm, _ = resid_norm(lam, v)
     if rnorm < best[0]:
-        best = (rnorm, r, lam, v)
-    return best[2], best[3], best[0]
+        best = (rnorm, lam, v)
+    return best[1], best[2], best[0]
 
 
 def refine_eigenpair(op: TridiagonalOperator, pair: Eigenpair, grid: Grid) -> Eigenpair:
@@ -138,7 +132,7 @@ def follow_eigenpair(
     The shift sigma is the Rayleigh quotient of previous.vector on op;
     op - sigma is factored once (LAPACK gttrf) and two solves (gttrs) follow.
     The result is unrefined, normalized and sign-fixed like the pairs of
-    lowest_eigenpairs(..., refine=False). It is returned only if certified:
+    lowest_eigenpairs. It is returned only if certified:
     with h = max(||op v - lambda v||, 1e-12 * (1 + |lambda|)) there is an
     eigenvalue within h of lambda, and the Sturm counts below lambda - h and
     lambda + h must be index and index + 1. Otherwise the result is None.
@@ -163,16 +157,13 @@ def follow_eigenpair(
     return Eigenpair(value=lam, vector=_fix_sign(v))
 
 
-def lowest_eigenpairs(
-    op: TridiagonalOperator, k: int, grid: Grid, refine: bool = True
-) -> list[Eigenpair]:
+def lowest_eigenpairs(op: TridiagonalOperator, k: int, grid: Grid) -> list[Eigenpair]:
     """k lowest eigenpairs, ascending, normalized and sign-fixed.
 
-    With refine=True each pair goes through refine_eigenpair. With
-    refine=False the pairs are LAPACK's, only normalized and sign-fixed;
-    their residual ||A v - lambda v|| sits at the float64 floor of the
-    eigensolve, which grows like D^2 (measured on double-well operators: up
-    to 1.3e-10 * (1 + |lambda|) at D = 4000 and 6.7e-10 * (1 + |lambda|) at
+    The pairs are LAPACK's, unrefined; refine_eigenpair refines one. Their
+    residual ||A v - lambda v|| sits at the float64 floor of the eigensolve,
+    which grows like D^2 (measured on double-well operators: up to
+    1.3e-10 * (1 + |lambda|) at D = 4000 and 6.7e-10 * (1 + |lambda|) at
     D = 8000), and is not checked.
     """
     if not 1 <= k <= op.size:
@@ -183,12 +174,8 @@ def lowest_eigenpairs(
         )
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
-
     pairs = []
     for j in range(k):
         v = vecs[:, j] / np.sqrt(grid.delta * np.dot(vecs[:, j], vecs[:, j]))
-        if refine:
-            pairs.append(refine_eigenpair(op, Eigenpair(value=float(vals[j]), vector=v), grid))
-        else:
-            pairs.append(Eigenpair(value=float(vals[j]), vector=_fix_sign(v)))
+        pairs.append(Eigenpair(value=float(vals[j]), vector=_fix_sign(v)))
     return pairs

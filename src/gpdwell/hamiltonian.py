@@ -11,9 +11,10 @@ alpha = 0, D; operators act on the interior slice.
 The trap and the grid are exactly mirror-symmetric, so an operator built
 from an even density splits into two exact blocks on the half grid: the
 even vectors (nodes x >= 0, coupling to x = 0 scaled by sqrt(2)) and the
-odd vectors (nodes x > 0, Dirichlet at x = 0). parity_block compresses an
-operator onto one sector and unfold maps a block vector back; this module
-is the only place that knows the symmetry.
+odd vectors (nodes x > 0, Dirichlet at x = 0). fold maps a density onto a
+block's nodes, assemble_block builds the block from it, and unfold maps a
+block vector back to the full grid; this module is the only place that
+knows the symmetry.
 """
 
 from __future__ import annotations
@@ -81,27 +82,52 @@ def assemble(grid: Grid, trap: TrapConfig, density: np.ndarray) -> TridiagonalOp
     return TridiagonalOperator(diag=diag, offdiag=kin.offdiag)
 
 
-def parity_block(op: TridiagonalOperator, parity: int) -> TridiagonalOperator:
-    """Compress op onto the even (parity 0) or the odd (parity 1) vectors.
+def fold(density: np.ndarray, parity: int) -> np.ndarray:
+    """Sum a density on the D-1 interior nodes over mirror pairs: rho(x_m) + rho(-x_m).
 
-    With u_m the unit vector at x = m*delta, the basis is e_m = (u_m + u_-m)/sqrt(2)
-    for m >= 1 plus e_0 = u_0 (even), or e_m = (u_m - u_-m)/sqrt(2) for m >= 1
-    (odd). The result is the exact compression P^T op P for any op; for an
-    even op the even block is the x >= 0 half with its first coupling scaled
-    by sqrt(2), and the odd block is its trailing principal submatrix, both
+    The result lives on the nodes of block `parity`: x >= 0 for the even
+    block, where x = 0 is kept once, and x > 0 for the odd one. So
+    delta * sum(fold(rho, 0)) is the integral of rho, only the even part of
+    rho enters, and a block vector w has density exactly w * w.
+    """
+    density = np.asarray(density, dtype=float)
+    c = len(density) // 2  # interior index of x = 0
+    folded = density[c:] + density[c::-1]
+    folded[0] = density[c]
+    return folded[parity:]
+
+
+def assemble_block(
+    grid: Grid, trap: TrapConfig, folded: np.ndarray, parity: int
+) -> TridiagonalOperator:
+    """The even (parity 0) or odd (parity 1) block of assemble, from fold(rho, parity).
+
+    With u_m the unit vector at x = m*delta, the block's basis is
+    e_m = (u_m + u_-m)/sqrt(2) for m >= 1 plus e_0 = u_0 (even), or
+    e_m = (u_m - u_-m)/sqrt(2) for m >= 1 (odd), and the block is the
+    compression P^T assemble(grid, trap, rho) P for any rho. For an even rho
+    the even block is the x >= 0 half of that operator with its first
+    coupling scaled by sqrt(2), and the odd block its x > 0 half, both
     bitwise.
     """
-    c = op.size // 2  # interior index of x = 0
-    diag = 0.5 * (op.diag[c:] + op.diag[c::-1])
-    off = 0.5 * (op.offdiag[c:] + op.offdiag[c - 1::-1])
+    folded = np.asarray(folded, dtype=float)
+    size = grid.D // 2 - parity
+    if folded.shape != (size,):
+        raise ValueError(f"folded density must have length {size}, got {folded.shape}")
+    if np.any(folded < 0):
+        raise ValueError("density entries must be nonnegative")
+    inv_d2 = 1.0 / grid.delta**2
+    density = 0.5 * folded  # rho(x_m) of the even part
+    offdiag = np.full(size - 1, -0.5 * inv_d2)
     if parity == 0:
-        off[0] *= np.sqrt(2.0)
-        return TridiagonalOperator(diag=diag, offdiag=off)
-    return TridiagonalOperator(diag=diag[1:], offdiag=off[1:])
+        density[0] = folded[0]  # x = 0 is its own mirror image
+        offdiag[0] *= np.sqrt(2.0)  # e_0 = u_0 meets e_1 = (u_1 + u_-1)/sqrt(2)
+    diag = inv_d2 + potential(grid.interior[-size:], trap.a) + trap.beta * density
+    return TridiagonalOperator(diag=diag, offdiag=offdiag)
 
 
 def unfold(w: np.ndarray, parity: int) -> np.ndarray:
-    """Map a parity_block vector back to the D-1 interior nodes.
+    """Map a block vector back to the D-1 interior nodes.
 
     The result is exactly even (parity 0) or odd (parity 1), and its norm
     equals that of w: the block coordinates are w_0 = v(0), w_m = sqrt(2)*v(x_m).

@@ -1,4 +1,4 @@
-"""Per-particle energy, level splittings, parity, and state overlaps.
+"""Per-particle energy, level splittings, and state overlaps.
 
 The energy functional differs from the chemical potential for beta > 0:
 mu_n = E_n + (beta/2) * integral(psi^4). Splittings are taken between
@@ -68,15 +68,3 @@ def overlap_matrix(grid: Grid, states: list["StationaryState"]) -> OverlapMatrix
             entries[i, j] = entries[j, i] = c
     return OverlapMatrix(k=k, entries=entries)
 
-
-def parity_of(grid: Grid, psi) -> str:
-    """Classify a sampled function on a symmetric grid: even, odd, or none."""
-    psi = np.asarray(psi)
-    scale = np.max(np.abs(psi))
-    if scale == 0:
-        return "none"
-    if np.max(np.abs(psi - psi[::-1])) <= 1e-6 * scale:
-        return "even"
-    if np.max(np.abs(psi + psi[::-1])) <= 1e-6 * scale:
-        return "odd"
-    return "none"

@@ -1,12 +1,13 @@
 """Self-consistent solution of the nonlinear eigenvalue problem.
 
 Each stationary state n is iterated to self-consistency with its own
-density: build the operator from the input density, take eigenpair n // 2
-of its block in parity sector n % 2 (even for even n), and mix the output
-density |psi|^2 with the earlier ones by Anderson (type II) mixing of
-depth ANDERSON_DEPTH (Anderson, J. ACM 12, 547 (1965); Walker & Ni, SIAM
-J. Numer. Anal. 49, 1715 (2011)). Every iterate is therefore exactly even
-or odd, and every mixed density exactly even.
+density, on the half grid of parity sector n % 2 (even for even n): build
+the sector's block of the operator from the folded input density
+(hamiltonian.assemble_block), take its eigenpair n // 2, and mix the
+output density with the earlier ones by Anderson (type II) mixing of depth
+ANDERSON_DEPTH (Anderson, J. ACM 12, 547 (1965); Walker & Ni, SIAM J.
+Numer. Anal. 49, 1715 (2011)). The state is mapped back to the full grid
+once, after the loop (hamiltonian.unfold), so it is exactly even or odd.
 
 Only the first iterate is a full eigensolve (eigensolver.lowest_eigenpairs).
 Each later one follows the previous pair onto the new operator, which
@@ -28,13 +29,13 @@ up to D = 4000 the floor stays below the default tol and does not bind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .eigensolver import EPS, follow_eigenpair, lowest_eigenpairs, norm_inf, refine_eigenpair
-from .grid import Grid, TrapConfig, integrate, make_grid
-from .hamiltonian import assemble, parity_block, unfold
+from .grid import Grid, TrapConfig, make_grid
+from .hamiltonian import assemble_block, fold, unfold
 from .observables import energy as _fill_energy
 
 BOUNDARY_TAIL_MAX = 1e-3
@@ -108,16 +109,9 @@ class StationaryState:
 class ScfResult:
     state: StationaryState
     iterations: int
-    mu_history: list[float] = field(default_factory=list)  # mu of each unrefined pair
     converged: bool = False
     residual: float = math.inf  # ||H[psi^2] psi - mu psi|| of the last unrefined pair
     eigensolves: int = 0  # lowest_eigenpairs calls: the first iterate plus failed certificates
-
-
-def _embed(grid: Grid, interior: np.ndarray) -> np.ndarray:
-    psi = np.zeros(grid.D + 1)
-    psi[1:-1] = interior
-    return psi
 
 
 def _anderson(inputs: list[np.ndarray], outputs: list[np.ndarray]) -> np.ndarray:
@@ -141,49 +135,41 @@ def _iterate(
 ) -> ScfResult:
     if density is None:
         density = np.ones(grid.D - 1)
-    density = density / integrate(grid, _embed(grid, density))
-
     index, parity = divmod(n, 2)  # state n is eigenpair n // 2 of sector n % 2
-    c = (grid.D - 1) // 2  # interior index of x = 0
-    # Mixing history on the x >= 0 half: the densities are even, and the
-    # mixed one is mirrored from its half, so it stays exactly even.
+    # The loop runs in block coordinates: density is the folded input
+    # density, and an iterate w has the folded density w * w.
+    density = fold(density / (grid.delta * density.sum()), parity)
     inputs: list[np.ndarray] = []
     outputs: list[np.ndarray] = []
-    mu_history: list[float] = []
     converged = False
     pair = None
     eigensolves = 0
 
     for iterations in range(1, cfg.max_iter + 1):
-        full = assemble(grid, trap, density)
-        op = parity_block(full, parity)
+        op = assemble_block(grid, trap, density, parity)
         if pair is not None:
             pair = follow_eigenpair(op, pair, index, grid)
         if pair is None:
-            pair = lowest_eigenpairs(op, index + 1, grid, refine=False)[index]
+            pair = lowest_eigenpairs(op, index + 1, grid)[index]
             eigensolves += 1
-        psi = unfold(pair.vector, parity)
-        mu = pair.value
-        mu_history.append(mu)
-        rho = psi * psi
-        # H[rho] psi - mu psi, from H[density] by the change of the diagonal
-        r = full.apply(psi) - mu * psi + trap.beta * (rho - density) * psi
+        w, mu = pair.vector, pair.value
+        rho = w * w
+        r = assemble_block(grid, trap, rho, parity).apply(w) - mu * w
         residual = math.sqrt(grid.delta * np.dot(r, r))
         if residual <= max(cfg.tol * (1.0 + abs(mu)), ROUNDOFF_FLOOR * EPS * norm_inf(op)):
             converged = True
             break
 
-        inputs.append(density[c:])
-        outputs.append(rho[c:])
+        inputs.append(density)
+        outputs.append(rho)
         del inputs[:-(ANDERSON_DEPTH + 1)], outputs[:-(ANDERSON_DEPTH + 1)]
-        half = np.maximum(_anderson(inputs, outputs), 0.0)
-        density = np.concatenate([half[:0:-1], half])
-        density /= integrate(grid, _embed(grid, density))
+        density = np.maximum(_anderson(inputs, outputs), 0.0)
+        density /= grid.delta * density.sum()
 
     pair = refine_eigenpair(op, pair, grid)
     state = StationaryState(
         n=n,
-        psi=_embed(grid, unfold(pair.vector, parity)),
+        psi=np.pad(unfold(pair.vector, parity), 1),  # zeros at the walls
         mu=pair.value,
         parity=("even", "odd")[parity],
         beta=trap.beta,
@@ -193,7 +179,6 @@ def _iterate(
     result = ScfResult(
         state=state,
         iterations=iterations,
-        mu_history=mu_history,
         converged=converged,
         residual=residual,
         eigensolves=eigensolves,

@@ -474,6 +474,18 @@ class TestDynamicsCommands:
         assert footer["lyapunov"] == pytest.approx(2.0)
         assert all(r[1] > 0 for r in rows)  # negative energy stays in one well
 
+    @pytest.mark.parametrize("command, flag", [
+        (["dynamics", "--a", "10", "--dt", "0"], "--dt"),
+        (["dynamics", "--a", "10", "--stride", "0"], "--stride"),
+        (["classical", "--a", "10", "--x0", "1.5", "--p0", "0", "--stride", "-1"], "--stride"),
+    ])
+    def test_bad_stepping_rejected(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out.csv"
+        assert main(command + ["--output", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestReadme:
     def test_cli_block_lists_every_subcommand(self):

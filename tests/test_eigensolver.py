@@ -4,7 +4,13 @@ from scipy.linalg import eigh_tridiagonal
 
 from gpdwell.eigensolver import count_below, follow_eigenpair, lowest_eigenpairs, refine_eigenpair
 from gpdwell.grid import TrapConfig, make_grid
-from gpdwell.hamiltonian import TridiagonalOperator, assemble, kinetic_operator, parity_block
+from gpdwell.hamiltonian import (
+    TridiagonalOperator,
+    assemble,
+    assemble_block,
+    fold,
+    kinetic_operator,
+)
 
 from oracles import numerov_even_eigenvalue, sturm_count, tridiag_eigenvalue_bisection
 
@@ -71,6 +77,7 @@ def test_residuals_within_contract():
     grid = make_grid(6.0, 4000)
     op = assemble(grid, TrapConfig(a=5.0, beta=0.0), np.zeros(grid.D - 1))
     for pair in lowest_eigenpairs(op, 4, grid):
+        pair = refine_eigenpair(op, pair, grid)
         r = op.apply(pair.vector) - pair.value * pair.vector
         norm = np.sqrt(grid.delta * np.dot(r, r))
         assert norm <= 1e-10 * (1.0 + abs(pair.value))
@@ -80,7 +87,7 @@ def test_unrefined_pairs_are_lapack_pairs_normalized():
     grid = make_grid(6.0, 4000)
     op = assemble(grid, TrapConfig(a=5.0, beta=0.0), np.zeros(grid.D - 1))
     vals, vecs = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, 3))
-    for j, pair in enumerate(lowest_eigenpairs(op, 4, grid, refine=False)):
+    for j, pair in enumerate(lowest_eigenpairs(op, 4, grid)):
         assert pair.value == vals[j]
         v = vecs[:, j] / np.sqrt(grid.delta * np.dot(vecs[:, j], vecs[:, j]))
         assert np.array_equal(pair.vector, v) or np.array_equal(pair.vector, -v)
@@ -88,20 +95,6 @@ def test_unrefined_pairs_are_lapack_pairs_normalized():
         r = op.apply(pair.vector) - pair.value * pair.vector
         # the float64 floor of the unrefined eigensolve at D = 4000
         assert np.sqrt(grid.delta * np.dot(r, r)) <= 1.3e-10 * (1.0 + abs(pair.value))
-
-
-@pytest.mark.parametrize("parity", [None, 0, 1])
-def test_refined_pairs_are_refined_unrefined_pairs(parity):
-    # the SCF iterates on unrefined pairs and refines only the last one
-    grid = make_grid(6.0, 1200)
-    op = assemble(grid, TrapConfig(a=3.0, beta=0.5), np.exp(-grid.interior**2))
-    if parity is not None:
-        op = parity_block(op, parity)
-    for full, rough in zip(lowest_eigenpairs(op, 3, grid),
-                           lowest_eigenpairs(op, 3, grid, refine=False)):
-        again = refine_eigenpair(op, rough, grid)
-        assert again.value == full.value
-        assert np.array_equal(again.vector, full.vector)
 
 
 def test_nonnegative_diagonal_shift_never_lowers_ground_state():
@@ -150,8 +143,8 @@ def test_count_below_matches_sturm_oracle():
 def _block_and_pairs(density_scale):
     grid = make_grid(6.0, 1200)
     density = np.exp(-density_scale * grid.interior**2)
-    op = parity_block(assemble(grid, TrapConfig(a=3.0, beta=0.5), density), 0)
-    return grid, op, lowest_eigenpairs(op, 3, grid, refine=False)
+    op = assemble_block(grid, TrapConfig(a=3.0, beta=0.5), fold(density, 0), 0)
+    return grid, op, lowest_eigenpairs(op, 3, grid)
 
 
 def test_follow_reaches_the_cold_pair_of_a_nearby_operator():

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from gpdwell.eigensolver import lowest_eigenpairs
+from gpdwell.eigensolver import lowest_eigenpairs, refine_eigenpair
 from gpdwell.grid import TrapConfig, make_grid, potential
 from gpdwell.hamiltonian import (
     TridiagonalOperator,
     assemble,
+    assemble_block,
+    fold,
     kinetic_operator,
-    parity_block,
     second_derivative_at,
     unfold,
 )
@@ -126,14 +127,20 @@ def _sector_basis(size: int, parity: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _refined_values(op, k, grid):
+    return [refine_eigenpair(op, p, grid).value for p in lowest_eigenpairs(op, k, grid)]
+
+
 class TestParitySectors:
     def test_block_spectra_interleave_to_full_spectrum(self):
         grid = make_grid(6.0, 800)
-        op = assemble(grid, TrapConfig(a=3.0, beta=0.0), np.zeros(grid.D - 1))
-        even = lowest_eigenpairs(parity_block(op, 0), 3, grid)
-        odd = lowest_eigenpairs(parity_block(op, 1), 3, grid)
-        sectors = [p.value for pair in zip(even, odd) for p in pair]
-        full = [p.value for p in lowest_eigenpairs(op, 6, grid)]
+        trap = TrapConfig(a=3.0, beta=0.0)
+        zero = np.zeros(grid.D - 1)
+        op = assemble(grid, trap, zero)
+        even = _refined_values(assemble_block(grid, trap, fold(zero, 0), 0), 3, grid)
+        odd = _refined_values(assemble_block(grid, trap, fold(zero, 1), 1), 3, grid)
+        sectors = [value for pair in zip(even, odd) for value in pair]
+        full = _refined_values(op, 6, grid)
         assert sectors == pytest.approx(full, rel=0, abs=1e-12)
         for n, value in enumerate(sectors):
             oracle = tridiag_eigenvalue_bisection(op.diag, op.offdiag, n)
@@ -151,21 +158,44 @@ class TestParitySectors:
         np.testing.assert_allclose(v, _sector_basis(grid.D - 1, parity) @ w, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("parity", [0, 1])
+    def test_fold_keeps_the_even_part_and_block_densities(self, parity):
+        grid = make_grid(4.0, 40)
+        rho = np.random.default_rng(parity).random(grid.D - 1)
+        assert np.array_equal(fold(rho, parity), fold(rho[::-1], parity))
+        if parity == 0:
+            assert fold(rho, 0).sum() == pytest.approx(rho.sum(), rel=1e-14)
+        w = np.random.default_rng(parity + 2).standard_normal(grid.D // 2 - parity)
+        np.testing.assert_allclose(fold(unfold(w, parity) ** 2, parity), w * w, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("parity", [0, 1])
     def test_block_of_non_even_operator_is_the_compression(self, parity):
+        grid = make_grid(2.0, 12)
+        trap = TrapConfig(a=2.0, beta=0.5)
         rng = np.random.default_rng(7)
-        op = TridiagonalOperator(diag=rng.standard_normal(11), offdiag=rng.standard_normal(10))
-        p = _sector_basis(op.size, parity)
-        np.testing.assert_allclose(
-            parity_block(op, parity).dense(), p.T @ op.dense() @ p, rtol=0, atol=1e-14
-        )
+        for rho in (np.exp(-grid.interior**2), rng.random(grid.D - 1)):  # even, then not
+            op = assemble(grid, trap, rho)
+            p = _sector_basis(op.size, parity)
+            np.testing.assert_allclose(
+                assemble_block(grid, trap, fold(rho, parity), parity).dense(),
+                p.T @ op.dense() @ p,
+                rtol=0, atol=1e-14,
+            )
 
     def test_even_operator_blocks_are_the_half_grid_bitwise(self):
         grid = make_grid(6.0, 400)
-        op = assemble(grid, TrapConfig(a=2.0, beta=0.5), np.exp(-grid.interior**2))
+        trap = TrapConfig(a=2.0, beta=0.5)
+        rho = np.exp(-grid.interior**2)
+        op = assemble(grid, trap, rho)
         c = grid.D // 2 - 1
-        even, odd = parity_block(op, 0), parity_block(op, 1)
+        even = assemble_block(grid, trap, fold(rho, 0), 0)
+        odd = assemble_block(grid, trap, fold(rho, 1), 1)
         assert np.array_equal(even.diag, op.diag[c:])
         assert even.offdiag[0] == np.sqrt(2.0) * op.offdiag[c]
         assert np.array_equal(even.offdiag[1:], op.offdiag[c + 1:])
         assert np.array_equal(odd.diag, op.diag[c + 1:])
         assert np.array_equal(odd.offdiag, op.offdiag[c + 1:])
+
+    @pytest.mark.parametrize("folded", [np.ones(5), -np.ones(6)])
+    def test_block_rejects_bad_density(self, folded):
+        with pytest.raises(ValueError):
+            assemble_block(make_grid(3.0, 12), TrapConfig(a=2.0, beta=1.0), folded, 0)

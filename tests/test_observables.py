@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gpdwell.grid import TrapConfig, integrate, make_grid
-from gpdwell.observables import energy, overlap_matrix, parity_of, splitting
+from gpdwell.observables import energy, overlap_matrix, splitting
 from gpdwell.scf import StationaryState, solve_spectrum, solve_state
 
 
@@ -109,16 +109,3 @@ class TestOverlapMatrix:
         with pytest.raises(ValueError, match="grid"):
             overlap_matrix(grid4000, [s1, s2])
 
-
-class TestParityOf:
-    def test_centered_gaussian_even(self):
-        grid = make_grid(5.0, 100)
-        assert parity_of(grid, np.exp(-grid.nodes**2)) == "even"
-
-    def test_x_gaussian_odd(self):
-        grid = make_grid(5.0, 100)
-        assert parity_of(grid, grid.nodes * np.exp(-grid.nodes**2)) == "odd"
-
-    def test_shifted_gaussian_none(self):
-        grid = make_grid(5.0, 100)
-        assert parity_of(grid, np.exp(-((grid.nodes - 1.0) ** 2))) == "none"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gpdwell.scf
-from gpdwell.eigensolver import lowest_eigenpairs
+from gpdwell.eigensolver import lowest_eigenpairs, refine_eigenpair
 from gpdwell.grid import TrapConfig, integrate, make_grid
 from gpdwell.hamiltonian import assemble
 from gpdwell.scf import (
@@ -42,7 +42,7 @@ class TestLinearLimit:
         trap = TrapConfig(a=3.0, beta=0.0)
         result = solve_state(grid, trap, 1)
         op = assemble(grid, trap, np.zeros(grid.D - 1))
-        linear = lowest_eigenpairs(op, 2, grid)[1].value
+        linear = refine_eigenpair(op, lowest_eigenpairs(op, 2, grid)[1], grid).value
         assert result.state.mu == linear
 
     def test_beta_zero_operator_is_bitwise_linear(self):
@@ -79,8 +79,8 @@ class TestConvergedStates:
     def test_convergence_flags_consistent(self, ground_a5_b03):
         r = ground_a5_b03
         assert r.converged
-        assert len(r.mu_history) == r.iterations
-        assert r.residual <= ScfConfig().tol * (1.0 + abs(r.mu_history[-1]))
+        assert 1 <= r.eigensolves <= r.iterations
+        assert r.residual <= ScfConfig().tol * (1.0 + abs(r.state.mu))
 
     def test_strongly_coupled_cases_converge(self, grid4000):
         # (5, 9) two-cycled and (2, 20) ran out of budget under the plain fixed point
@@ -96,7 +96,7 @@ class TestConvergedStates:
         result = solve_state(grid4000, TrapConfig(a=1.25, beta=4.0), 0)
         assert result.converged
         assert result.iterations <= 20
-        assert result.residual <= ScfConfig().tol * (1.0 + abs(result.mu_history[-1]))
+        assert result.residual <= ScfConfig().tol * (1.0 + abs(result.state.mu))
 
     def test_parity_matches_index(self, spectrum_a5_b01):
         for r in spectrum_a5_b01:
@@ -214,8 +214,8 @@ class TestFailureModes:
             solve_state(grid, TrapConfig(a=5.0, beta=9.0), 0, cfg)
         result = exc.value.result
         assert not result.converged
-        assert len(result.mu_history) == 2
-        assert result.residual > cfg.tol * (1.0 + abs(result.mu_history[-1]))
+        assert result.iterations == 2
+        assert result.residual > cfg.tol * (1.0 + abs(result.state.mu))
         message = str(exc.value)
         assert message.startswith("SCF did not converge in 2 iterations")
         reported = float(message.split("residual ")[1].split(" >")[0])
