@@ -227,14 +227,14 @@ def cmd_solve(args) -> int:
 
 # ------------------------------------------------------------- wigner
 
-def _wigner_field(args, beta, p_max=None, P=None):
+def _wigner_field(args, beta, P=None):
     result = solve_state(make_grid(args.L, args.D), TrapConfig(a=args.a, beta=beta),
                          args.state, _scf_config(args))
-    return wigner_transform(result.state.grid, result.state.psi, p_max=p_max, P=P)
+    return wigner_transform(result.state.grid, result.state.psi, P=P)
 
 
 def cmd_wigner(args) -> int:
-    field = _wigner_field(args, args.beta, args.pmax, args.P)
+    field = _wigner_field(args, args.beta, args.P)
     columns = [np.repeat(field.x_nodes, field.p_nodes.size),
                np.tile(field.p_nodes, field.x_nodes.size),
                field.values.ravel()]
@@ -439,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--state", type=int, default=0)
-    p.add_argument("--pmax", type=float, default=None)
     p.add_argument("--P", type=int, default=None)
     _add_grid_args(p, L=12.0, D=1200)
     _add_scf_args(p)

@@ -77,6 +77,8 @@ def propagate(
     """
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
+    if snapshot_stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     op = assemble(grid, TrapConfig(a=a, beta=0.0), np.zeros(grid.D - 1))
 
     z = 0.5j * dt

@@ -4,14 +4,18 @@ For a real wavefunction the transform reduces to a cosine sum over
 grid-commensurate offsets y = m*delta, with psi extended by zero outside
 [-L, L]:
 
-    W(x_a, p_j) = (1/pi) * delta * sum_m psi(x_a - y_m) psi(x_a + y_m) cos(2 p_j y_m)
+    W(x_a, p) = (1/pi) * delta * sum_m psi(x_a - y_m) psi(x_a + y_m) cos(2 p y_m)
 
-The 1/pi prefactor (hbar = 1) makes the phase-space integral equal 1, so
-the negativity volume vanishes exactly for nonnegative W. Phase-space
-sums follow the same one-sided Riemann convention as the spatial
-quadrature (left endpoint excluded in both x and p); with the default
-p_max = pi/(2*delta) the p-sum of the cosine kernel telescopes exactly,
-making the x-marginal reproduce |psi|^2.
+On the grid the kernel cos(2 p m delta) has period pi/delta in p, so the
+p grid spans exactly one period, p_j = j*pi/(delta*P) for j = -P/2..P/2,
+and the m-sum is a length-P real DFT per row. W is exactly even in p,
+and exactly even in x for a state of definite parity. The 1/pi prefactor
+(hbar = 1) makes the phase-space integral equal 1, so the negativity
+volume vanishes exactly for nonnegative W. Phase-space sums follow the
+same one-sided Riemann convention as the spatial quadrature (left
+endpoint excluded in both x and p); over the one period the p-sum of the
+kernel telescopes exactly, so for P >= D/2 the x-marginal reproduces
+|psi|^2 up to roundoff.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid
 
@@ -43,51 +48,33 @@ class WignerField:
         return self.values[:, 1:].sum(axis=1) * self.delta_p
 
 
-def default_p_max(grid: Grid) -> float:
-    """Half the resolvable momentum pi/delta: Nyquist headroom."""
-    return 0.5 * np.pi / grid.delta
-
-
-def wigner_transform(grid: Grid, psi, p_max: float | None = None, P: int | None = None) -> WignerField:
+def wigner_transform(grid: Grid, psi, P: int | None = None) -> WignerField:
     """Wigner function of a real normalized state on the (x, p) grid."""
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (grid.D + 1,):
         raise ValueError(f"psi must have length D+1={grid.D + 1}")
-    if p_max is None:
-        p_max = default_p_max(grid)
     if P is None:
         P = grid.D // 2
     if P < 2 or P % 2 != 0:
         raise ValueError(f"P must be an even integer >= 2, got {P}")
-    if p_max <= 0.0:
-        raise ValueError(f"p_max must be positive, got {p_max:g}")
-    if p_max > np.pi / grid.delta * (1.0 + 1e-12):
-        raise ValueError(f"p_max={p_max:g} exceeds the resolvable momentum pi/delta")
-
-    D = grid.D
-    # Correlation c[a, m] = psi(x_a - y_m) psi(x_a + y_m), y_m = m*delta,
-    # m = -M..M, zero where either factor falls outside the grid.
-    nz = np.nonzero(psi)[0]
-    if nz.size == 0:
+    if not psi.any():
         raise ValueError("psi is identically zero")
-    M = min(D, (nz[-1] - nz[0]) // 2 + 1)  # offsets where both factors can be nonzero
-    m = np.arange(-M, M + 1)
-    corr = np.zeros((D + 1, 2 * M + 1))
-    for a in range(D + 1):
-        lo, hi = max(-a, a - D, -M), min(a, D - a, M)
-        if lo > hi:
-            continue
-        mm = np.arange(lo, hi + 1)
-        corr[a, mm + M] = psi[a - mm] * psi[a + mm]
 
-    p_nodes = np.linspace(-p_max, p_max, P + 1)
-    kernel = np.cos(2.0 * np.outer(m * grid.delta, p_nodes))
-    values = (grid.delta / np.pi) * corr @ kernel
+    D, M = grid.D, grid.D // 2
+    # Correlation c[a, m] = psi(x_a - y_m) psi(x_a + y_m) for m = 0..M, zero
+    # where either factor falls outside the grid; c[a, -m] == c[a, m], so the
+    # m > 0 columns count twice. Columns fold modulo the DFT length P.
+    win = sliding_window_view(np.pad(psi, M), M + 1)
+    corr = win[: D + 1, ::-1] * win[M:]
+    corr[:, 1:] *= 2.0
+    corr = np.pad(corr, ((0, 0), (0, -(M + 1) % P))).reshape(D + 1, -1, P).sum(axis=1)
+    half = (grid.delta / np.pi) * np.fft.rfft(corr, axis=1).real  # p >= 0
+    delta_p = np.pi / (grid.delta * P)
     return WignerField(
         x_nodes=grid.nodes,
-        p_nodes=p_nodes,
-        values=values,
-        cell=grid.delta * (p_nodes[1] - p_nodes[0]),
+        p_nodes=delta_p * np.arange(-P // 2, P // 2 + 1),
+        values=np.concatenate([half[:, :0:-1], half], axis=1),
+        cell=grid.delta * delta_p,
     )
 
 

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own solver paths: tridiagonal
 eigenvalues come from Sturm-sequence bisection (shooting on the 3-term
 recurrence), continuum eigenvalues from Numerov integration, and Wigner
-point values from direct quadrature of the transform integral. The
+point values from direct quadrature of the transform integral or from
+the cosine sum taken row by row with a dense kernel. The
 bitwise references keep the plain forms of the fast paths: the CSV
 payload written row by row, RK4 on 2-vectors, and Crank-Nicolson with a
 banded solve per step.
@@ -100,6 +101,24 @@ def wigner_point_quadrature(grid, psi, x: float, p: float) -> float:
     y = np.linspace(-grid.L, grid.L, 16 * grid.D + 1)
     integrand = psi_interp(x - y) * psi_interp(x + y) * np.cos(2.0 * p * y)
     return float(np.trapezoid(integrand, y) / np.pi)
+
+
+def wigner_cosine_sum(grid, psi, P=None) -> np.ndarray:
+    """Wigner values on the (D+1, P+1) grid, one row of offsets at a time.
+
+    The cosine sum over m = -D/2..D/2 times a dense kernel, with the p grid
+    from linspace over [-pi/(2 delta), pi/(2 delta)]; P defaults to D/2.
+    """
+    D, M = grid.D, grid.D // 2
+    P = D // 2 if P is None else P
+    m = np.arange(-M, M + 1)
+    corr = np.zeros((D + 1, 2 * M + 1))
+    for a in range(D + 1):
+        mm = np.arange(-min(a, D - a, M), min(a, D - a, M) + 1)
+        corr[a, mm + M] = psi[a - mm] * psi[a + mm]
+    p_max = 0.5 * np.pi / grid.delta
+    kernel = np.cos(2.0 * np.outer(m * grid.delta, np.linspace(-p_max, p_max, P + 1)))
+    return (grid.delta / np.pi) * corr @ kernel
 
 
 def csv_payload_rowwise(names, rows, footer=None) -> bytes:

@@ -86,6 +86,12 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(grid_dyn, 2.0, packet, dt=0.0, steps=10)
 
+    def test_rejects_nonpositive_snapshot_stride(self, grid_dyn):
+        packet = coherent_state(grid_dyn, 0.0, 0.0)
+        for stride in (0, -1):
+            with pytest.raises(ValueError):
+                propagate(grid_dyn, 2.0, packet, dt=0.01, steps=10, snapshot_stride=stride)
+
     def test_rejects_nonfinite_dt(self, grid_dyn):
         packet = coherent_state(grid_dyn, 0.0, 0.0)
         for dt in (float("nan"), float("inf")):

@@ -3,9 +3,9 @@ import pytest
 
 from gpdwell.grid import TrapConfig, make_grid
 from gpdwell.scf import solve_state
-from gpdwell.wigner import WignerField, default_p_max, negativity, wigner_transform
+from gpdwell.wigner import negativity, wigner_transform
 
-from oracles import wigner_point_quadrature
+from oracles import wigner_cosine_sum, wigner_point_quadrature
 
 
 def _normalized(grid, values):
@@ -41,7 +41,7 @@ class TestWignerTransform:
         psi = _gaussian(grid, sigma=0.8)
         field = wigner_transform(grid, psi)
         marg = field.x_marginal()
-        assert np.max(np.abs(marg - psi**2)) <= 1e-3
+        assert np.max(np.abs(marg - psi**2)) <= 1e-12
 
     def test_odd_state_negative_at_origin(self):
         grid = make_grid(12.0, 1200)
@@ -65,8 +65,22 @@ class TestWignerTransform:
 
     def test_even_state_symmetry(self):
         grid = make_grid(12.0, 1200)
-        field = wigner_transform(grid, _gaussian(grid))
-        np.testing.assert_allclose(field.values, field.values[::-1, :], atol=1e-12)
+        for psi in (_gaussian(grid), _hermite1(grid)):  # W is even for either parity
+            field = wigner_transform(grid, psi)
+            np.testing.assert_array_equal(field.values, field.values[::-1, :])
+            np.testing.assert_array_equal(field.values, field.values[:, ::-1])
+
+    @pytest.mark.parametrize("P", [None, 1200])
+    @pytest.mark.parametrize("state", ["gaussian", 0, 1])
+    def test_matches_cosine_sum(self, state, P):
+        grid = make_grid(12.0, 1200)
+        if state == "gaussian":
+            psi = _gaussian(grid)
+        else:
+            psi = solve_state(grid, TrapConfig(a=2.0, beta=0.0), state).state.psi
+        field = wigner_transform(grid, psi, P=P)
+        np.testing.assert_allclose(field.values, wigner_cosine_sum(grid, psi, P=P),
+                                   rtol=0.0, atol=1e-13)
 
     def test_sign_flip_invariance(self):
         grid = make_grid(12.0, 600)
@@ -75,9 +89,11 @@ class TestWignerTransform:
         f2 = wigner_transform(grid, -psi)
         np.testing.assert_array_equal(f1.values, f2.values)
 
-    def test_default_momentum_cutoff(self):
+    def test_momentum_grid_spans_one_period(self):
         grid = make_grid(12.0, 1200)
-        assert default_p_max(grid) == pytest.approx(np.pi / (2.0 * grid.delta))
+        p = wigner_transform(grid, _gaussian(grid)).p_nodes
+        np.testing.assert_array_equal(p, -p[::-1])
+        assert p[-1] == pytest.approx(np.pi / (2.0 * grid.delta), rel=1e-15)
 
     def test_parameter_validation(self):
         grid = make_grid(12.0, 600)
@@ -85,9 +101,9 @@ class TestWignerTransform:
         with pytest.raises(ValueError):
             wigner_transform(grid, psi, P=0)
         with pytest.raises(ValueError):
-            wigner_transform(grid, psi, p_max=-1.0)
-        with pytest.raises(ValueError):
             wigner_transform(grid, psi[1:])
+        with pytest.raises(ValueError):
+            wigner_transform(grid, np.zeros_like(psi))
 
 
 class TestNegativity:
