@@ -22,7 +22,7 @@ from .hamiltonian import (
     second_derivative_at,
     unfold,
 )
-from .observables import OverlapMatrix, energy, overlap_matrix, splitting
+from .observables import energy, overlap_matrix
 from .scf import (
     DomainTooSmall,
     MaxIterationsExceeded,

@@ -41,7 +41,7 @@ from .scf import (
     solve_spectrum,
     solve_state,
 )
-from .semiclassics import classical_trajectory, lyapunov_exponent, transmission
+from .semiclassics import classical_trajectory, lyapunov_exponent, step_count, transmission
 from .wigner import negativity, wigner_transform
 
 EXIT_OK = 0
@@ -304,29 +304,26 @@ def cmd_scan_critical(args) -> int:
 
 
 def _spectrum(args, beta, k):
-    """The trap at beta and its k lowest states, all converged."""
-    trap = TrapConfig(a=args.a, beta=beta)
+    """The k lowest states of the trap at beta, all converged."""
     cfg = _scf_config(args)
-    results = solve_spectrum(make_grid(args.L, args.D), trap, k, cfg)
+    results = solve_spectrum(make_grid(args.L, args.D), TrapConfig(a=args.a, beta=beta), k, cfg)
     for r in results:
         if not r.converged:
             raise MaxIterationsExceeded(r, cfg.tol)
-    return trap, [r.state for r in results]
+    return [r.state for r in results]
 
 
 def cmd_wkb(args) -> int:
     def point(beta):
-        trap, (s0, s1) = _spectrum(args, beta, 2)
-        return [(beta, s0.mu, s0.energy, s1.energy, s1.energy - s0.energy,
-                 transmission(s0.grid, s0, trap))]
+        s0, s1 = _spectrum(args, beta, 2)
+        return [(beta, s0.mu, s0.energy, s1.energy, s1.energy - s0.energy, transmission(s0))]
     return _sweep(args, ["beta", "mu_0", "E_0", "E_1", "dE", "T_0", "status"], point)
 
 
 def cmd_overlaps(args) -> int:
     def point(beta):
-        _, states = _spectrum(args, beta, args.states)
-        m = overlap_matrix(states[0].grid, states)
-        return [(beta, i, j, m.entries[i, j]) for i in range(m.k) for j in range(m.k)]
+        c = overlap_matrix(_spectrum(args, beta, args.states))
+        return [(beta, i, j, c[i, j]) for i in range(len(c)) for j in range(len(c))]
     return _sweep(args, ["beta", "i", "j", "C_ij", "status"], point,
                   keys=[(i, j) for i in range(args.states) for j in range(args.states)])
 
@@ -351,10 +348,9 @@ def cmd_dynamics(args) -> int:
     _check_stepping(args)
     grid = make_grid(args.L, args.D)
     packet = coherent_state(grid, args.x0, args.p0)
-    steps = int(round(args.tmax / args.dt))
-    snapshots = propagate(grid, args.a, packet, args.dt, steps,
+    snapshots = propagate(grid, args.a, packet, args.dt, step_count(args.tmax, args.dt),
                           snapshot_stride=args.stride)
-    series = fotoc(snapshots, grid)
+    series = fotoc(snapshots)
     norm_drift = max(
         abs(integrate(grid, np.abs(s.values) ** 2) - 1.0) for s in snapshots
     )

@@ -47,16 +47,18 @@ class QuadraticFit:
 
 
 def _curvature(result: ScfResult) -> float:
-    """Curvature of a solved ground state at the origin, sign-normalized so psi(0) > 0."""
-    psi = result.state.psi
-    mid = result.state.grid.D // 2
-    if psi[mid] < 0:
-        psi = -psi
-    return second_derivative_at(result.state.grid, psi, mid)
+    """Curvature of a solved ground state at the origin, where psi > 0.
+
+    The even block's off-diagonals are all negative, so its lowest
+    eigenvector has one sign (Perron-Frobenius), which the eigensolver
+    makes positive.
+    """
+    grid = result.state.grid
+    return second_derivative_at(grid, result.state.psi, grid.D // 2)
 
 
 def curvature_sign(trap: TrapConfig, grid: Grid, cfg: ScfConfig | None = None) -> float:
-    """Ground-state curvature at the origin, sign-normalized so psi(0) > 0."""
+    """Ground-state curvature at the origin, where psi(0) > 0."""
     return _curvature(solve_state(grid, trap, 0, cfg))
 
 

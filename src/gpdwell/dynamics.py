@@ -47,8 +47,10 @@ def coherent_state(grid: Grid, x0: float, p0: float, width: float = 0.5) -> Wave
     width is the position variance; the default 1/2 gives Var_x = Var_p = 1/2
     (unit-frequency harmonic reference, hbar = m = 1).
     """
-    if abs(x0) >= grid.L:
+    if not abs(x0) < grid.L:  # also rejects nan
         raise ValueError(f"|x0| must be < L={grid.L}, got {x0}")
+    if not np.isfinite(p0):
+        raise ValueError(f"p0 must be finite, got {p0}")
     x = grid.nodes
     psi = np.exp(-((x - x0) ** 2) / (4.0 * width)) * np.exp(1j * p0 * (x - x0))
     psi[0] = psi[-1] = 0.0
@@ -118,7 +120,7 @@ def _moments(grid: Grid, psi: np.ndarray) -> tuple[float, float]:
     return float(var_x), float(var_p)
 
 
-def fotoc(snapshots: list[WavePacket], grid: Grid) -> FotocSeries:
+def fotoc(snapshots: list[WavePacket]) -> FotocSeries:
     """Variance-sum correlator F(t) = Var_x(t) + Var_p(t) over the snapshots."""
     if len(snapshots) < 10:
         raise ValueError(f"need at least 10 snapshots, got {len(snapshots)}")
@@ -126,7 +128,7 @@ def fotoc(snapshots: list[WavePacket], grid: Grid) -> FotocSeries:
     var_x = np.empty(len(snapshots))
     var_p = np.empty(len(snapshots))
     for i, s in enumerate(snapshots):
-        var_x[i], var_p[i] = _moments(grid, s.values)
+        var_x[i], var_p[i] = _moments(s.grid, s.values)
     return FotocSeries(times=times, F=var_x + var_p, var_x=var_x, var_p=var_p)
 
 

@@ -78,16 +78,10 @@ def _refine(op: TridiagonalOperator, lam: float, v: np.ndarray, delta: float):
     check are evaluated in longdouble; corrections are solved in float64.
     """
     ld = np.longdouble
-    diag, off = op.diag.astype(ld), op.offdiag.astype(ld)
-
-    def apply_ld(w):
-        out = diag * w
-        out[:-1] += off * w[1:]
-        out[1:] += off * w[:-1]
-        return out
+    op_ld = TridiagonalOperator(op.diag.astype(ld), op.offdiag.astype(ld))
 
     def resid_norm(lam_, v_):
-        r = apply_ld(v_.astype(ld)) - ld(lam_) * v_.astype(ld)
+        r = op_ld.apply(v_.astype(ld)) - ld(lam_) * v_.astype(ld)
         return float(np.sqrt(ld(delta) * np.dot(r, r))), r
 
     best = (np.inf, lam, v)
@@ -101,7 +95,7 @@ def _refine(op: TridiagonalOperator, lam: float, v: np.ndarray, delta: float):
         v = v - dgttrs(*lu, r.astype(float))[0]
         v /= np.sqrt(delta * np.dot(v, v))
         vl = v.astype(ld)
-        lam = float(np.dot(vl, apply_ld(vl)) / np.dot(vl, vl))
+        lam = float(np.dot(vl, op_ld.apply(vl)) / np.dot(vl, vl))
     rnorm, _ = resid_norm(lam, v)
     if rnorm < best[0]:
         best = (rnorm, lam, v)

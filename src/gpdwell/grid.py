@@ -28,8 +28,8 @@ class Grid:
     nodes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError(f"half-width L must be positive, got {self.L}")
+        if not 0 < self.L < np.inf:  # also rejects nan
+            raise ValueError(f"half-width L must be positive and finite, got {self.L}")
         if self.D % 2 != 0:
             raise ValueError(f"D must be even so that x=0 is a node, got D={self.D}")
         if self.D < 8:
@@ -59,10 +59,10 @@ class TrapConfig:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError(f"well-depth parameter a must be positive, got {self.a}")
-        if self.beta < 0:
-            raise ValueError(f"interaction strength beta must be >= 0, got {self.beta}")
+        if not 0 < self.a < np.inf:  # also rejects nan
+            raise ValueError(f"well-depth parameter a must be positive and finite, got {self.a}")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError(f"interaction strength beta must be finite and >= 0, got {self.beta}")
 
 
 def make_grid(L: float, D: int) -> Grid:

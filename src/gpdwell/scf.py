@@ -7,7 +7,11 @@ the sector's block of the operator from the folded input density
 output density with the earlier ones by Anderson (type II) mixing of depth
 ANDERSON_DEPTH (Anderson, J. ACM 12, 547 (1965); Walker & Ni, SIAM J.
 Numer. Anal. 49, 1715 (2011)). The state is mapped back to the full grid
-once, after the loop (hamiltonian.unfold), so it is exactly even or odd.
+once, after the loop (hamiltonian.unfold), so it is exactly even or odd,
+and its per-particle energy (observables.energy) is taken there from the
+refined psi. So a StationaryState is complete and frozen when the solver
+returns it, converged or not: it carries its trap, grid, mu and energy,
+and its consumers need nothing else.
 
 Only the first iterate is a full eigensolve (eigensolver.lowest_eigenpairs).
 Each later one follows the previous pair onto the new operator, which
@@ -36,9 +40,8 @@ import numpy as np
 from .eigensolver import EPS, follow_eigenpair, lowest_eigenpairs, norm_inf, refine_eigenpair
 from .grid import Grid, TrapConfig, make_grid
 from .hamiltonian import assemble_block, fold, unfold
-from .observables import energy as _fill_energy
+from .observables import energy as _fill_energy  # the name perfbench traces
 
-BOUNDARY_TAIL_MAX = 1e-3
 MAX_DOMAIN_GROWTHS = 3
 DOMAIN_GROWTH = 1.5  # factor on L per domain enlargement
 ANDERSON_DEPTH = 5  # earlier iterates kept by the mixing
@@ -86,23 +89,25 @@ class ScfConfig:
             raise ValueError("max_iter must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StationaryState:
-    """Converged eigenstate: psi has length D+1 with zeros at the walls.
+    """Solved state n of trap on grid: psi has length D+1 with zeros at the walls.
 
-    parity is "even" for even n and "odd" for odd n; the solver sets no
-    other value. psi is positive where |psi| peaks on x >= 0, so the x > 0
-    lobe of an odd state is positive.
+    mu is its chemical potential and energy its per-particle energy. psi is
+    positive where |psi| peaks on x >= 0, so the x > 0 lobe of an odd state
+    is positive.
     """
 
     n: int
     psi: np.ndarray
     mu: float
-    parity: str  # "even" | "odd"
-    beta: float
-    a: float
+    energy: float
+    trap: TrapConfig
     grid: Grid
-    energy: float | None = None  # filled by observables.energy
+
+    @property
+    def parity(self) -> str:
+        return ("even", "odd")[self.n % 2]
 
 
 @dataclass
@@ -167,17 +172,10 @@ def _iterate(
         density /= grid.delta * density.sum()
 
     pair = refine_eigenpair(op, pair, grid)
-    state = StationaryState(
-        n=n,
-        psi=np.pad(unfold(pair.vector, parity), 1),  # zeros at the walls
-        mu=pair.value,
-        parity=("even", "odd")[parity],
-        beta=trap.beta,
-        a=trap.a,
-        grid=grid,
-    )
+    psi = np.pad(unfold(pair.vector, parity), 1)  # zeros at the walls
     result = ScfResult(
-        state=state,
+        state=StationaryState(n=n, psi=psi, mu=pair.value,
+                              energy=_fill_energy(grid, psi, trap), trap=trap, grid=grid),
         iterations=iterations,
         converged=converged,
         residual=residual,
@@ -200,11 +198,16 @@ def solve_state(
     initial_density, if given, is |psi|^2 on the D-1 interior nodes of grid
     and replaces the constant first iterate (a warm start, e.g. from the
     converged state of a nearby trap); it is normalized first, and only its
-    even part enters the operator's parity block. If the converged state
-    does not vanish at the walls (tail above 1e-3), the solve is repeated
-    on a grid with L enlarged by 1.5x, at most three times, keeping D
-    fixed; the repeats start cold, because the warm density belongs to the
-    old nodes.
+    even part enters the operator's parity block.
+
+    The hard walls at +-L bias a state through its slope there: for a = 2,
+    beta = 0.5 they moved mu by 0.1 to 0.2 times psi'(L)^2 / 2. So while
+    (1/2) (psi(x_{D-1}) / delta)^2 > cfg.tol * (1 + |mu|) at either wall,
+    the solve is repeated on a grid with L enlarged by 1.5x, at most three
+    times, keeping D fixed; the repeats start cold, because the warm
+    density belongs to the old nodes. The test bounds the slope, which does
+    not depend on delta, rather than psi at the node next to the wall,
+    which shrinks with delta.
     """
     if n < 0:
         raise ValueError(f"quantum index n must be >= 0, got {n}")
@@ -221,16 +224,15 @@ def solve_state(
 
     for _ in range(MAX_DOMAIN_GROWTHS + 1):
         result = _iterate(grid, trap, n, cfg, initial_density)
-        psi = result.state.psi
-        tail = max(abs(psi[1]), abs(psi[-2]))
-        if tail <= BOUNDARY_TAIL_MAX:
-            _fill_energy(grid, result.state, trap)
+        state = result.state
+        slope = max(abs(state.psi[1]), abs(state.psi[-2])) / grid.delta  # |psi'| at the walls
+        if 0.5 * slope**2 <= cfg.tol * (1.0 + abs(state.mu)):
             return result
         grid = make_grid(DOMAIN_GROWTH * grid.L, grid.D)
         initial_density = None
     raise DomainTooSmall(
         f"state still leaks past the walls after {MAX_DOMAIN_GROWTHS} enlargements "
-        f"(final L={grid.L / DOMAIN_GROWTH:g}, tail={tail:.2e})"
+        f"(final L={grid.L / DOMAIN_GROWTH:g}, wall slope={slope:.2e})"
     )
 
 

@@ -9,6 +9,7 @@ sqrt(2a) at the hyperbolic fixed point (0, 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -18,6 +19,8 @@ from .grid import Grid, TrapConfig, potential
 
 if TYPE_CHECKING:
     from .scf import StationaryState
+
+MAX_STEPS = 50_000_000  # time steps per trajectory or propagation
 
 
 class TurningPointError(ValueError):
@@ -92,9 +95,10 @@ def turning_points(grid: Grid, veff, mu: float) -> TurningPair:
     return TurningPair(x1, x2)
 
 
-def transmission(grid: Grid, state: "StationaryState", trap: TrapConfig) -> float:
-    """WKB transmission through the self-consistent central barrier."""
-    veff = effective_potential(grid, trap, state.psi)
+def transmission(state: "StationaryState") -> float:
+    """WKB transmission through the self-consistent central barrier of a solved state."""
+    grid = state.grid
+    veff = effective_potential(grid, state.trap, state.psi)
     pair = turning_points(grid, veff, state.mu)
     if pair.degenerate:
         return 1.0
@@ -110,6 +114,21 @@ def transmission(grid: Grid, state: "StationaryState", trap: TrapConfig) -> floa
     return float(np.exp(-2.0 * gamma))
 
 
+def step_count(t_max: float, dt: float) -> int:
+    """The number of steps dt in [0, t_max], round(t_max / dt).
+
+    Raises ValueError, before any step runs, unless dt > 0 and t_max >= 0
+    are finite and the count is at most MAX_STEPS.
+    """
+    if not 0.0 < dt < math.inf:  # also rejects nan
+        raise ValueError(f"dt must be positive and finite, got {dt:g}")
+    if not 0.0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max:g}")
+    if not t_max / dt <= MAX_STEPS:
+        raise ValueError(f"step count {t_max / dt:.3g} exceeds {MAX_STEPS}")
+    return int(round(t_max / dt))
+
+
 def classical_trajectory(
     a: float, x0: float, p0: float, dt: float, t_max: float
 ) -> ClassicalTrajectory:
@@ -119,11 +138,9 @@ def classical_trajectory(
     operation order of the vector form y + (dt/6)(k1 + 2 k2 + 2 k3 + k4),
     so every point is bitwise that of the vector form.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n_steps = int(round(t_max / dt))
-    if n_steps > 50_000_000:
-        raise ValueError(f"step count {n_steps} too large")
+    if not all(map(math.isfinite, (a, x0, p0))):
+        raise ValueError(f"a, x0 and p0 must be finite, got {a:g}, {x0:g}, {p0:g}")
+    n_steps = step_count(t_max, dt)
 
     def force(x):
         return 2.0 * a * x - 4.0 * x**3

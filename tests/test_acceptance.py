@@ -43,8 +43,9 @@ def test_01_critical_parameter_beta_zero(tmp_path, monkeypatch):
     code = main(["scan-critical", "--betas", "0", "--L", "6", "--D", "4000",
                  "--tol", "1e-4", "--output", str(out)])
     elapsed = time.perf_counter() - t0
-    _, _, rows, _ = read_csv(str(out))
-    beta, a_c, e_c, _, status = rows[0]
+    _, columns, rows, _ = read_csv(str(out))
+    row = dict(zip(columns, rows[0]))
+    a_c, e_c, status = row["a_c"], row["E_c"], row["status"]
     _report(1, "critical parameter at beta=0", [
         ("exit code 0", code == 0),
         ("status ok", status == "ok"),
@@ -133,9 +134,8 @@ def test_06_transmission_and_splitting_trends(grid4000):
     for a in (2.0, 5.0):
         t0s, gaps = [], []
         for beta in betas:
-            trap = TrapConfig(a=a, beta=beta)
-            rs = solve_spectrum(grid4000, trap, 2)
-            t0s.append(transmission(grid4000, rs[0].state, trap))
+            rs = solve_spectrum(grid4000, TrapConfig(a=a, beta=beta), 2)
+            t0s.append(transmission(rs[0].state))
             gaps.append(rs[1].state.energy - rs[0].state.energy)
         trends[a] = (np.array(t0s), np.array(gaps))
     t2, g2 = trends[2.0]
@@ -190,16 +190,15 @@ def test_08_overlap_suite(grid4000):
     conditions = []
     for beta in betas:
         rs = solve_spectrum(grid4000, TrapConfig(a=5.0, beta=beta), 4)
-        m = overlap_matrix(grid4000, [r.state for r in rs])
-        cross_max = max(m.entries[i, j] for i in range(4) for j in range(4)
-                        if (i + j) % 2 == 1)
-        diag_err = float(np.max(np.abs(np.diag(m.entries) - 1.0)))
+        m = overlap_matrix([r.state for r in rs])
+        cross_max = max(m[i, j] for i in range(4) for j in range(4) if (i + j) % 2 == 1)
+        diag_err = float(np.max(np.abs(np.diag(m) - 1.0)))
         conditions.append(
             (f"b={beta:g} opposite parity {cross_max:.1e} <= 1e-8", cross_max <= 1e-8))
         conditions.append(
             (f"b={beta:g} diagonals 1 +- 1e-10", diag_err <= 1e-10))
-        c02.append(m.entries[0, 2])
-        c13.append(m.entries[1, 3])
+        c02.append(m[0, 2])
+        c13.append(m[1, 3])
     conditions.append(("C_02 strictly increasing", bool(np.all(np.diff(c02) > 0))))
     conditions.append(("C_13 strictly increasing", bool(np.all(np.diff(c13) > 0))))
     _report(8, "overlap matrix structure at a=5", conditions)
@@ -210,7 +209,7 @@ def test_09_dynamics_suite():
     packet = coherent_state(grid, 0.0, 0.0)
     snaps = propagate(grid, 10.0, packet, dt=1e-4, steps=6000, snapshot_stride=20)
     norm_drift = max(abs(integrate(grid, np.abs(s.values) ** 2) - 1.0) for s in snaps)
-    series = fotoc(snaps, grid)
+    series = fotoc(snaps)
     fit = growth_rate(series, default_fit_window(series))
     lam = lyapunov_exponent(10.0)
 

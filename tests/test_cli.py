@@ -30,6 +30,13 @@ from gpdwell.scf import DomainTooSmall
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+
+def _columns(path):
+    """An emitted CSV's columns by name, each a list over the rows."""
+    _, names, rows, _ = read_csv(str(path))
+    return {name: list(col) for name, col in zip(names, zip(*rows))}
+
+
 class TestParseRange:
     def test_single_value(self):
         assert parse_range("0.3") == [0.3]
@@ -119,6 +126,7 @@ class TestSolve:
         assert doc["error"]["kind"] == "MaxIterationsExceeded"
         assert doc["error"]["failed_states"] == [0]
         assert doc["error"]["max_residual"] == doc["states"][0]["residual"] > 1e-9
+        assert np.isfinite(doc["states"][0]["energy"])  # the unconverged state has one
 
     def test_scf_tol_flag(self, tmp_path):
         out = tmp_path / "solve.json"
@@ -249,8 +257,9 @@ class TestScanCritical:
         assert code == EXIT_OK
         meta, columns, rows, footer = read_csv(str(out))
         assert columns == ["beta", "a_c", "E_c", "curvature", "status"]
-        assert rows[0][4] == "ok"
-        assert rows[0][1] == pytest.approx(1.7616, abs=0.01)
+        col = _columns(out)
+        assert col["status"][0] == "ok"
+        assert col["a_c"][0] == pytest.approx(1.7616, abs=0.01)
         assert footer == {}  # fewer than 4 points: no fit
 
     def test_sweep_emits_fit(self, tmp_path, monkeypatch):
@@ -289,10 +298,10 @@ class TestScanCritical:
         code = main(["scan-critical", "--betas", "0:4:2", "--bracket", "1.3,3.0",
                      "--D", "400", "--output", str(out)])
         assert code == EXIT_PARTIAL
-        _, _, rows, _ = read_csv(str(out))
-        assert [r[0] for r in rows] == [0.0, 2.0, 4.0]
-        assert [r[4] for r in rows] == ["ok", "ok", "NoSignChange"]
-        assert np.isnan(rows[2][1])
+        col = _columns(out)
+        assert col["beta"] == [0.0, 2.0, 4.0]
+        assert col["status"] == ["ok", "ok", "NoSignChange"]
+        assert np.isnan(col["a_c"][2])
 
     def test_reversed_bracket_is_validation_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GPDWELL_THREADS", "1")
@@ -310,8 +319,7 @@ class TestScanCritical:
             assert main(argv + ["--output", str(out)]) == EXIT_PARTIAL
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
-        _, _, rows, _ = read_csv(str(out))
-        assert [r[4] for r in rows] == ["ok", "MaxIterationsExceeded", "MaxIterationsExceeded"]
+        assert _columns(out)["status"] == ["ok", "MaxIterationsExceeded", "MaxIterationsExceeded"]
 
 
 class TestWkbAndOverlaps:
@@ -320,17 +328,16 @@ class TestWkbAndOverlaps:
         code = main(["wkb", "--a", "5", "--betas", "0:0.2:0.1", "--D", "1000",
                      "--output", str(out)])
         assert code == EXIT_OK
-        _, columns, rows, _ = read_csv(str(out))
-        assert columns == ["beta", "mu_0", "E_0", "E_1", "dE", "T_0", "status"]
-        t0 = [r[5] for r in rows]
+        col = _columns(out)
+        assert list(col) == ["beta", "mu_0", "E_0", "E_1", "dE", "T_0", "status"]
+        t0 = col["T_0"]
         assert t0[0] < t0[1] < t0[2]  # deep well: pumping raises transparency
 
     def test_wkb_deep_well_splitting_positive(self, tmp_path):
         out = tmp_path / "wkb.csv"
         code = main(["wkb", "--a", "12", "--betas", "0:1:0.1", "--output", str(out)])
         assert code == EXIT_OK
-        _, _, rows, _ = read_csv(str(out))
-        de = [r[4] for r in rows]
+        de = _columns(out)["dE"]
         assert len(de) == 11
         assert all(d > 0 for d in de)
         assert de == sorted(de)  # pumping widens the doublet
@@ -340,10 +347,10 @@ class TestWkbAndOverlaps:
         code = main(["wkb", "--a", "5", "--betas", "0:9:9", "--D", "1000",
                      "--max-iter", "2", "--output", str(out)])
         assert code == EXIT_PARTIAL
-        _, _, rows, _ = read_csv(str(out))
-        assert rows[0][6] == "ok"
-        assert rows[1][6] == "MaxIterationsExceeded"
-        assert np.isnan(rows[1][5])
+        col = _columns(out)
+        assert col["status"][0] == "ok"
+        assert col["status"][1] == "MaxIterationsExceeded"
+        assert np.isnan(col["T_0"][1])
 
     def test_wkb_eigensolver_failure_at_one_beta(self, tmp_path, monkeypatch):
         refine, calls = gpdwell.scf.refine_eigenpair, []
@@ -359,10 +366,11 @@ class TestWkbAndOverlaps:
         code = main(["wkb", "--a", "5", "--betas", "0:0.2:0.1", "--D", "600",
                      "--output", str(out)])
         assert code == EXIT_PARTIAL
-        _, _, rows, _ = read_csv(str(out))
-        assert [r[6] for r in rows] == ["ok", "EigensolverError", "ok"]
-        assert all(np.isnan(v) for v in rows[1][1:6])
-        assert all(np.isfinite(v) for v in rows[0][1:6] + rows[2][1:6])
+        col = _columns(out)
+        assert col["status"] == ["ok", "EigensolverError", "ok"]
+        values = [col[name] for name in ("mu_0", "E_0", "E_1", "dE", "T_0")]
+        assert all(np.isnan(v[1]) for v in values)
+        assert all(np.isfinite(v[0]) and np.isfinite(v[2]) for v in values)
 
     def test_overlaps_domain_failure_at_one_beta(self, tmp_path, monkeypatch):
         solve_spectrum = gpdwell.cli.solve_spectrum
@@ -377,24 +385,23 @@ class TestWkbAndOverlaps:
         code = main(["overlaps", "--a", "5", "--betas", "0:0.2:0.1", "--states", "2",
                      "--D", "600", "--output", str(out)])
         assert code == EXIT_PARTIAL
-        _, _, rows, _ = read_csv(str(out))
-        assert [(r[0], r[1], r[2]) for r in rows] == [
+        col = _columns(out)
+        assert list(zip(col["beta"], col["i"], col["j"])) == [
             (b, i, j) for b in (0.0, 0.1, 0.2) for i in (0, 1) for j in (0, 1)]
-        assert [r[4] for r in rows] == ["ok"] * 4 + ["DomainTooSmall"] * 4 + ["ok"] * 4
-        assert all(np.isnan(r[3]) for r in rows[4:8])
+        assert col["status"] == ["ok"] * 4 + ["DomainTooSmall"] * 4 + ["ok"] * 4
+        assert all(np.isnan(c) for c in col["C_ij"][4:8])
 
     def test_overlaps_sweep(self, tmp_path):
         out = tmp_path / "ov.csv"
         code = main(["overlaps", "--a", "5", "--betas", "0:0.2:0.2",
                      "--states", "2", "--D", "1000", "--output", str(out)])
         assert code == EXIT_OK
-        _, columns, rows, _ = read_csv(str(out))
-        assert columns == ["beta", "i", "j", "C_ij", "status"]
-        assert len(rows) == 2 * 4
-        diag = [r[3] for r in rows if r[1] == r[2]]
-        assert all(abs(d - 1.0) <= 1e-9 for d in diag)
-        cross = [r[3] for r in rows if r[1] != r[2]]
-        assert all(c <= 1e-8 for c in cross)
+        col = _columns(out)
+        assert list(col) == ["beta", "i", "j", "C_ij", "status"]
+        assert len(col["status"]) == 2 * 4
+        cells = list(zip(col["i"], col["j"], col["C_ij"]))
+        assert all(abs(c - 1.0) <= 1e-9 for i, j, c in cells if i == j)
+        assert all(c <= 1e-8 for i, j, c in cells if i != j)
 
 
     def test_overlaps_after_domain_growth(self, tmp_path):
@@ -403,10 +410,10 @@ class TestWkbAndOverlaps:
         code = main(["overlaps", "--a", "5", "--betas", "0", "--L", "2.5",
                      "--D", "400", "--output", str(out)])
         assert code == EXIT_OK
-        _, _, rows, _ = read_csv(str(out))
-        assert len(rows) == 16
-        assert all(r[4] == "ok" for r in rows)
-        diag = [r[3] for r in rows if r[1] == r[2]]
+        col = _columns(out)
+        assert len(col["status"]) == 16
+        assert all(s == "ok" for s in col["status"])
+        diag = [c for i, j, c in zip(col["i"], col["j"], col["C_ij"]) if i == j]
         assert all(abs(d - 1.0) <= 1e-9 for d in diag)
 
 
@@ -428,17 +435,17 @@ class TestNegativityCommand:
         code = main(["negativity", "--a", "2", "--betas", "0:0.2:0.1", "--D", "600",
                      "--output", str(out)])
         assert code == EXIT_OK
-        _, columns, rows, _ = read_csv(str(out))
-        assert columns == ["beta", "negativity", "integral", "status"]
-        assert [r[0] for r in rows] == [0.0, 0.1, 0.2]
-        assert [r[3] for r in rows] == ["ok"] * 3
+        col = _columns(out)
+        assert list(col) == ["beta", "negativity", "integral", "status"]
+        assert col["beta"] == [0.0, 0.1, 0.2]
+        assert col["status"] == ["ok"] * 3
 
         w_out = tmp_path / "w.csv"
         assert main(["wigner", "--a", "2", "--beta", "0", "--D", "600",
                      "--output", str(w_out)]) == EXIT_OK
         _, _, _, footer = read_csv(str(w_out))
-        assert rows[0][1] == footer["negativity"]
-        assert rows[0][2] == footer["phase_space_integral"]
+        assert col["negativity"][0] == footer["negativity"]
+        assert col["integral"][0] == footer["phase_space_integral"]
 
 
 class TestSweepInput:
@@ -484,6 +491,28 @@ class TestDynamicsCommands:
         assert main(command + ["--output", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be") and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", [
+        ["classical", "--a", "10", "--x0", "nan", "--p0", "0"],
+        ["classical", "--a", "nan", "--x0", "1.5", "--p0", "0"],
+        ["classical", "--a", "10", "--x0", "1.5", "--p0", "inf"],
+        ["classical", "--a", "10", "--x0", "1.5", "--p0", "0", "--tmax", "inf"],
+        ["dynamics", "--a", "10", "--x0", "nan"],
+        ["dynamics", "--a", "10", "--p0", "inf"],
+        ["dynamics", "--a", "nan"],
+        ["dynamics", "--a", "10", "--tmax", "inf"],
+        ["dynamics", "--a", "10", "--tmax", "1e9", "--dt", "1"],  # 1e9 steps: over the cap
+        ["solve", "--a", "2", "--beta", "inf"],
+        ["wkb", "--a", "nan", "--betas", "0"],
+    ])
+    def test_rejected_before_any_work(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main(command + ["--output", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
 

@@ -26,7 +26,7 @@ def separatrix_run(grid_dyn):
     """Packet seeded at the unstable point of a deep well, evolved to t=0.6."""
     packet = coherent_state(grid_dyn, 0.0, 0.0)
     snaps = propagate(grid_dyn, 10.0, packet, dt=1e-4, steps=6000, snapshot_stride=20)
-    return snaps, fotoc(snaps, grid_dyn)
+    return snaps, fotoc(snaps)
 
 
 class TestCoherentState:
@@ -125,7 +125,7 @@ class TestFotoc:
         packet = coherent_state(grid_dyn, 0.0, 0.0)
         snaps = propagate(grid_dyn, 2.0, packet, dt=1e-4, steps=5)
         with pytest.raises(ValueError, match="snapshots"):
-            fotoc(snaps, grid_dyn)
+            fotoc(snaps)
 
     def test_growth_rate_near_lyapunov(self, separatrix_run):
         _, series = separatrix_run

@@ -21,10 +21,9 @@ class TestMakeGrid:
             make_grid(5.0, 9)
 
     def test_rejects_nonpositive_l(self):
-        with pytest.raises(ValueError):
-            make_grid(0.0, 10)
-        with pytest.raises(ValueError):
-            make_grid(-1.0, 10)
+        for L in (0.0, -1.0, np.nan, np.inf):  # and non-finite
+            with pytest.raises(ValueError):
+                make_grid(L, 10)
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
@@ -66,10 +65,10 @@ class TestPotential:
 
 class TestTrapConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TrapConfig(a=0.0)
-        with pytest.raises(ValueError):
-            TrapConfig(a=1.0, beta=-0.1)
+        for kwargs in ({"a": 0.0}, {"a": 1.0, "beta": -0.1}, {"a": np.nan}, {"a": np.inf},
+                       {"a": 1.0, "beta": np.nan}, {"a": 1.0, "beta": np.inf}):
+            with pytest.raises(ValueError):
+                TrapConfig(**kwargs)
 
 
 class TestSzymanzikRescale:

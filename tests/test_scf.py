@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,19 +62,20 @@ class TestConvergedStates:
         # a = 2 sits above the critical depth, so mu and E are both negative
         assert ground_a2_b0.state.mu < 0
         assert ground_a2_b0.state.energy < 0
+        assert ground_a2_b0.state.psi[ground_a2_b0.state.grid.D // 2] > 0
 
     def test_normalization(self, ground_a5_b03):
         state = ground_a5_b03.state
         assert integrate(state.grid, state.psi**2) == pytest.approx(1.0, abs=1e-10)
 
     def test_boundary_tail(self, ground_a5_b03):
-        psi = ground_a5_b03.state.psi
-        assert max(abs(psi[1]), abs(psi[-2])) <= 1e-3
+        state = ground_a5_b03.state
+        slope = max(abs(state.psi[1]), abs(state.psi[-2])) / state.grid.delta
+        assert 0.5 * slope**2 <= ScfConfig().tol * (1.0 + abs(state.mu))
 
     def test_gp_residual(self, grid4000, ground_a5_b03):
         state = ground_a5_b03.state
-        trap = TrapConfig(a=state.a, beta=state.beta)
-        op = assemble(grid4000, trap, state.psi[1:-1] ** 2)
+        op = assemble(grid4000, state.trap, state.psi[1:-1] ** 2)
         r = op.apply(state.psi[1:-1]) - state.mu * state.psi[1:-1]
         assert np.sqrt(grid4000.delta * np.dot(r, r)) <= 1e-6
 
@@ -97,6 +100,10 @@ class TestConvergedStates:
         assert result.converged
         assert result.iterations <= 20
         assert result.residual <= ScfConfig().tol * (1.0 + abs(result.state.mu))
+
+    def test_state_is_frozen(self, ground_a2_b0):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ground_a2_b0.state.energy = 0.0
 
     def test_parity_matches_index(self, spectrum_a5_b01):
         for r in spectrum_a5_b01:
@@ -216,6 +223,7 @@ class TestFailureModes:
         assert not result.converged
         assert result.iterations == 2
         assert result.residual > cfg.tol * (1.0 + abs(result.state.mu))
+        assert np.isfinite(result.state.energy)  # the partial state is complete too
         message = str(exc.value)
         assert message.startswith("SCF did not converge in 2 iterations")
         reported = float(message.split("residual ")[1].split(" >")[0])
@@ -236,6 +244,20 @@ class TestFailureModes:
         assert result.state.grid.L > 2.0
         psi = result.state.psi
         assert max(abs(psi[1]), abs(psi[-2])) <= 1e-3
+
+    @pytest.mark.parametrize("D", [400, 4000])
+    def test_wall_slope_grows_domain_at_any_spacing(self, D):
+        # psi next to the wall shrinks with delta at a fixed wall slope, so a
+        # bound on psi there passed this truncated state at D = 4000
+        result = solve_state(make_grid(2.2, D), TrapConfig(a=2.0, beta=0.5), 0)
+        assert result.state.grid.L == pytest.approx(3.3)
+
+    def test_grown_domain_matches_wide_box(self):
+        trap = TrapConfig(a=2.0, beta=0.5)
+        grown = solve_state(make_grid(2.2, 4000), trap, 0).state
+        wide = solve_state(make_grid(6.0, 7272), trap, 0).state  # the same delta, to 1e-4
+        assert grown.grid.delta == pytest.approx(wide.grid.delta, rel=1e-4)
+        assert abs(grown.mu - wide.mu) <= 1e-9
 
     def test_domain_too_small(self):
         grid = make_grid(0.2, 100)

@@ -61,17 +61,17 @@ class TestTransmission:
     def test_unity_above_barrier(self, grid4000):
         result = solve_state(grid4000, TrapConfig(a=1.0, beta=0.0), 3)
         assert result.state.mu > 0
-        assert transmission(grid4000, result.state, TrapConfig(a=1.0, beta=0.0)) == 1.0
+        assert transmission(result.state) == 1.0
 
     def test_in_unit_interval(self, grid4000, ground_a5_b03):
-        t = transmission(grid4000, ground_a5_b03.state, TrapConfig(a=5.0, beta=0.3))
+        t = transmission(ground_a5_b03.state)
         assert 0.0 < t < 1.0
 
     def test_decreases_with_barrier_height(self, grid4000):
         ts = []
         for a in (3.0, 4.0, 5.0):
             r = solve_state(grid4000, TrapConfig(a=a, beta=0.0), 0)
-            ts.append(transmission(grid4000, r.state, TrapConfig(a=a, beta=0.0)))
+            ts.append(transmission(r.state))
         assert ts[0] > ts[1] > ts[2]
 
     def test_splitting_tracks_tunneling_rate(self):
@@ -81,10 +81,9 @@ class TestTransmission:
         grid = make_grid(6.0, 2000)
         ratios = []
         for a in (3.0, 4.0, 5.0):
-            trap = TrapConfig(a=a, beta=0.0)
-            rs = solve_spectrum(grid, trap, 2)
+            rs = solve_spectrum(grid, TrapConfig(a=a, beta=0.0), 2)
             gap = rs[1].state.energy - rs[0].state.energy
-            t = transmission(grid, rs[0].state, trap)
+            t = transmission(rs[0].state)
             ratios.append(gap / np.sqrt(t))
         assert max(ratios) / min(ratios) < 3.0
 
