@@ -7,6 +7,7 @@ from .critical import (
     CriticalResult,
     NoSignChange,
     QuadraticFit,
+    curvature_at_origin,
     find_critical_a,
     fit_quadratic,
 )
@@ -34,12 +35,9 @@ from .scf import (
 )
 from .semiclassics import (
     ClassicalTrajectory,
-    TurningPair,
     classical_trajectory,
-    effective_potential,
     lyapunov_exponent,
     transmission,
-    turning_points,
 )
 from .wigner import WignerField, negativity, wigner_transform
 

@@ -279,10 +279,8 @@ def _sweep(args, names, solve_point, workers=1, keys=((),), footer=None) -> int:
     return EXIT_VALIDATION if set(failed) == {NoSignChange.__name__} else EXIT_CONVERGENCE
 
 
-def _critical_point(args, beta):
-    bracket = tuple(float(b) for b in args.bracket.split(","))
-    res = find_critical_a(beta, bracket=bracket, tol=args.tol,
-                          grid=make_grid(args.L, args.D), cfg=_scf_config(args))
+def _critical_point(args, bracket, beta):
+    res = find_critical_a(beta, make_grid(args.L, args.D), bracket, args.tol, _scf_config(args))
     return [(beta, res.a_c, res.E_c, res.curvature_at_ac)]
 
 
@@ -297,10 +295,17 @@ def _critical_fits(rows) -> dict:
 
 
 def cmd_scan_critical(args) -> int:
+    bracket = [float(b) for b in args.bracket.split(",")]
+    if len(bracket) != 2 or not np.isfinite(bracket).all() or not bracket[0] < bracket[1]:
+        raise ValueError(f"--bracket must be two finite values a_lo,a_hi with a_lo < a_hi, "
+                         f"got {args.bracket!r}")
+    if not 0.0 < args.tol < np.inf:  # also rejects nan
+        raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
     # Only scan-critical fans out, as its points are costly. The other sweeps
     # run serially: one worker process would about double their peak memory.
     return _sweep(args, ["beta", "a_c", "E_c", "curvature", "status"],
-                  partial(_critical_point, args), workers=n_workers(), footer=_critical_fits)
+                  partial(_critical_point, args, tuple(bracket)), workers=n_workers(),
+                  footer=_critical_fits)
 
 
 def _spectrum(args, beta, k):

@@ -4,9 +4,9 @@ At a_c the ground-state curvature at the origin changes sign: below it
 the state has a single central peak, above it the origin becomes a local
 minimum between two peaks. The curvature is smooth in a, so a_c is found
 by a Brent-Dekker zero search on it inside a sign-change bracket, each
-SCF solve warm-started from the nearest a already solved; E_c is the
-per-particle energy of the critical ground state, read off the solve
-made at a_c.
+SCF solve warm-started from the state of the nearest a already solved;
+E_c is the per-particle energy of the critical ground state, read off the
+solve made at a_c.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, TrapConfig, make_grid
+from .grid import Grid, TrapConfig
 from .hamiltonian import second_derivative_at
-from .scf import ScfConfig, ScfResult, solve_state
+from .scf import ScfConfig, StationaryState, solve_state
 
 
 class NoSignChange(ValueError):
@@ -31,8 +31,6 @@ class CriticalResult:
     a_c: float
     E_c: float
     curvature_at_ac: float
-    bracket: tuple[float, float]
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -46,20 +44,15 @@ class QuadraticFit:
         return self.c0 + self.c1 * np.asarray(beta) + self.c2 * np.asarray(beta) ** 2
 
 
-def _curvature(result: ScfResult) -> float:
-    """Curvature of a solved ground state at the origin, where psi > 0.
+def curvature_at_origin(state: StationaryState) -> float:
+    """psi''(0) of a solved state by the 3-point stencil.
 
-    The even block's off-diagonals are all negative, so its lowest
-    eigenvector has one sign (Perron-Frobenius), which the eigensolver
-    makes positive.
+    For a ground state psi(0) > 0: the even block's off-diagonals are all
+    negative, so its lowest eigenvector has one sign (Perron-Frobenius),
+    which the eigensolver makes positive. So psi''(0) < 0 at a single
+    central peak and > 0 at a central dip.
     """
-    grid = result.state.grid
-    return second_derivative_at(grid, result.state.psi, grid.D // 2)
-
-
-def curvature_sign(trap: TrapConfig, grid: Grid, cfg: ScfConfig | None = None) -> float:
-    """Ground-state curvature at the origin, where psi(0) > 0."""
-    return _curvature(solve_state(grid, trap, 0, cfg))
+    return second_derivative_at(state.grid, state.psi, state.grid.D // 2)
 
 
 def _brent_root(f, xa: float, xb: float, fa: float, fb: float, tol: float) -> float:
@@ -103,22 +96,24 @@ def _brent_root(f, xa: float, xb: float, fa: float, fb: float, tol: float) -> fl
 
 def find_critical_a(
     beta: float,
+    grid: Grid,
     bracket: tuple[float, float] = (0.5, 3.0),
     tol: float = 1e-4,
-    grid: Grid | None = None,
     cfg: ScfConfig | None = None,
 ) -> CriticalResult:
     """Locate a_c inside a sign-change bracket of the curvature to a final bracket width tol.
 
-    Each a is solved once; every trial inside the bracket is warm-started
-    from the converged density of the nearest a already solved. a_c is the
+    Each a is solved once on grid; every trial inside the bracket is
+    warm-started from the state of the nearest a already solved. a_c is the
     final Brent iterate, an a that was solved, so E_c and the curvature are
-    read off that solve.
+    read off that solve. Raises ValueError unless a_lo < a_hi and tol is
+    positive and finite.
     """
-    grid = grid or make_grid(6.0, 4000)
     a_lo, a_hi = bracket
     if not a_lo < a_hi:
         raise ValueError("bracket must satisfy a_lo < a_hi")
+    if not 0.0 < tol < math.inf:  # also rejects nan
+        raise ValueError(f"tol must be positive and finite, got {tol:g}")
 
     # The bracket ends start cold: they are far apart (one well against two),
     # and a warm start from the other end takes more iterations than none.
@@ -126,11 +121,10 @@ def find_critical_a(
 
     def curvature(a: float) -> float:
         nearest = solved[min(solved, key=lambda b: abs(b - a))]
-        warm = nearest.state.psi[1:-1] ** 2
-        solved[a] = solve_state(grid, TrapConfig(a=a, beta=beta), 0, cfg, warm)
-        return _curvature(solved[a])
+        solved[a] = solve_state(grid, TrapConfig(a=a, beta=beta), 0, cfg, nearest.state)
+        return curvature_at_origin(solved[a].state)
 
-    c_lo, c_hi = _curvature(solved[a_lo]), _curvature(solved[a_hi])
+    c_lo, c_hi = (curvature_at_origin(solved[a].state) for a in (a_lo, a_hi))
     if np.sign(c_lo) == np.sign(c_hi):
         raise NoSignChange(
             f"curvature has the same sign ({np.sign(c_lo):+g}) at both bracket ends"
@@ -138,8 +132,7 @@ def find_critical_a(
     a_c = _brent_root(curvature, a_lo, a_hi, c_lo, c_hi, tol)
     return CriticalResult(
         beta=beta, a_c=a_c, E_c=solved[a_c].state.energy,
-        curvature_at_ac=_curvature(solved[a_c]),
-        bracket=(a_lo, a_hi), tolerance=tol,
+        curvature_at_ac=curvature_at_origin(solved[a_c].state),
     )
 
 

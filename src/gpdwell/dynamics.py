@@ -15,6 +15,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .grid import Grid, TrapConfig, integrate
 from .hamiltonian import assemble
+from .semiclassics import MAX_STEPS
 
 
 @dataclass(frozen=True)
@@ -76,11 +77,21 @@ def propagate(
     LU-factored once (LAPACK zgttrf, partial pivoting) and every step is one
     zgttrs solve, which gives bitwise the result of a fresh banded solve per
     step.
+
+    Every snapshot is kept, so before any step a run is refused whose
+    snapshots (the start, every snapshot_stride-th step and the last) would
+    hold more than MAX_STEPS values in all.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    count = 1 + -(-steps // snapshot_stride)  # the start, then ceil(steps / stride)
+    if count * (grid.D + 1) > MAX_STEPS:
+        raise ValueError(
+            f"{count} snapshots of {grid.D + 1} values exceed {MAX_STEPS} in all; "
+            f"raise the snapshot stride"
+        )
     op = assemble(grid, TrapConfig(a=a, beta=0.0), np.zeros(grid.D - 1))
 
     z = 0.5j * dt

@@ -1,17 +1,19 @@
 """Self-consistent solution of the nonlinear eigenvalue problem.
 
 Each stationary state n is iterated to self-consistency with its own
-density, on the half grid of parity sector n % 2 (even for even n): build
-the sector's block of the operator from the folded input density
-(hamiltonian.assemble_block), take its eigenpair n // 2, and mix the
-output density with the earlier ones by Anderson (type II) mixing of depth
-ANDERSON_DEPTH (Anderson, J. ACM 12, 547 (1965); Walker & Ni, SIAM J.
-Numer. Anal. 49, 1715 (2011)). The state is mapped back to the full grid
-once, after the loop (hamiltonian.unfold), so it is exactly even or odd,
-and its per-particle energy (observables.energy) is taken there from the
-refined psi. So a StationaryState is complete and frozen when the solver
-returns it, converged or not: it carries its trap, grid, mu and energy,
-and its consumers need nothing else.
+density, on the half grid of parity sector n % 2 (even for even n),
+starting from a constant density or, warm, from that of a state solved
+before on the same grid: build the sector's block of the operator from
+the folded input density (hamiltonian.assemble_block), take its eigenpair
+n // 2, and mix the output density with the earlier ones by Anderson
+(type II) mixing of depth ANDERSON_DEPTH (Anderson, J. ACM 12, 547
+(1965); Walker & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)). The state is
+mapped back to the full grid once, after the loop (hamiltonian.unfold),
+so it is exactly even or odd, and its per-particle energy
+(observables.energy) is taken there from the refined psi. So a
+StationaryState is complete and frozen when the solver returns it,
+converged or not: it carries its trap, grid, mu and energy, and its
+consumers need nothing else.
 
 Only the first iterate is a full eigensolve (eigensolver.lowest_eigenpairs).
 Each later one follows the previous pair onto the new operator, which
@@ -191,45 +193,36 @@ def solve_state(
     trap: TrapConfig,
     n: int,
     cfg: ScfConfig | None = None,
-    initial_density: np.ndarray | None = None,
+    start: StationaryState | None = None,
 ) -> ScfResult:
     """Self-consistently solve for stationary state n on the given grid.
 
-    initial_density, if given, is |psi|^2 on the D-1 interior nodes of grid
-    and replaces the constant first iterate (a warm start, e.g. from the
-    converged state of a nearby trap); it is normalized first, and only its
-    even part enters the operator's parity block.
+    start, a state solved before (e.g. for a nearby trap), warm-starts the
+    solve: its density start.psi^2 replaces the constant first iterate on a
+    grid with start.grid's L and D; on any other grid the solve starts cold.
+    Only the even part of the density enters the operator's parity block.
 
     The hard walls at +-L bias a state through its slope there: for a = 2,
     beta = 0.5 they moved mu by 0.1 to 0.2 times psi'(L)^2 / 2. So while
-    (1/2) (psi(x_{D-1}) / delta)^2 > cfg.tol * (1 + |mu|) at either wall,
-    the solve is repeated on a grid with L enlarged by 1.5x, at most three
-    times, keeping D fixed; the repeats start cold, because the warm
-    density belongs to the old nodes. The test bounds the slope, which does
-    not depend on delta, rather than psi at the node next to the wall,
-    which shrinks with delta.
+    (1/2) (psi(x_{D-1}) / delta)^2 > cfg.tol * (1 + |mu|), the solve is
+    repeated on a grid with L enlarged by 1.5x, at most three times, keeping
+    D fixed; each repeat follows the warm-start rule on its own grid. The
+    state is exactly even or odd, so one wall gives the slope at both.
+    The test bounds the slope, which does not depend on delta, rather than
+    psi at the node next to the wall, which shrinks with delta.
     """
     if n < 0:
         raise ValueError(f"quantum index n must be >= 0, got {n}")
-    if initial_density is not None:
-        initial_density = np.asarray(initial_density, dtype=float)
-        if initial_density.shape != (grid.D - 1,):
-            raise ValueError(
-                f"initial_density must have length D-1={grid.D - 1}, "
-                f"got {initial_density.shape}"
-            )
-        if np.any(initial_density < 0) or not np.any(initial_density > 0):
-            raise ValueError("initial_density must be nonnegative and not all zero")
     cfg = cfg or ScfConfig()
 
     for _ in range(MAX_DOMAIN_GROWTHS + 1):
-        result = _iterate(grid, trap, n, cfg, initial_density)
+        warm = start is not None and (start.grid.L, start.grid.D) == (grid.L, grid.D)
+        result = _iterate(grid, trap, n, cfg, start.psi[1:-1] ** 2 if warm else None)
         state = result.state
-        slope = max(abs(state.psi[1]), abs(state.psi[-2])) / grid.delta  # |psi'| at the walls
+        slope = abs(state.psi[1]) / grid.delta  # |psi'| at either wall
         if 0.5 * slope**2 <= cfg.tol * (1.0 + abs(state.mu)):
             return result
         grid = make_grid(DOMAIN_GROWTH * grid.L, grid.D)
-        initial_density = None
     raise DomainTooSmall(
         f"state still leaks past the walls after {MAX_DOMAIN_GROWTHS} enlargements "
         f"(final L={grid.L / DOMAIN_GROWTH:g}, wall slope={slope:.2e})"

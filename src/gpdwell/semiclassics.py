@@ -2,9 +2,14 @@
 
 The transmission coefficient T = exp(-2*gamma) comes from the action
 integral of the effective barrier V(x) + beta*|psi|^2 - mu between the
-inner turning points. Classical motion in the bare double well follows
-H = p^2/2 - a x^2 + x^4, with separatrix at E = 0 and Lyapunov exponent
-sqrt(2a) at the hyperbolic fixed point (0, 0).
+inner turning points -x2 and x2. A solved state is exactly even or odd
+and V is exactly even, so the barrier is bitwise even and x2 is found on
+x >= 0 alone; the scan mirrored to x <= 0 would give -x2 bitwise.
+
+Classical motion in the bare double well follows H = p^2/2 - a x^2 + x^4,
+with separatrix at E = 0 and Lyapunov exponent sqrt(2a) at the hyperbolic
+fixed point (0, 0). Trajectories and Crank-Nicolson propagations are capped
+at MAX_STEPS steps, and a propagation's snapshots at MAX_STEPS values.
 """
 
 from __future__ import annotations
@@ -15,28 +20,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import Grid, TrapConfig, potential
+from .grid import Grid, potential
 
 if TYPE_CHECKING:
     from .scf import StationaryState
 
-MAX_STEPS = 50_000_000  # time steps per trajectory or propagation
+MAX_STEPS = 50_000_000  # time steps per trajectory or propagation, and values in its snapshots
 
 
 class TurningPointError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TurningPair:
-    """Inner classical turning points bracketing the central barrier."""
-
-    x1: float
-    x2: float
-
-    @property
-    def degenerate(self) -> bool:
-        return self.x1 == self.x2
 
 
 @dataclass(frozen=True)
@@ -46,70 +39,43 @@ class ClassicalTrajectory:
     energy: float
 
 
-def effective_potential(grid: Grid, trap: TrapConfig, psi) -> np.ndarray:
-    """V(x) + beta*psi(x)^2 sampled at every node."""
-    psi = np.asarray(psi, dtype=float)
-    return potential(grid.nodes, trap.a) + trap.beta * psi**2
+def _barrier_edge(grid: Grid, veff: np.ndarray, mu: float) -> float:
+    """Right edge x2 >= 0 of the central barrier where veff > mu, for an even veff.
 
-
-def turning_points(grid: Grid, veff, mu: float) -> TurningPair:
-    """Locate the barrier turning points nearest x=0 on each side.
-
-    Sign changes of veff - mu are interpolated linearly between bracketing
-    nodes. A submerged barrier (max(veff) <= mu) gives the degenerate pair
-    x1 = x2 = 0: no classically forbidden region.
+    x2 interpolates veff - mu linearly between the first node x >= 0 where
+    veff <= mu and the node before it. A submerged barrier (veff <= mu at
+    x = 0) gives x2 = 0: no classically forbidden region.
     """
-    veff = np.asarray(veff, dtype=float)
-    if mu < np.min(veff):
+    f = veff - mu
+    mid = grid.D // 2
+    below = np.flatnonzero(f[mid:] <= 0)
+    if below.size == 0:
         raise TurningPointError(
             f"mu={mu:g} lies below the effective potential everywhere: no classical region"
         )
-    f = veff - mu
-    if np.max(f) <= 0:
-        return TurningPair(0.0, 0.0)
-
-    mid = grid.D // 2
-    if f[mid] <= 0:
-        # Barrier top below mu at the origin itself (tangency or dip).
-        return TurningPair(0.0, 0.0)
-
-    x = grid.nodes
-
-    def cross(alpha_hi: int, alpha_lo: int) -> float:
-        # Linear interpolation of the root between two nodes.
-        f1, f2 = f[alpha_lo], f[alpha_hi]
-        return float(x[alpha_lo] + (x[alpha_hi] - x[alpha_lo]) * f1 / (f1 - f2))
-
-    x1 = None
-    for alpha in range(mid, 0, -1):
-        if f[alpha - 1] <= 0 < f[alpha]:
-            x1 = cross(alpha, alpha - 1)
-            break
-    x2 = None
-    for alpha in range(mid, grid.D):
-        if f[alpha + 1] <= 0 < f[alpha]:
-            x2 = cross(alpha, alpha + 1)
-            break
-    if x1 is None or x2 is None:
-        raise TurningPointError("barrier does not terminate inside the grid")
-    return TurningPair(x1, x2)
+    lo = mid + below[0]
+    if lo == mid:
+        return 0.0
+    hi, x = lo - 1, grid.nodes
+    f1, f2 = f[lo], f[hi]
+    return float(x[lo] + (x[hi] - x[lo]) * f1 / (f1 - f2))
 
 
 def transmission(state: "StationaryState") -> float:
     """WKB transmission through the self-consistent central barrier of a solved state."""
     grid = state.grid
-    veff = effective_potential(grid, state.trap, state.psi)
-    pair = turning_points(grid, veff, state.mu)
-    if pair.degenerate:
+    veff = potential(grid.nodes, state.trap.a) + state.trap.beta * state.psi**2
+    x2 = _barrier_edge(grid, veff, state.mu)
+    if x2 == 0.0:
         return 1.0
 
-    # One-sided Riemann rule on [x1, x2]: full cells take the right-node
+    # One-sided Riemann rule on [-x2, x2]: full cells take the right-node
     # integrand, the fractional first cell takes its right node too; the
     # integrand vanishes at x2 so the fractional last cell contributes 0.
     f = np.sqrt(np.maximum(2.0 * (veff - state.mu), 0.0))
-    inside = (grid.nodes > pair.x1) & (grid.nodes <= pair.x2)
+    inside = (grid.nodes > -x2) & (grid.nodes <= x2)
     idx = np.nonzero(inside)[0]
-    widths = np.minimum(grid.delta, grid.nodes[idx] - pair.x1)
+    widths = np.minimum(grid.delta, grid.nodes[idx] + x2)
     gamma = float(np.dot(widths, f[idx]))
     return float(np.exp(-2.0 * gamma))
 
@@ -169,6 +135,6 @@ def classical_trajectory(
 
 def lyapunov_exponent(a: float) -> float:
     """Instability rate sqrt(2a) of the fixed point at the barrier top."""
-    if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
+    if not 0.0 < a < math.inf:  # also rejects nan
+        raise ValueError(f"a must be positive and finite, got {a}")
     return float(np.sqrt(2.0 * a))

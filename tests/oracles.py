@@ -6,8 +6,9 @@ recurrence), continuum eigenvalues from Numerov integration, and Wigner
 point values from direct quadrature of the transform integral or from
 the cosine sum taken row by row with a dense kernel. The
 bitwise references keep the plain forms of the fast paths: the CSV
-payload written row by row, RK4 on 2-vectors, and Crank-Nicolson with a
-banded solve per step.
+payload written row by row, RK4 on 2-vectors, Crank-Nicolson with a
+banded solve per step, and the barrier turning points scanned on both
+sides of x = 0.
 """
 
 from __future__ import annotations
@@ -176,3 +177,28 @@ def crank_nicolson_banded(op, psi: np.ndarray, dt: float, steps: int) -> list[np
         psi = solve_banded((1, 1), ab, psi - z * op.apply(psi))
         out.append(psi)
     return out
+
+
+def turning_points(grid, veff, mu: float) -> tuple[float, float]:
+    """Barrier turning points (x1, x2) nearest x = 0, each side scanned on its own.
+
+    Sign changes of veff - mu are interpolated linearly between bracketing
+    nodes. A submerged barrier (veff <= mu at x = 0) gives (0.0, 0.0).
+    """
+    f = np.asarray(veff, dtype=float) - mu
+    if np.min(f) > 0:
+        raise ValueError(f"mu={mu:g} lies below the effective potential everywhere")
+    mid = grid.D // 2
+    if f[mid] <= 0:
+        return 0.0, 0.0
+    x = grid.nodes
+
+    def cross(alpha_hi: int, alpha_lo: int) -> float:
+        f1, f2 = f[alpha_lo], f[alpha_hi]
+        return float(x[alpha_lo] + (x[alpha_hi] - x[alpha_lo]) * f1 / (f1 - f2))
+
+    x1 = next(cross(alpha, alpha - 1) for alpha in range(mid, 0, -1)
+              if f[alpha - 1] <= 0 < f[alpha])
+    x2 = next(cross(alpha, alpha + 1) for alpha in range(mid, grid.D)
+              if f[alpha + 1] <= 0 < f[alpha])
+    return x1, x2

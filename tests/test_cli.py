@@ -12,6 +12,7 @@ import pytest
 from oracles import csv_payload_rowwise
 
 import gpdwell.cli
+import gpdwell.dynamics
 import gpdwell.scf
 from gpdwell.cli import (
     CSV_CHUNK,
@@ -309,6 +310,22 @@ class TestScanCritical:
                      "--D", "400", "--output", str(tmp_path / "scan.csv")])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("option", [
+        ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
+        ["--bracket", "1"], ["--bracket", "0.5,1,3"], ["--bracket", "0.5,nan"],
+        ["--bracket", "0.5,inf"],
+    ])
+    def test_bad_search_option_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                         option):
+        # beta = 0 only: with --tol <= 0 at beta >= 1 the search used not to stop.
+        monkeypatch.setenv("GPDWELL_THREADS", "1")
+        out = tmp_path / "scan.csv"
+        code = main(["scan-critical", "--betas", "0", "--D", "200", *option,
+                     "--output", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {option[0]} must be")
+        assert not out.exists()
+
     def test_failures_independent_of_worker_count(self, tmp_path, monkeypatch):
         # a worker's MaxIterationsExceeded comes back to the parent as a status row
         argv = ["scan-critical", "--betas", "0:4:2", "--D", "400", "--max-iter", "3"]
@@ -491,6 +508,16 @@ class TestDynamicsCommands:
         assert main(command + ["--output", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be") and "Traceback" not in err
+        assert not out.exists()
+
+
+    def test_snapshot_memory_bounded(self, tmp_path, capsys, monkeypatch):
+        # 301 snapshots of 201 values: over a bound of 10^4 stored values
+        monkeypatch.setattr(gpdwell.dynamics, "MAX_STEPS", 10_000)
+        out = tmp_path / "dyn.csv"
+        code = main(["dynamics", "--a", "10", "--D", "200", "--output", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "snapshots" in capsys.readouterr().err
         assert not out.exists()
 
 

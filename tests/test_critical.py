@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import gpdwell.critical
-from gpdwell.critical import curvature_sign, find_critical_a, fit_quadratic
+from gpdwell.critical import curvature_at_origin, find_critical_a, fit_quadratic
 from gpdwell.grid import TrapConfig, make_grid
+from gpdwell.scf import solve_state
 
 
 @pytest.fixture(scope="module")
@@ -12,18 +13,23 @@ def grid_crit():
     return make_grid(6.0, 1000)
 
 
+def _curvature(grid, a, beta):
+    """Ground-state curvature at the origin."""
+    return curvature_at_origin(solve_state(grid, TrapConfig(a=a, beta=beta), 0).state)
+
+
 class TestCurvatureSign:
     def test_shallow_well_single_peak(self, grid_crit):
-        assert curvature_sign(TrapConfig(a=1.0, beta=0.0), grid_crit) < 0.0
+        assert _curvature(grid_crit, 1.0, 0.0) < 0.0
 
     def test_deep_well_central_dip(self, grid_crit):
-        assert curvature_sign(TrapConfig(a=3.0, beta=0.0), grid_crit) > 0.0
+        assert _curvature(grid_crit, 3.0, 0.0) > 0.0
 
     def test_interaction_shifts_threshold(self, grid_crit):
         # At a=1.7 the linear ground state still peaks at the origin, but
         # repulsion pushes it over the threshold.
-        assert curvature_sign(TrapConfig(a=1.7, beta=0.0), grid_crit) < 0.0
-        assert curvature_sign(TrapConfig(a=1.7, beta=1.0), grid_crit) > 0.0
+        assert _curvature(grid_crit, 1.7, 0.0) < 0.0
+        assert _curvature(grid_crit, 1.7, 1.0) > 0.0
 
 
 class TestFindCriticalA:
@@ -38,10 +44,8 @@ class TestFindCriticalA:
         assert res.E_c == pytest.approx(0.2696, rel=0.15)
 
     def test_bracket_width_respected(self, grid_crit):
-        res = find_critical_a(0.0, tol=1e-3, grid=grid_crit)
-        assert res.tolerance == 1e-3
-        lo, hi = res.bracket
-        assert lo < res.a_c < hi
+        res = find_critical_a(0.0, grid_crit, bracket=(1.0, 2.5), tol=1e-3)
+        assert 1.0 < res.a_c < 2.5
 
     def test_few_solves_none_repeated(self, grid_crit, monkeypatch):
         solves = []
@@ -77,8 +81,8 @@ class TestFindCriticalA:
     def test_sign_change_within_tol(self, grid_crit):
         tol = 1e-3
         res = find_critical_a(0.5, tol=tol, grid=grid_crit)
-        below = curvature_sign(TrapConfig(a=res.a_c - tol, beta=0.5), grid_crit)
-        above = curvature_sign(TrapConfig(a=res.a_c + tol, beta=0.5), grid_crit)
+        below = _curvature(grid_crit, res.a_c - tol, 0.5)
+        above = _curvature(grid_crit, res.a_c + tol, 0.5)
         assert below < 0.0 < above
         assert res.curvature_at_ac == pytest.approx(0.0, abs=min(-below, above))
 
@@ -87,6 +91,21 @@ class TestFindCriticalA:
             find_critical_a(0.0, bracket=(3.0, 0.5), grid=grid_crit)
         with pytest.raises(ValueError, match="sign"):
             find_critical_a(0.0, bracket=(2.5, 3.0), grid=grid_crit)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_tol_rejected_before_any_solve(self, tol, monkeypatch):
+        # Only at beta < 1: with tol <= 0 at beta >= 1 the search used not to stop.
+        solves = []
+        solve_state = gpdwell.critical.solve_state
+
+        def recording(*args):
+            solves.append(args)
+            return solve_state(*args)
+
+        monkeypatch.setattr(gpdwell.critical, "solve_state", recording)
+        with pytest.raises(ValueError, match="tol"):
+            find_critical_a(0.0, tol=tol, grid=make_grid(6.0, 200))
+        assert solves == []
 
 
 class TestFitQuadratic:

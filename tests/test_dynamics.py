@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import crank_nicolson_banded
 
+import gpdwell.dynamics
 from gpdwell.dynamics import (
     FotocSeries,
     coherent_state,
@@ -97,6 +98,15 @@ class TestPropagate:
         for dt in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 propagate(grid_dyn, 2.0, packet, dt=dt, steps=10)
+
+    def test_snapshot_memory_bounded(self, grid_dyn, monkeypatch):
+        # The start and ceil(10 / 4) = 3 snapshots of D + 1 values each
+        packet = coherent_state(grid_dyn, 0.0, 0.0)
+        monkeypatch.setattr(gpdwell.dynamics, "MAX_STEPS", 4 * (grid_dyn.D + 1))
+        assert len(propagate(grid_dyn, 2.0, packet, dt=0.01, steps=10, snapshot_stride=4)) == 4
+        monkeypatch.setattr(gpdwell.dynamics, "MAX_STEPS", 4 * (grid_dyn.D + 1) - 1)
+        with pytest.raises(ValueError, match="snapshots"):
+            propagate(grid_dyn, 2.0, packet, dt=0.01, steps=10, snapshot_stride=4)
 
     def test_bitwise_per_step_banded_solve(self, grid_dyn):
         packet = coherent_state(grid_dyn, 0.4, -0.7)

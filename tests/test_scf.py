@@ -11,6 +11,7 @@ from gpdwell.scf import (
     DomainTooSmall,
     MaxIterationsExceeded,
     ScfConfig,
+    StationaryState,
     solve_spectrum,
     solve_state,
 )
@@ -123,21 +124,31 @@ class TestWarmStart:
         trap = TrapConfig(a=1.25, beta=4.0)
         near = solve_state(grid, TrapConfig(a=1.26, beta=4.0), 0)
         cold = solve_state(grid, trap, 0)
-        warm = solve_state(grid, trap, 0, initial_density=near.state.psi[1:-1] ** 2)
+        warm = solve_state(grid, trap, 0, start=near.state)
         assert warm.converged
         assert warm.iterations < cold.iterations
         assert warm.state.mu == pytest.approx(cold.state.mu, abs=1e-8)
 
-    def test_wrong_length_rejected(self):
+    def test_start_on_another_grid_is_cold(self):
         grid = make_grid(6.0, 400)
-        with pytest.raises(ValueError, match="D-1"):
-            solve_state(grid, TrapConfig(a=2.0, beta=1.0), 0, initial_density=np.ones(grid.D + 1))
+        trap = TrapConfig(a=2.0, beta=1.0)
+        cold = solve_state(grid, trap, 0)
+        for other in (make_grid(6.0, 600), make_grid(5.0, 400)):
+            start = solve_state(other, TrapConfig(a=2.1, beta=1.0), 0).state
+            warm = solve_state(grid, trap, 0, start=start)
+            assert warm.iterations == cold.iterations
+            assert np.array_equal(warm.state.psi, cold.state.psi)
+            assert warm.state.mu == cold.state.mu
 
     def test_domain_growth_starts_cold(self):
+        # The start lives on the requested grid, so only the first,
+        # discarded solve is warm; the repeats on wider grids start cold.
         grid = make_grid(2.0, 400)
         trap = TrapConfig(a=2.0, beta=1.0)
         cold = solve_state(grid, trap, 0)
-        warm = solve_state(grid, trap, 0, initial_density=np.exp(-4.0 * grid.interior**2))
+        start = StationaryState(n=0, psi=np.pad(np.exp(-2.0 * grid.interior**2), 1),
+                                mu=0.0, energy=0.0, trap=trap, grid=grid)
+        warm = solve_state(grid, trap, 0, start=start)
         assert warm.state.grid.L == cold.state.grid.L > grid.L
         assert warm.iterations == cold.iterations
         assert np.array_equal(warm.state.psi, cold.state.psi)

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
-from oracles import rk4_vector
+from hypothesis import given, settings, strategies as st
+from oracles import rk4_vector, turning_points
 
 from gpdwell.grid import TrapConfig, make_grid, potential
 from gpdwell.scf import solve_spectrum, solve_state
 from gpdwell.semiclassics import (
     ClassicalTrajectory,
     TurningPointError,
+    _barrier_edge,
     classical_trajectory,
-    effective_potential,
     lyapunov_exponent,
     transmission,
-    turning_points,
 )
 
 
@@ -24,37 +24,52 @@ class TestTurningPoints:
         # -a x^2 + x^4 = mu has inner roots x = +-sqrt((a - sqrt(a^2+4mu))/2).
         grid = make_grid(6.0, 4000)
         a, mu = 2.0, -0.5
-        veff = potential(grid.nodes, a)
-        pair = turning_points(grid, veff, mu)
+        x2 = _barrier_edge(grid, potential(grid.nodes, a), mu)
         root = np.sqrt((a - np.sqrt(a**2 + 4.0 * mu)) / 2.0)
-        assert pair.x1 == pytest.approx(-root, abs=1e-5)
-        assert pair.x2 == pytest.approx(root, abs=1e-5)
+        assert x2 == pytest.approx(root, abs=1e-5)
 
     def test_symmetric(self):
         grid = make_grid(6.0, 4000)
         veff = potential(grid.nodes, 5.0)
-        pair = turning_points(grid, veff, -2.0)
-        assert pair.x1 == pytest.approx(-pair.x2, abs=1e-12)
+        x1, x2 = turning_points(grid, veff, -2.0)
+        assert x1 == -x2 == -_barrier_edge(grid, veff, -2.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(half=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=40),
+           mu=st.floats(-10.0, 10.0))
+    def test_edge_matches_two_sided_scan(self, half, mu):
+        # For any even veff, the one-sided edge gives the two-sided pair bitwise.
+        half = np.array(half)
+        veff = np.concatenate([half[:0:-1], half])  # mirror image about x = 0
+        grid = make_grid(6.0, veff.size - 1)
+        if mu < veff.min():
+            with pytest.raises(TurningPointError):
+                _barrier_edge(grid, veff, mu)
+            return
+        x2 = _barrier_edge(grid, veff, mu)
+        assert turning_points(grid, veff, mu) == (-x2, x2)
 
     def test_submerged_barrier_degenerate(self):
         grid = make_grid(6.0, 1000)
-        veff = potential(grid.nodes, 2.0)
-        pair = turning_points(grid, veff, 0.5)
-        assert pair.degenerate
-        assert pair.x1 == 0.0 == pair.x2
+        assert _barrier_edge(grid, potential(grid.nodes, 2.0), 0.5) == 0.0
 
     def test_mu_below_potential(self):
         grid = make_grid(6.0, 1000)
         veff = potential(grid.nodes, 2.0)
         with pytest.raises(TurningPointError):
-            turning_points(grid, veff, -2.0)
+            _barrier_edge(grid, veff, -2.0)
 
-    def test_effective_potential_raises_barrier(self, grid4000, ground_a5_b03):
+    def test_solved_barrier_is_even(self, ground_a5_b03):
+        # The interaction raises the barrier, and keeps it bitwise even.
         state = ground_a5_b03.state
-        veff = effective_potential(grid4000, TrapConfig(a=5.0, beta=0.3), state.psi)
-        bare = potential(grid4000.nodes, 5.0)
+        bare = potential(state.grid.nodes, 5.0)
+        veff = bare + 0.3 * state.psi**2
         assert np.all(veff >= bare)
-        assert veff[grid4000.D // 2] > bare[grid4000.D // 2]
+        assert veff[state.grid.D // 2] > bare[state.grid.D // 2]
+        assert np.array_equal(veff, veff[::-1])
+        x2 = _barrier_edge(state.grid, veff, state.mu)
+        assert turning_points(state.grid, veff, state.mu) == (-x2, x2)
+        assert 0.0 < x2
 
 
 class TestTransmission:
@@ -150,8 +165,9 @@ class TestLyapunov:
         assert lyapunov_exponent(a) == pytest.approx(np.sqrt(2.0 * a))
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            lyapunov_exponent(0.0)
+        for a in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                lyapunov_exponent(a)
 
     def test_matches_linearized_growth(self):
         # Near the hyperbolic point a tiny displacement grows like
