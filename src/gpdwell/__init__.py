@@ -18,6 +18,7 @@ from .hamiltonian import (
     TridiagonalOperator,
     assemble,
     assemble_block,
+    block_vector,
     fold,
     kinetic_operator,
     second_derivative_at,

@@ -80,17 +80,21 @@ CSV_CHUNK = 65536  # rows formatted, joined, encoded and hashed at a time
 def _column_fields(col):
     """fields(lo, hi): the fields of col[lo:hi], formatted as _fmt formats them.
 
-    A float64 array formats each distinct bit pattern of the whole column
-    once, up front; keying on the bits rather than the value keeps -0.0
-    apart from 0.0. Finding them over the whole column rather than per
-    chunk costs less on tables like the Wigner grid, whose chunks repeat
-    each other's values.
+    A float64 array with repeats formats each distinct bit pattern of the
+    whole column once, up front; keying on the bits rather than the value
+    keeps -0.0 apart from 0.0. Finding them over the whole column rather
+    than per chunk costs less on tables like the Wigner grid, whose chunks
+    repeat each other's values. Where more than half of the bit patterns
+    are distinct, the strings would be kept for the whole write at little
+    saving, so such a column, like any other, is formatted per chunk.
     """
     if isinstance(col, np.ndarray) and col.dtype == np.float64:
         bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        distinct = np.array([f"{x:.17g}" for x in bits.view(np.float64).tolist()],
-                            dtype=object)
-        return lambda lo, hi: distinct[inverse[lo:hi]].tolist()
+        if 2 * bits.size <= col.size:
+            distinct = np.array([f"{x:.17g}" for x in bits.view(np.float64).tolist()],
+                                dtype=object)
+            return lambda lo, hi: distinct[inverse[lo:hi]].tolist()
+        return lambda lo, hi: [f"{x:.17g}" for x in col[lo:hi].tolist()]
     return lambda lo, hi: [_fmt(v) for v in col[lo:hi]]
 
 
@@ -254,7 +258,10 @@ def _sweep(args, names, solve_point, workers=1, keys=((),), footer=None) -> int:
     (beta, *key, NaN..., type(exc).__name__) per key in keys instead; any
     other error aborts the sweep. footer(rows) gives the CSV footer.
     """
-    betas = parse_range(args.betas)
+    try:
+        betas = parse_range(args.betas)
+    except ValueError as exc:
+        raise ValueError(f"--betas must be start:stop:step or a single value: {exc}") from None
     workers = min(workers, len(betas))
     if workers > 1:
         # A point's cost grows steeply with beta: hand out the heaviest first
@@ -295,7 +302,10 @@ def _critical_fits(rows) -> dict:
 
 
 def cmd_scan_critical(args) -> int:
-    bracket = [float(b) for b in args.bracket.split(",")]
+    try:
+        bracket = [float(b) for b in args.bracket.split(",")]
+    except ValueError:
+        bracket = []  # not numbers: rejected below with the flag named
     if len(bracket) != 2 or not np.isfinite(bracket).all() or not bracket[0] < bracket[1]:
         raise ValueError(f"--bracket must be two finite values a_lo,a_hi with a_lo < a_hi, "
                          f"got {args.bracket!r}")

@@ -12,9 +12,10 @@ The trap and the grid are exactly mirror-symmetric, so an operator built
 from an even density splits into two exact blocks on the half grid: the
 even vectors (nodes x >= 0, coupling to x = 0 scaled by sqrt(2)) and the
 odd vectors (nodes x > 0, Dirichlet at x = 0). fold maps a density onto a
-block's nodes, assemble_block builds the block from it, and unfold maps a
-block vector back to the full grid; this module is the only place that
-knows the symmetry.
+block's nodes, assemble_block builds the block from it, unfold maps a
+block vector back to the full grid and block_vector maps an even or odd
+vector onto its block; this module is the only place that knows the
+symmetry.
 """
 
 from __future__ import annotations
@@ -136,6 +137,19 @@ def unfold(w: np.ndarray, parity: int) -> np.ndarray:
     if parity == 0:
         return np.concatenate([half[::-1], w[:1], half])
     return np.concatenate([-half[::-1], [0.0], half])
+
+
+def block_vector(v: np.ndarray, parity: int) -> np.ndarray:
+    """Block coordinates of an even (parity 0) or odd (parity 1) vector on the D-1 interior nodes.
+
+    The inverse of unfold: it reads the x >= 0 half, w_0 = v(0) (even block
+    only) and w_m = sqrt(2)*v(x_m) for x_m > 0.
+    """
+    c = len(v) // 2  # interior index of x = 0
+    w = np.sqrt(2.0) * v[c + parity:]
+    if parity == 0:
+        w[0] = v[c]
+    return w
 
 
 def second_derivative_at(grid: Grid, psi, alpha: int) -> float:

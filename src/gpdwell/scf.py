@@ -15,12 +15,19 @@ StationaryState is complete and frozen when the solver returns it,
 converged or not: it carries its trap, grid, mu and energy, and its
 consumers need nothing else.
 
-Only the first iterate is a full eigensolve (eigensolver.lowest_eigenpairs).
-Each later one follows the previous pair onto the new operator, which
-differs from the old by beta times the change of density, by certified
-inverse iteration (eigensolver.follow_eigenpair); a full eigensolve is
-made again only when the certificate fails. ScfResult.eigensolves counts
-the full eigensolves.
+No iterate needs a full eigensolve (eigensolver.lowest_eigenpairs) unless
+a certificate fails. A cold solve's constant start density folds to one
+value c on every node of both blocks, so its first operator is the bare
+(beta = 0) block shifted by beta * c, and its first pair is the bare
+pair, shifted. The bare pair is a pure function of (L, D, a, parity,
+index), kept in a bounded per-process cache and shared read-only
+(_bare_pair). A warm solve's first pair, and every later one, follows a
+known pair onto the new operator by certified inverse iteration
+(eigensolver.follow_eigenpair): the start state's vector, or the previous
+iterate's, whose operator differs from the new one by beta times the
+change of density. A full eigensolve is made only when the certificate
+fails. ScfResult.eigensolves counts those and not the shared bare pairs,
+so no result depends on what the process solved before.
 
 A solve stops on the nonlinear residual ||H[psi^2] psi - mu psi|| of the
 unrefined pair, once it is at most max(tol * (1 + |mu|), ROUNDOFF_FLOOR *
@@ -34,14 +41,22 @@ up to D = 4000 the floor stays below the default tol and does not bind.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import EPS, follow_eigenpair, lowest_eigenpairs, norm_inf, refine_eigenpair
+from .eigensolver import (
+    EPS,
+    Eigenpair,
+    follow_eigenpair,
+    lowest_eigenpairs,
+    norm_inf,
+    refine_eigenpair,
+)
 from .grid import Grid, TrapConfig, make_grid
-from .hamiltonian import assemble_block, fold, unfold
+from .hamiltonian import assemble_block, block_vector, fold, unfold
 from .observables import energy as _fill_energy  # the name perfbench traces
 
 MAX_DOMAIN_GROWTHS = 3
@@ -118,7 +133,7 @@ class ScfResult:
     iterations: int
     converged: bool = False
     residual: float = math.inf  # ||H[psi^2] psi - mu psi|| of the last unrefined pair
-    eigensolves: int = 0  # lowest_eigenpairs calls: the first iterate plus failed certificates
+    eigensolves: int = 0  # lowest_eigenpairs calls on the loop's operators: failed certificates
 
 
 def _anderson(inputs: list[np.ndarray], outputs: list[np.ndarray]) -> np.ndarray:
@@ -137,24 +152,46 @@ def _anderson(inputs: list[np.ndarray], outputs: list[np.ndarray]) -> np.ndarray
     return g - d_g @ np.linalg.lstsq(d_f, f[-1], rcond=None)[0]
 
 
+@functools.lru_cache(maxsize=32)
+def _bare_pair(L: float, D: int, a: float, parity: int, index: int) -> Eigenpair:
+    """Eigenpair `index` of the beta = 0 block `parity` of the trap a on the grid (L, D).
+
+    A pure function of its arguments, shared by every cold solve of the
+    process; its vector is read-only.
+    """
+    grid = make_grid(L, D)
+    op = assemble_block(grid, TrapConfig(a=a), np.zeros(D // 2 - parity), parity)
+    pair = lowest_eigenpairs(op, index + 1, grid)[index]
+    pair.vector.setflags(write=False)
+    return pair
+
+
 def _iterate(
-    grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig, density: np.ndarray | None
+    grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig, start: StationaryState | None
 ) -> ScfResult:
-    if density is None:
-        density = np.ones(grid.D - 1)
     index, parity = divmod(n, 2)  # state n is eigenpair n // 2 of sector n % 2
+    if start is None:
+        # The constant start density c folds to c on every node of both
+        # blocks, so the first operator is the bare block plus beta * c.
+        c = 1.0 / (grid.delta * (grid.D - 1))
+        density = np.full(grid.D - 1, c)
+        bare = _bare_pair(grid.L, grid.D, trap.a, parity, index)
+        pair = Eigenpair(value=bare.value + trap.beta * c, vector=bare.vector)
+    else:
+        density = start.psi[1:-1] ** 2
+        density = density / (grid.delta * density.sum())
+        pair = Eigenpair(value=start.mu, vector=block_vector(start.psi[1:-1], parity))
     # The loop runs in block coordinates: density is the folded input
     # density, and an iterate w has the folded density w * w.
-    density = fold(density / (grid.delta * density.sum()), parity)
+    density = fold(density, parity)
     inputs: list[np.ndarray] = []
     outputs: list[np.ndarray] = []
     converged = False
-    pair = None
     eigensolves = 0
 
     for iterations in range(1, cfg.max_iter + 1):
         op = assemble_block(grid, trap, density, parity)
-        if pair is not None:
+        if iterations > 1 or start is not None:
             pair = follow_eigenpair(op, pair, index, grid)
         if pair is None:
             pair = lowest_eigenpairs(op, index + 1, grid)[index]
@@ -198,9 +235,10 @@ def solve_state(
     """Self-consistently solve for stationary state n on the given grid.
 
     start, a state solved before (e.g. for a nearby trap), warm-starts the
-    solve: its density start.psi^2 replaces the constant first iterate on a
-    grid with start.grid's L and D; on any other grid the solve starts cold.
-    Only the even part of the density enters the operator's parity block.
+    solve on a grid with start.grid's L and D: its density start.psi^2
+    replaces the constant first iterate, and its psi is followed onto the
+    first operator; on any other grid the solve starts cold. Only the even
+    part of the density enters the operator's parity block.
 
     The hard walls at +-L bias a state through its slope there: for a = 2,
     beta = 0.5 they moved mu by 0.1 to 0.2 times psi'(L)^2 / 2. So while
@@ -217,7 +255,7 @@ def solve_state(
 
     for _ in range(MAX_DOMAIN_GROWTHS + 1):
         warm = start is not None and (start.grid.L, start.grid.D) == (grid.L, grid.D)
-        result = _iterate(grid, trap, n, cfg, start.psi[1:-1] ** 2 if warm else None)
+        result = _iterate(grid, trap, n, cfg, start if warm else None)
         state = result.state
         slope = abs(state.psi[1]) / grid.delta  # |psi'| at either wall
         if 0.5 * slope**2 <= cfg.tol * (1.0 + abs(state.mu)):

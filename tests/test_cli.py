@@ -68,7 +68,7 @@ class TestSolve:
         assert doc["states"][1]["parity"] == "odd"
         assert doc["states"][0]["mu"] < doc["states"][1]["mu"]
         assert all(s["converged"] for s in doc["states"])
-        assert [s["eigensolves"] for s in doc["states"]] == [1, 1]
+        assert [s["eigensolves"] for s in doc["states"]] == [0, 0]
 
     def test_fine_grid_solves(self, tmp_path):
         # At D=16000 the default tol 1e-9 lies below the float64 floor of the
@@ -243,6 +243,36 @@ class TestWriteCsv:
             tracemalloc.stop()
         assert peak < 3.25 * out.stat().st_size
 
+    def test_mostly_distinct_columns_across_small_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gpdwell.cli, "CSV_CHUNK", 7)
+        rows = 50
+        distinct = np.random.default_rng(3).standard_normal(rows)
+        distinct[[0, 8, 13, 14, 49]] = [-0.0, np.nan, np.inf, -np.inf, 0.0]
+        half = np.resize(distinct[:rows // 2], rows)  # exactly half distinct
+        few = np.resize([0.1, np.nan, -0.0, 0.0, np.inf], rows)
+        columns = [distinct, half, few, distinct[::-1].copy()]
+        names = ["d", "h", "f", "r"]
+        out = tmp_path / "small.csv"
+        write_csv(str(out), names, columns, {}, footer={"n": rows})
+        assert _payload(out)[1] == csv_payload_rowwise(names, list(zip(*columns)), {"n": rows})
+
+    def test_peak_memory_on_distinct_values(self, tmp_path):
+        # Three columns of 200,000 distinct values (12 MB of CSV): keeping each
+        # column's distinct strings for the whole write read a tracemalloc peak
+        # of 5.9x the payload; formatted per chunk they read 2.5x.
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        columns = [rng.standard_normal(200_000) for _ in range(3)]
+        out = tmp_path / "normal.csv"
+        tracemalloc.start()
+        try:
+            write_csv(str(out), ["a", "b", "c"], columns, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.25 * out.stat().st_size
+
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(str(tmp_path / "bad.csv"), ["x", "y"],
@@ -313,7 +343,7 @@ class TestScanCritical:
     @pytest.mark.parametrize("option", [
         ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
         ["--bracket", "1"], ["--bracket", "0.5,1,3"], ["--bracket", "0.5,nan"],
-        ["--bracket", "0.5,inf"],
+        ["--bracket", "0.5,inf"], ["--bracket", "0.5,x"],
     ])
     def test_bad_search_option_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                          option):
@@ -472,6 +502,14 @@ class TestSweepInput:
     def test_bad_range_writes_nothing(self, tmp_path, command, betas):
         out = tmp_path / "sweep.csv"
         assert main(command + ["--betas", betas, "--output", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["scan-critical"], ["wkb", "--a", "5"],
+                                         ["overlaps", "--a", "5"], ["negativity", "--a", "2"]])
+    def test_non_numeric_range_names_the_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "sweep.csv"
+        assert main(command + ["--betas", "0:x:1", "--output", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: --betas must be")
         assert not out.exists()
 
 

@@ -7,6 +7,7 @@ from gpdwell.hamiltonian import (
     TridiagonalOperator,
     assemble,
     assemble_block,
+    block_vector,
     fold,
     kinetic_operator,
     second_derivative_at,
@@ -156,6 +157,19 @@ class TestParitySectors:
         assert np.array_equal(v, v[::-1] if parity == 0 else -v[::-1])
         assert grid.delta * np.dot(v, v) == pytest.approx(grid.delta * np.dot(w, w), rel=1e-14)
         np.testing.assert_allclose(v, _sector_basis(grid.D - 1, parity) @ w, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_block_vector_inverts_unfold(self, parity):
+        grid = make_grid(4.0, 40)
+        w = np.random.default_rng(parity + 4).standard_normal(grid.D // 2 - parity)
+        v = unfold(w, parity)
+        back = block_vector(v, parity)
+        assert back.shape == w.shape
+        np.testing.assert_allclose(back, w, rtol=2 * np.finfo(float).eps, atol=0)
+        np.testing.assert_allclose(unfold(block_vector(v, parity), parity), v,
+                                   rtol=2 * np.finfo(float).eps, atol=0)
+        np.testing.assert_allclose(back, _sector_basis(grid.D - 1, parity).T @ v,
+                                   rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_fold_keeps_the_even_part_and_block_densities(self, parity):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import gpdwell.scf
-from gpdwell.eigensolver import lowest_eigenpairs, refine_eigenpair
+from gpdwell.eigensolver import EPS, lowest_eigenpairs, norm_inf, refine_eigenpair
 from gpdwell.grid import TrapConfig, integrate, make_grid
-from gpdwell.hamiltonian import assemble
+from gpdwell.hamiltonian import assemble, assemble_block, fold
 from gpdwell.scf import (
     DomainTooSmall,
     MaxIterationsExceeded,
@@ -83,7 +83,7 @@ class TestConvergedStates:
     def test_convergence_flags_consistent(self, ground_a5_b03):
         r = ground_a5_b03
         assert r.converged
-        assert 1 <= r.eigensolves <= r.iterations
+        assert 0 <= r.eigensolves < r.iterations
         assert r.residual <= ScfConfig().tol * (1.0 + abs(r.state.mu))
 
     def test_strongly_coupled_cases_converge(self, grid4000):
@@ -202,14 +202,72 @@ class TestSpectrum:
 
 class TestWarmEigenpairs:
     def test_one_eigensolve_per_state(self, spectrum_a5_b01):
-        assert [r.eigensolves for r in spectrum_a5_b01] == [1, 1, 1, 1]
+        # the first pair is the shared bare pair, and every later one is followed
+        assert [r.eigensolves for r in spectrum_a5_b01] == [0, 0, 0, 0]
         assert all(r.iterations > 1 for r in spectrum_a5_b01[1:])
 
     def test_failed_certificate_falls_back_to_eigensolve(self, grid4000, monkeypatch):
         monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", lambda *args: None)
         result = solve_state(grid4000, TrapConfig(a=5.0, beta=0.5), 1)
         assert result.iterations > 1
-        assert result.eigensolves == result.iterations
+        assert result.eigensolves == result.iterations - 1  # all but the first iterate
+
+    def test_result_does_not_depend_on_the_shared_pairs(self, grid1200):
+        cases = [(TrapConfig(a=5.0, beta=0.5), 1), (TrapConfig(a=2.0, beta=1.0), 0),
+                 (TrapConfig(a=5.0, beta=0.0), 1), (TrapConfig(a=5.0, beta=2.0), 3)]
+        runs = []
+        for order in (cases, cases[::-1]):
+            gpdwell.scf._bare_pair.cache_clear()
+            first = {case: solve_state(grid1200, *case) for case in order}
+            second = {case: solve_state(grid1200, *case) for case in order}  # cache filled
+            runs += [first, second]
+        for case in cases:
+            ref = runs[0][case]
+            for run in runs[1:]:
+                r = run[case]
+                assert np.array_equal(r.state.psi, ref.state.psi)
+                assert (r.state.mu, r.state.energy) == (ref.state.mu, ref.state.energy)
+                assert (r.iterations, r.converged, r.residual, r.eigensolves) == (
+                    ref.iterations, ref.converged, ref.residual, ref.eigensolves)
+
+    def test_shared_vectors_are_read_only(self, grid1200):
+        solve_state(grid1200, TrapConfig(a=5.0, beta=0.3), 2)
+        pair = gpdwell.scf._bare_pair(grid1200.L, grid1200.D, 5.0, 0, 1)
+        assert not pair.vector.flags.writeable
+        with pytest.raises(ValueError):
+            pair.vector[0] = 0.0
+
+    @pytest.mark.parametrize("a", [2.0, 5.0, 12.0])
+    def test_cold_first_pair_is_a_pair_of_the_first_operator(self, grid1200, a):
+        # The constant start density folds to one value c on every block node,
+        # so the first operator is the bare block shifted by beta * c.
+        grid = grid1200
+        c = 1.0 / (grid.delta * (grid.D - 1))
+        for beta in (0.5, 9.0):
+            trap = TrapConfig(a=a, beta=beta)
+            for n in range(4):
+                index, parity = divmod(n, 2)
+                op = assemble_block(grid, trap, fold(np.ones(grid.D - 1) * c, parity), parity)
+                bare = gpdwell.scf._bare_pair(grid.L, grid.D, a, parity, index)
+                value = bare.value + beta * c
+                r = op.apply(bare.vector) - value * bare.vector
+                assert np.sqrt(grid.delta * np.dot(r, r)) <= EPS * norm_inf(op)
+                cold = lowest_eigenpairs(op, index + 1, grid)[index]
+                assert value == pytest.approx(cold.value, rel=0, abs=4 * EPS * norm_inf(op))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_warm_start_without_certificates_reaches_the_same_state(self, grid1200,
+                                                                    monkeypatch, n):
+        trap = TrapConfig(a=5.0, beta=1.0)
+        start = solve_state(grid1200, TrapConfig(a=5.1, beta=1.0), n).state
+        followed = solve_state(grid1200, trap, n, start=start)
+        monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", lambda *args: None)
+        solved = solve_state(grid1200, trap, n, start=start)
+        assert solved.eigensolves == solved.iterations  # the first follow counts too
+        assert abs(solved.iterations - followed.iterations) <= 1
+        assert solved.state.mu == pytest.approx(followed.state.mu,
+                                                abs=1e-9 * (1.0 + abs(followed.state.mu)))
+        np.testing.assert_allclose(solved.state.psi, followed.state.psi, rtol=0, atol=1e-7)
 
     def test_same_states_as_full_eigensolves(self, grid4000, monkeypatch):
         cases = [(a, beta, n) for a in (5.0, 12.0) for beta in (0.0, 0.5, 1.0) for n in range(4)]
