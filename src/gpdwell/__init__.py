@@ -19,7 +19,6 @@ from .hamiltonian import (
     assemble,
     assemble_block,
     block_vector,
-    fold,
     kinetic_operator,
     second_derivative_at,
     unfold,

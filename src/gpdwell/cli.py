@@ -29,7 +29,15 @@ import numpy as np
 
 from . import __version__
 from .critical import NoSignChange, find_critical_a, fit_quadratic
-from .dynamics import coherent_state, default_fit_window, fotoc, growth_rate, propagate
+from .dynamics import (
+    MIN_SNAPSHOTS,
+    coherent_state,
+    default_fit_window,
+    fotoc,
+    growth_rate,
+    propagate,
+    snapshot_count,
+)
 from .eigensolver import EigensolverError
 from .grid import TrapConfig, integrate, make_grid
 from .observables import overlap_matrix
@@ -178,9 +186,12 @@ def write_json(path: str, record: dict, config: dict) -> None:
 
 def n_workers() -> int:
     env = os.environ.get("GPDWELL_THREADS")
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"GPDWELL_THREADS must be an integer, got {env!r}") from None
 
 
 def _scf_config(args) -> ScfConfig:
@@ -262,6 +273,7 @@ def _sweep(args, names, solve_point, workers=1, keys=((),), footer=None) -> int:
         betas = parse_range(args.betas)
     except ValueError as exc:
         raise ValueError(f"--betas must be start:stop:step or a single value: {exc}") from None
+    _scf_config(args)  # a bad --scf-tol or --max-iter is refused before any worker starts
     workers = min(workers, len(betas))
     if workers > 1:
         # A point's cost grows steeply with beta: hand out the heaviest first
@@ -361,10 +373,14 @@ def _check_stepping(args) -> None:
 
 def cmd_dynamics(args) -> int:
     _check_stepping(args)
+    steps = step_count(args.tmax, args.dt)
+    count = snapshot_count(steps, args.stride)
+    if count < MIN_SNAPSHOTS:
+        raise ValueError(f"--stride {args.stride} keeps {count} snapshots of {steps} steps; "
+                         f"the FOTOC series needs at least {MIN_SNAPSHOTS}")
     grid = make_grid(args.L, args.D)
     packet = coherent_state(grid, args.x0, args.p0)
-    snapshots = propagate(grid, args.a, packet, args.dt, step_count(args.tmax, args.dt),
-                          snapshot_stride=args.stride)
+    snapshots = propagate(grid, args.a, packet, args.dt, steps, snapshot_stride=args.stride)
     series = fotoc(snapshots)
     norm_drift = max(
         abs(integrate(grid, np.abs(s.values) ** 2) - 1.0) for s in snapshots

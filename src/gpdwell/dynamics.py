@@ -17,6 +17,8 @@ from .grid import Grid, TrapConfig, integrate
 from .hamiltonian import assemble
 from .semiclassics import MAX_STEPS
 
+MIN_SNAPSHOTS = 10  # the shortest series fotoc takes
+
 
 @dataclass(frozen=True)
 class WavePacket:
@@ -62,6 +64,11 @@ def coherent_state(grid: Grid, x0: float, p0: float, width: float = 0.5) -> Wave
     return WavePacket(values=psi, grid=grid)
 
 
+def snapshot_count(steps: int, snapshot_stride: int) -> int:
+    """Snapshots propagate keeps: the start, then ceil(steps / stride)."""
+    return 1 + -(-steps // snapshot_stride)
+
+
 def propagate(
     grid: Grid,
     a: float,
@@ -86,7 +93,7 @@ def propagate(
         raise ValueError("dt must be positive and finite")
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
-    count = 1 + -(-steps // snapshot_stride)  # the start, then ceil(steps / stride)
+    count = snapshot_count(steps, snapshot_stride)
     if count * (grid.D + 1) > MAX_STEPS:
         raise ValueError(
             f"{count} snapshots of {grid.D + 1} values exceed {MAX_STEPS} in all; "
@@ -133,8 +140,8 @@ def _moments(grid: Grid, psi: np.ndarray) -> tuple[float, float]:
 
 def fotoc(snapshots: list[WavePacket]) -> FotocSeries:
     """Variance-sum correlator F(t) = Var_x(t) + Var_p(t) over the snapshots."""
-    if len(snapshots) < 10:
-        raise ValueError(f"need at least 10 snapshots, got {len(snapshots)}")
+    if len(snapshots) < MIN_SNAPSHOTS:
+        raise ValueError(f"need at least {MIN_SNAPSHOTS} snapshots, got {len(snapshots)}")
     times = np.array([s.time for s in snapshots])
     var_x = np.empty(len(snapshots))
     var_p = np.empty(len(snapshots))

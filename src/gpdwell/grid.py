@@ -19,13 +19,14 @@ class Grid:
 
     The nodes are exactly mirror-symmetric (x_{D-alpha} == -x_alpha
     bitwise), x_{D/2} == 0.0, and the endpoints reach -L and L up to
-    rounding.
+    rounding. A grid is a value: grids compare and hash by (L, D), from
+    which delta and the nodes follow.
     """
 
     L: float
     D: int
-    delta: float = field(init=False)
-    nodes: np.ndarray = field(init=False)
+    delta: float = field(init=False, compare=False)
+    nodes: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.L < np.inf:  # also rejects nan

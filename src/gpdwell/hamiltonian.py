@@ -11,11 +11,11 @@ alpha = 0, D; operators act on the interior slice.
 The trap and the grid are exactly mirror-symmetric, so an operator built
 from an even density splits into two exact blocks on the half grid: the
 even vectors (nodes x >= 0, coupling to x = 0 scaled by sqrt(2)) and the
-odd vectors (nodes x > 0, Dirichlet at x = 0). fold maps a density onto a
-block's nodes, assemble_block builds the block from it, unfold maps a
-block vector back to the full grid and block_vector maps an even or odd
-vector onto its block; this module is the only place that knows the
-symmetry.
+odd vectors (nodes x > 0, Dirichlet at x = 0). assemble_block builds a
+block from a density folded onto its nodes, which for a block vector w is
+w * w; unfold maps a block vector back to the full grid and block_vector
+maps an even or odd vector onto its block. This module is the only place
+that knows the symmetry.
 """
 
 from __future__ import annotations
@@ -83,25 +83,16 @@ def assemble(grid: Grid, trap: TrapConfig, density: np.ndarray) -> TridiagonalOp
     return TridiagonalOperator(diag=diag, offdiag=kin.offdiag)
 
 
-def fold(density: np.ndarray, parity: int) -> np.ndarray:
-    """Sum a density on the D-1 interior nodes over mirror pairs: rho(x_m) + rho(-x_m).
-
-    The result lives on the nodes of block `parity`: x >= 0 for the even
-    block, where x = 0 is kept once, and x > 0 for the odd one. So
-    delta * sum(fold(rho, 0)) is the integral of rho, only the even part of
-    rho enters, and a block vector w has density exactly w * w.
-    """
-    density = np.asarray(density, dtype=float)
-    c = len(density) // 2  # interior index of x = 0
-    folded = density[c:] + density[c::-1]
-    folded[0] = density[c]
-    return folded[parity:]
-
-
 def assemble_block(
     grid: Grid, trap: TrapConfig, folded: np.ndarray, parity: int
 ) -> TridiagonalOperator:
-    """The even (parity 0) or odd (parity 1) block of assemble, from fold(rho, parity).
+    """The even (parity 0) or odd (parity 1) block of assemble, from the folded density.
+
+    The folded density of rho lives on the block's nodes, x >= 0 (even) or
+    x > 0 (odd): rho(0) at x = 0 and rho(x_m) + rho(-x_m) at x_m > 0. So
+    delta * sum(folded) over the even block is the integral of rho, only
+    the even part of rho enters, and a block vector w (block_vector) has
+    the folded density w * w exactly.
 
     With u_m the unit vector at x = m*delta, the block's basis is
     e_m = (u_m + u_-m)/sqrt(2) for m >= 1 plus e_0 = u_0 (even), or

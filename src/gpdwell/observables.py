@@ -42,7 +42,7 @@ def overlap_matrix(states: list["StationaryState"]) -> np.ndarray:
         raise ValueError("need at least one state")
     grid = states[0].grid
     for s in states:
-        if s.grid.D != grid.D or s.grid.L != grid.L:
+        if s.grid != grid:
             raise ValueError(f"state n={s.n} lives on a different grid")
     k = len(states)
     entries = np.empty((k, k))

@@ -2,32 +2,30 @@
 
 Each stationary state n is iterated to self-consistency with its own
 density, on the half grid of parity sector n % 2 (even for even n),
-starting from a constant density or, warm, from that of a state solved
-before on the same grid: build the sector's block of the operator from
-the folded input density (hamiltonian.assemble_block), take its eigenpair
-n // 2, and mix the output density with the earlier ones by Anderson
-(type II) mixing of depth ANDERSON_DEPTH (Anderson, J. ACM 12, 547
-(1965); Walker & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)). The state is
-mapped back to the full grid once, after the loop (hamiltonian.unfold),
-so it is exactly even or odd, and its per-particle energy
-(observables.energy) is taken there from the refined psi. So a
+starting from a known eigenpair (see below): build the sector's block of
+the operator from the folded input density (hamiltonian.assemble_block),
+take its eigenpair n // 2, and mix the output density with the earlier
+ones by Anderson (type II) mixing of depth ANDERSON_DEPTH (Anderson,
+J. ACM 12, 547 (1965); Walker & Ni, SIAM J. Numer. Anal. 49, 1715
+(2011)). The state is mapped back to the full grid once, after the loop
+(hamiltonian.unfold), so it is exactly even or odd, and its per-particle
+energy (observables.energy) is taken there from the refined psi. So a
 StationaryState is complete and frozen when the solver returns it,
 converged or not: it carries its trap, grid, mu and energy, and its
 consumers need nothing else.
 
 No iterate needs a full eigensolve (eigensolver.lowest_eigenpairs) unless
-a certificate fails. A cold solve's constant start density folds to one
-value c on every node of both blocks, so its first operator is the bare
-(beta = 0) block shifted by beta * c, and its first pair is the bare
-pair, shifted. The bare pair is a pure function of (L, D, a, parity,
-index), kept in a bounded per-process cache and shared read-only
-(_bare_pair). A warm solve's first pair, and every later one, follows a
-known pair onto the new operator by certified inverse iteration
-(eigensolver.follow_eigenpair): the start state's vector, or the previous
-iterate's, whose operator differs from the new one by beta times the
-change of density. A full eigensolve is made only when the certificate
-fails. ScfResult.eigensolves counts those and not the shared bare pairs,
-so no result depends on what the process solved before.
+a certificate fails. Every solve starts from a known pair and takes that
+pair's own density w * w as its first input density: a cold solve from
+the bare (beta = 0) pair of the grid, a pure function of (grid, a,
+parity, index) kept in a bounded per-process cache and shared read-only
+(_bare_pair), and a warm solve from the start state's psi and mu. Every
+iterate, the first included, follows the last pair onto its operator by
+certified inverse iteration (eigensolver.follow_eigenpair); the operators
+of consecutive iterates differ by beta times the change of density. A
+full eigensolve is made only when the certificate fails.
+ScfResult.eigensolves counts those and not the shared bare pairs, so no
+result depends on what the process solved before.
 
 A solve stops on the nonlinear residual ||H[psi^2] psi - mu psi|| of the
 unrefined pair, once it is at most max(tol * (1 + |mu|), ROUNDOFF_FLOOR *
@@ -56,7 +54,7 @@ from .eigensolver import (
     refine_eigenpair,
 )
 from .grid import Grid, TrapConfig, make_grid
-from .hamiltonian import assemble_block, block_vector, fold, unfold
+from .hamiltonian import assemble_block, block_vector, unfold
 from .observables import energy as _fill_energy  # the name perfbench traces
 
 MAX_DOMAIN_GROWTHS = 3
@@ -100,8 +98,8 @@ class ScfConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not self.tol > 0:  # also rejects nan
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:  # also rejects nan
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -153,14 +151,13 @@ def _anderson(inputs: list[np.ndarray], outputs: list[np.ndarray]) -> np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
-def _bare_pair(L: float, D: int, a: float, parity: int, index: int) -> Eigenpair:
-    """Eigenpair `index` of the beta = 0 block `parity` of the trap a on the grid (L, D).
+def _bare_pair(grid: Grid, a: float, parity: int, index: int) -> Eigenpair:
+    """Eigenpair `index` of the beta = 0 block `parity` of the trap a on grid.
 
     A pure function of its arguments, shared by every cold solve of the
     process; its vector is read-only.
     """
-    grid = make_grid(L, D)
-    op = assemble_block(grid, TrapConfig(a=a), np.zeros(D // 2 - parity), parity)
+    op = assemble_block(grid, TrapConfig(a=a), np.zeros(grid.D // 2 - parity), parity)
     pair = lowest_eigenpairs(op, index + 1, grid)[index]
     pair.vector.setflags(write=False)
     return pair
@@ -171,19 +168,13 @@ def _iterate(
 ) -> ScfResult:
     index, parity = divmod(n, 2)  # state n is eigenpair n // 2 of sector n % 2
     if start is None:
-        # The constant start density c folds to c on every node of both
-        # blocks, so the first operator is the bare block plus beta * c.
-        c = 1.0 / (grid.delta * (grid.D - 1))
-        density = np.full(grid.D - 1, c)
-        bare = _bare_pair(grid.L, grid.D, trap.a, parity, index)
-        pair = Eigenpair(value=bare.value + trap.beta * c, vector=bare.vector)
+        pair = _bare_pair(grid, trap.a, parity, index)
     else:
-        density = start.psi[1:-1] ** 2
-        density = density / (grid.delta * density.sum())
         pair = Eigenpair(value=start.mu, vector=block_vector(start.psi[1:-1], parity))
     # The loop runs in block coordinates: density is the folded input
-    # density, and an iterate w has the folded density w * w.
-    density = fold(density, parity)
+    # density, and an iterate w, the start pair's included, has the folded
+    # density w * w.
+    density = pair.vector * pair.vector
     inputs: list[np.ndarray] = []
     outputs: list[np.ndarray] = []
     converged = False
@@ -191,8 +182,7 @@ def _iterate(
 
     for iterations in range(1, cfg.max_iter + 1):
         op = assemble_block(grid, trap, density, parity)
-        if iterations > 1 or start is not None:
-            pair = follow_eigenpair(op, pair, index, grid)
+        pair = follow_eigenpair(op, pair, index, grid)
         if pair is None:
             pair = lowest_eigenpairs(op, index + 1, grid)[index]
             eigensolves += 1
@@ -235,10 +225,9 @@ def solve_state(
     """Self-consistently solve for stationary state n on the given grid.
 
     start, a state solved before (e.g. for a nearby trap), warm-starts the
-    solve on a grid with start.grid's L and D: its density start.psi^2
-    replaces the constant first iterate, and its psi is followed onto the
-    first operator; on any other grid the solve starts cold. Only the even
-    part of the density enters the operator's parity block.
+    solve on a grid equal to start.grid: its psi and mu take the place of
+    the bare pair, and its density start.psi^2 is the first input density;
+    on any other grid the solve starts cold.
 
     The hard walls at +-L bias a state through its slope there: for a = 2,
     beta = 0.5 they moved mu by 0.1 to 0.2 times psi'(L)^2 / 2. So while
@@ -254,7 +243,7 @@ def solve_state(
     cfg = cfg or ScfConfig()
 
     for _ in range(MAX_DOMAIN_GROWTHS + 1):
-        warm = start is not None and (start.grid.L, start.grid.D) == (grid.L, grid.D)
+        warm = start is not None and start.grid == grid
         result = _iterate(grid, trap, n, cfg, start if warm else None)
         state = result.state
         slope = abs(state.psi[1]) / grid.delta  # |psi'| at either wall
@@ -283,7 +272,7 @@ def solve_spectrum(
     results = [_solve_or_partial(grid, trap, n, cfg) for n in range(k)]
     while True:
         widest = max((r.state.grid for r in results), key=lambda g: g.L)
-        stale = [n for n, r in enumerate(results) if r.state.grid.L != widest.L]
+        stale = [n for n, r in enumerate(results) if r.state.grid != widest]
         if not stale:
             return results
         for n in stale:

@@ -7,8 +7,9 @@ point values from direct quadrature of the transform integral or from
 the cosine sum taken row by row with a dense kernel. The
 bitwise references keep the plain forms of the fast paths: the CSV
 payload written row by row, RK4 on 2-vectors, Crank-Nicolson with a
-banded solve per step, and the barrier turning points scanned on both
-sides of x = 0.
+banded solve per step, the barrier turning points scanned on both
+sides of x = 0, and a full-grid density folded onto a parity block's
+nodes.
 """
 
 from __future__ import annotations
@@ -202,3 +203,18 @@ def turning_points(grid, veff, mu: float) -> tuple[float, float]:
     x2 = next(cross(alpha, alpha + 1) for alpha in range(mid, grid.D)
               if f[alpha + 1] <= 0 < f[alpha])
     return x1, x2
+
+
+def fold(density: np.ndarray, parity: int) -> np.ndarray:
+    """Sum a density on the D-1 interior nodes over mirror pairs: rho(x_m) + rho(-x_m).
+
+    The result lives on the nodes of block `parity`: x >= 0 for the even
+    block, where x = 0 is kept once, and x > 0 for the odd one. So
+    delta * sum(fold(rho, 0)) is the integral of rho, only the even part of
+    rho enters, and a block vector w has density exactly w * w.
+    """
+    density = np.asarray(density, dtype=float)
+    c = len(density) // 2  # interior index of x = 0
+    folded = density[c:] + density[c::-1]
+    folded[0] = density[c]
+    return folded[parity:]

@@ -356,6 +356,14 @@ class TestScanCritical:
         assert capsys.readouterr().err.startswith(f"error: {option[0]} must be")
         assert not out.exists()
 
+    def test_bad_thread_count_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GPDWELL_THREADS", "x")
+        out = tmp_path / "scan.csv"
+        code = main(["scan-critical", "--betas", "0", "--D", "200", "--output", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: GPDWELL_THREADS must be an integer, got 'x'\n"
+        assert not out.exists()
+
     def test_failures_independent_of_worker_count(self, tmp_path, monkeypatch):
         # a worker's MaxIterationsExceeded comes back to the parent as a status row
         argv = ["scan-critical", "--betas", "0:4:2", "--D", "400", "--max-iter", "3"]
@@ -558,6 +566,19 @@ class TestDynamicsCommands:
         assert "snapshots" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_few_snapshots_rejected_before_stepping(self, tmp_path, capsys, monkeypatch):
+        # 20000 steps at stride 100000 keep 2 snapshots; fotoc needs 10
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("propagate called")
+
+        monkeypatch.setattr(gpdwell.cli, "propagate", no_stepping)
+        out = tmp_path / "dyn.csv"
+        code = main(["dynamics", "--a", "10", "--tmax", "2", "--stride", "100000",
+                     "--output", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: --stride 100000 keeps 2 snapshots")
+        assert not out.exists()
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("command", [
@@ -572,6 +593,8 @@ class TestNonFiniteInput:
         ["dynamics", "--a", "10", "--tmax", "1e9", "--dt", "1"],  # 1e9 steps: over the cap
         ["solve", "--a", "2", "--beta", "inf"],
         ["wkb", "--a", "nan", "--betas", "0"],
+        ["solve", "--a", "2", "--beta", "1", "--D", "400", "--scf-tol", "inf"],
+        ["wkb", "--a", "5", "--betas", "0", "--D", "400", "--scf-tol", "inf"],
     ])
     def test_rejected_before_any_work(self, tmp_path, capsys, command):
         out = tmp_path / "out"

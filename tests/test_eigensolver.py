@@ -8,11 +8,10 @@ from gpdwell.hamiltonian import (
     TridiagonalOperator,
     assemble,
     assemble_block,
-    fold,
     kinetic_operator,
 )
 
-from oracles import numerov_even_eigenvalue, sturm_count, tridiag_eigenvalue_bisection
+from oracles import fold, numerov_even_eigenvalue, sturm_count, tridiag_eigenvalue_bisection
 
 
 def test_pure_kinetic_matches_toeplitz_closed_form():

@@ -29,6 +29,14 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(5.0, 6)
 
+    def test_grid_is_a_value(self):
+        # the nodes array is derived from (L, D) and takes no part in equality
+        assert make_grid(6, 400) == make_grid(6.0, 400)
+        assert hash(make_grid(6, 400)) == hash(make_grid(6.0, 400))
+        assert len({make_grid(6, 400), make_grid(6.0, 400)}) == 1
+        assert make_grid(6.0, 400) != make_grid(5.0, 400)
+        assert make_grid(6.0, 400) != make_grid(6.0, 402)
+
     @given(st.integers(min_value=4, max_value=500), st.floats(min_value=0.1, max_value=50.0))
     def test_nodes_symmetric_and_increasing(self, half_d, L):
         grid = make_grid(L, 2 * half_d)

@@ -8,13 +8,12 @@ from gpdwell.hamiltonian import (
     assemble,
     assemble_block,
     block_vector,
-    fold,
     kinetic_operator,
     second_derivative_at,
     unfold,
 )
 
-from oracles import tridiag_eigenvalue_bisection
+from oracles import fold, tridiag_eigenvalue_bisection
 
 
 class TestKineticOperator:

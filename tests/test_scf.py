@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import gpdwell.scf
-from gpdwell.eigensolver import EPS, lowest_eigenpairs, norm_inf, refine_eigenpair
+from gpdwell.eigensolver import lowest_eigenpairs, refine_eigenpair
 from gpdwell.grid import TrapConfig, integrate, make_grid
-from gpdwell.hamiltonian import assemble, assemble_block, fold
+from gpdwell.hamiltonian import assemble, block_vector
 from gpdwell.scf import (
     DomainTooSmall,
     MaxIterationsExceeded,
@@ -25,7 +25,7 @@ class TestScfConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"tol": 0.0}, {"tol": -1e-6}, {"tol": float("nan")},
-        {"max_iter": 0}, {"max_iter": -1},
+        {"max_iter": 0}, {"max_iter": -1}, {"tol": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -202,15 +202,19 @@ class TestSpectrum:
 
 class TestWarmEigenpairs:
     def test_one_eigensolve_per_state(self, spectrum_a5_b01):
-        # the first pair is the shared bare pair, and every later one is followed
+        # every pair, the first included, is followed from the shared bare pair
         assert [r.eigensolves for r in spectrum_a5_b01] == [0, 0, 0, 0]
         assert all(r.iterations > 1 for r in spectrum_a5_b01[1:])
+
+    def test_spectrum_work(self, spectrum_a5_b01):
+        # 3, 3, 4 and 4 iterations: the start pair's own density is the first input
+        assert sum(r.iterations for r in spectrum_a5_b01) <= 14
 
     def test_failed_certificate_falls_back_to_eigensolve(self, grid4000, monkeypatch):
         monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", lambda *args: None)
         result = solve_state(grid4000, TrapConfig(a=5.0, beta=0.5), 1)
         assert result.iterations > 1
-        assert result.eigensolves == result.iterations - 1  # all but the first iterate
+        assert result.eigensolves == result.iterations  # the first iterate follows too
 
     def test_result_does_not_depend_on_the_shared_pairs(self, grid1200):
         cases = [(TrapConfig(a=5.0, beta=0.5), 1), (TrapConfig(a=2.0, beta=1.0), 0),
@@ -232,28 +236,33 @@ class TestWarmEigenpairs:
 
     def test_shared_vectors_are_read_only(self, grid1200):
         solve_state(grid1200, TrapConfig(a=5.0, beta=0.3), 2)
-        pair = gpdwell.scf._bare_pair(grid1200.L, grid1200.D, 5.0, 0, 1)
+        pair = gpdwell.scf._bare_pair(grid1200, 5.0, 0, 1)
         assert not pair.vector.flags.writeable
         with pytest.raises(ValueError):
             pair.vector[0] = 0.0
 
-    @pytest.mark.parametrize("a", [2.0, 5.0, 12.0])
-    def test_cold_first_pair_is_a_pair_of_the_first_operator(self, grid1200, a):
-        # The constant start density folds to one value c on every block node,
-        # so the first operator is the bare block shifted by beta * c.
-        grid = grid1200
-        c = 1.0 / (grid.delta * (grid.D - 1))
-        for beta in (0.5, 9.0):
-            trap = TrapConfig(a=a, beta=beta)
-            for n in range(4):
-                index, parity = divmod(n, 2)
-                op = assemble_block(grid, trap, fold(np.ones(grid.D - 1) * c, parity), parity)
-                bare = gpdwell.scf._bare_pair(grid.L, grid.D, a, parity, index)
-                value = bare.value + beta * c
-                r = op.apply(bare.vector) - value * bare.vector
-                assert np.sqrt(grid.delta * np.dot(r, r)) <= EPS * norm_inf(op)
-                cold = lowest_eigenpairs(op, index + 1, grid)[index]
-                assert value == pytest.approx(cold.value, rel=0, abs=4 * EPS * norm_inf(op))
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_first_density_is_the_start_pairs_own(self, grid1200, monkeypatch, n):
+        # cold from the bare pair, warm from the start state, each with its own w * w
+        index, parity = divmod(n, 2)
+        trap = TrapConfig(a=5.0, beta=1.0)
+        bare = gpdwell.scf._bare_pair(grid1200, trap.a, parity, index)  # cached before recording
+        start = solve_state(grid1200, TrapConfig(a=5.1, beta=1.0), n).state
+        densities = []
+        original = gpdwell.scf.assemble_block
+
+        def recording(grid, trap, folded, parity):
+            densities.append(folded)
+            return original(grid, trap, folded, parity)
+
+        monkeypatch.setattr(gpdwell.scf, "assemble_block", recording)
+        solve_state(grid1200, trap, n)
+        cold = densities[0]
+        densities.clear()
+        solve_state(grid1200, trap, n, start=start)
+        warm = densities[0]
+        assert np.array_equal(cold, bare.vector ** 2)
+        assert np.array_equal(warm, block_vector(start.psi[1:-1], parity) ** 2)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_warm_start_without_certificates_reaches_the_same_state(self, grid1200,
