@@ -12,7 +12,7 @@ from .critical import (
     fit_quadratic,
 )
 from .dynamics import GrowthFit, WavePacket, coherent_state, fotoc, growth_rate, propagate
-from .eigensolver import Eigenpair, lowest_eigenpairs, refine_eigenpair
+from .eigensolver import Eigenpair, lowest_eigenpairs
 from .grid import Grid, TrapConfig, integrate, make_grid, potential, quartic_rescale
 from .hamiltonian import (
     TridiagonalOperator,

@@ -50,7 +50,7 @@ from .scf import (
     solve_state,
 )
 from .semiclassics import classical_trajectory, lyapunov_exponent, step_count, transmission
-from .wigner import negativity, wigner_transform
+from .wigner import momentum_cells, negativity, wigner_transform
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -249,7 +249,8 @@ def _wigner_field(args, beta, P=None):
 
 
 def cmd_wigner(args) -> int:
-    field = _wigner_field(args, args.beta, args.P)
+    P = momentum_cells(args.D, args.P)  # a bad --P is refused before the solve
+    field = _wigner_field(args, args.beta, P)
     columns = [np.repeat(field.x_nodes, field.p_nodes.size),
                np.tile(field.p_nodes, field.x_nodes.size),
                field.values.ravel()]

@@ -1,7 +1,7 @@
 """Per-particle energy and state overlaps.
 
 energy is a pure function of (grid, psi, trap); the SCF calls it once per
-state, on the refined psi, to fill StationaryState.energy. overlap_matrix
+state, on the psi it returns, to fill StationaryState.energy. overlap_matrix
 takes the solved states alone, since each carries its grid.
 
 The energy functional differs from the chemical potential for beta > 0:

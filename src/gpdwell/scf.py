@@ -9,7 +9,7 @@ ones by Anderson (type II) mixing of depth ANDERSON_DEPTH (Anderson,
 J. ACM 12, 547 (1965); Walker & Ni, SIAM J. Numer. Anal. 49, 1715
 (2011)). The state is mapped back to the full grid once, after the loop
 (hamiltonian.unfold), so it is exactly even or odd, and its per-particle
-energy (observables.energy) is taken there from the refined psi. So a
+energy (observables.energy) is taken there from the returned psi. So a
 StationaryState is complete and frozen when the solver returns it,
 converged or not: it carries its trap, grid, mu and energy, and its
 consumers need nothing else.
@@ -28,13 +28,13 @@ ScfResult.eigensolves counts those and not the shared bare pairs, so no
 result depends on what the process solved before.
 
 A solve stops on the nonlinear residual ||H[psi^2] psi - mu psi|| of the
-unrefined pair, once it is at most max(tol * (1 + |mu|), ROUNDOFF_FLOOR *
-eps * ||op||_inf); the pair kept is then refined once in extended
-precision. The second term is the float64 floor of that residual: it grows
-like D^2 (eps * ||op||_inf is 5.6e-12 at D = 1200, 5.4e-11 at D = 4000 and
-8.7e-10 at D = 16000), and below it a solve would stall on roundoff, as a
-ground state at a = 2 on D = 16000 did at 2.2e-9 with tol 1e-9. On grids
-up to D = 4000 the floor stays below the default tol and does not bind.
+iterate's pair, once it is at most max(tol * (1 + |mu|), ROUNDOFF_FLOOR *
+eps * ||op||_inf), and returns that pair as it is. The second term is the
+float64 floor of that residual: it grows like D^2 (eps * ||op||_inf is
+5.6e-12 at D = 1200, 5.4e-11 at D = 4000 and 8.7e-10 at D = 16000), and
+below it a solve would stall on roundoff, as a ground state at a = 2 on
+D = 16000 did at 2.2e-9 with tol 1e-9. On grids up to D = 4000 the floor
+stays below the default tol and does not bind.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .eigensolver import (
     follow_eigenpair,
     lowest_eigenpairs,
     norm_inf,
-    refine_eigenpair,
 )
 from .grid import Grid, TrapConfig, make_grid
 from .hamiltonian import assemble_block, block_vector, unfold
@@ -130,7 +129,7 @@ class ScfResult:
     state: StationaryState
     iterations: int
     converged: bool = False
-    residual: float = math.inf  # ||H[psi^2] psi - mu psi|| of the last unrefined pair
+    residual: float = math.inf  # ||H[psi^2] psi - mu psi|| of the returned psi and mu
     eigensolves: int = 0  # lowest_eigenpairs calls on the loop's operators: failed certificates
 
 
@@ -200,10 +199,9 @@ def _iterate(
         density = np.maximum(_anderson(inputs, outputs), 0.0)
         density /= grid.delta * density.sum()
 
-    pair = refine_eigenpair(op, pair, grid)
-    psi = np.pad(unfold(pair.vector, parity), 1)  # zeros at the walls
+    psi = np.pad(unfold(w, parity), 1)  # zeros at the walls
     result = ScfResult(
-        state=StationaryState(n=n, psi=psi, mu=pair.value,
+        state=StationaryState(n=n, psi=psi, mu=mu,
                               energy=_fill_energy(grid, psi, trap), trap=trap, grid=grid),
         iterations=iterations,
         converged=converged,

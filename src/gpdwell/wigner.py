@@ -48,15 +48,25 @@ class WignerField:
         return self.values[:, 1:].sum(axis=1) * self.delta_p
 
 
+def momentum_cells(D: int, P: int | None = None) -> int:
+    """The number P of momentum cells on a grid of D subintervals.
+
+    P defaults to the smallest even integer >= D/2, which is D/2 whenever 4
+    divides D. Raises ValueError unless P is an even integer >= 2.
+    """
+    if P is None:
+        P = 2 * -(-D // 4)
+    if P < 2 or P % 2 != 0:
+        raise ValueError(f"P must be an even integer >= 2, got {P}")
+    return P
+
+
 def wigner_transform(grid: Grid, psi, P: int | None = None) -> WignerField:
     """Wigner function of a real normalized state on the (x, p) grid."""
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (grid.D + 1,):
         raise ValueError(f"psi must have length D+1={grid.D + 1}")
-    if P is None:
-        P = grid.D // 2
-    if P < 2 or P % 2 != 0:
-        raise ValueError(f"P must be an even integer >= 2, got {P}")
+    P = momentum_cells(grid.D, P)
     if not psi.any():
         raise ValueError("psi is identically zero")
 

@@ -109,10 +109,11 @@ def wigner_cosine_sum(grid, psi, P=None) -> np.ndarray:
     """Wigner values on the (D+1, P+1) grid, one row of offsets at a time.
 
     The cosine sum over m = -D/2..D/2 times a dense kernel, with the p grid
-    from linspace over [-pi/(2 delta), pi/(2 delta)]; P defaults to D/2.
+    from linspace over [-pi/(2 delta), pi/(2 delta)]; P defaults to the
+    smallest even integer >= D/2.
     """
     D, M = grid.D, grid.D // 2
-    P = D // 2 if P is None else P
+    P = 2 * -(-D // 4) if P is None else P
     m = np.arange(-M, M + 1)
     corr = np.zeros((D + 1, 2 * M + 1))
     for a in range(D + 1):

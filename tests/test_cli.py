@@ -72,10 +72,8 @@ class TestSolve:
 
     def test_fine_grid_solves(self, tmp_path):
         # At D=16000 the default tol 1e-9 lies below the float64 floor of the
-        # unrefined residual (the solve stalled at 2.2e-9 for 500 iterations);
-        # the stop's floor of 8 eps ||op||_inf = 7.0e-9 ends it. The refined
-        # residual floor (1.2e-10) lies above RESIDUAL_TOL, inside the
-        # eps * ||op|| allowance of refine_eigenpair.
+        # residual (the solve stalled at 2.2e-9 for 500 iterations); the
+        # stop's floor of 8 eps ||op||_inf = 7.0e-9 ends it.
         out = tmp_path / "solve.json"
         code = main(["solve", "--a", "2", "--D", "16000", "--output", str(out)])
         assert code == EXIT_OK
@@ -147,15 +145,15 @@ class TestSolve:
         assert code == EXIT_VALIDATION
 
     def test_eigensolver_failure_reported(self, tmp_path, capsys, monkeypatch):
-        def refine_failing(*args):
-            raise EigensolverError("eigenpair residual injected")
+        def follow_failing(*args):
+            raise EigensolverError("Sturm count failed (injected)")
 
-        monkeypatch.setattr(gpdwell.scf, "refine_eigenpair", refine_failing)
+        monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", follow_failing)
         code = main(["solve", "--a", "2", "--D", "400",
                      "--output", str(tmp_path / "x.json")])
         assert code == EXIT_CONVERGENCE
         err = capsys.readouterr().err
-        assert err.startswith("error: eigenpair residual") and "Traceback" not in err
+        assert err.startswith("error: Sturm count failed") and "Traceback" not in err
 
 
 def _payload(path):
@@ -408,15 +406,17 @@ class TestWkbAndOverlaps:
         assert np.isnan(col["T_0"][1])
 
     def test_wkb_eigensolver_failure_at_one_beta(self, tmp_path, monkeypatch):
-        refine, calls = gpdwell.scf.refine_eigenpair, []
+        follow, calls = gpdwell.scf.follow_eigenpair, []
 
-        def refine_failing_third(*args):
+        def follow_failing_third(*args):
             calls.append(args)
-            if len(calls) == 3:  # state 0 at beta = 0.1; states 0, 1 at beta = 0 came first
+            # a beta = 0 solve follows once, so states 0, 1 at beta = 0 came
+            # first and this is the first iterate of state 0 at beta = 0.1
+            if len(calls) == 3:
                 raise EigensolverError("injected")
-            return refine(*args)
+            return follow(*args)
 
-        monkeypatch.setattr(gpdwell.scf, "refine_eigenpair", refine_failing_third)
+        monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", follow_failing_third)
         out = tmp_path / "wkb.csv"
         code = main(["wkb", "--a", "5", "--betas", "0:0.2:0.1", "--D", "600",
                      "--output", str(out)])
@@ -483,6 +483,23 @@ class TestWignerCommand:
         assert footer["phase_space_integral"] == pytest.approx(1.0, abs=1e-6)
         assert footer["negativity"] > 0.0
 
+    def test_half_D_odd_takes_the_next_even_P(self, tmp_path):
+        out = tmp_path / "w.csv"
+        code = main(["wigner", "--a", "2", "--D", "402", "--output", str(out)])
+        assert code == EXIT_OK
+        _, _, rows, footer = read_csv(str(out))
+        assert len(rows) == 403 * 203  # P = 202
+        assert footer["phase_space_integral"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_bad_P_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gpdwell.cli, "solve_state", lambda *args: calls.append(args))
+        out = tmp_path / "w.csv"
+        code = main(["wigner", "--a", "2", "--D", "400", "--P", "3", "--output", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: P must be an even integer")
+        assert calls == [] and not out.exists()
+
 
 class TestNegativityCommand:
     def test_sweep_matches_wigner_footer(self, tmp_path):
@@ -501,6 +518,15 @@ class TestNegativityCommand:
         _, _, _, footer = read_csv(str(w_out))
         assert col["negativity"][0] == footer["negativity"]
         assert col["integral"][0] == footer["phase_space_integral"]
+
+    def test_half_D_odd(self, tmp_path):
+        out = tmp_path / "neg.csv"
+        code = main(["negativity", "--a", "2", "--betas", "0:1:0.5", "--D", "402",
+                     "--output", str(out)])
+        assert code == EXIT_OK
+        col = _columns(out)
+        assert col["status"] == ["ok"] * 3
+        assert all(i == pytest.approx(1.0, abs=1e-6) for i in col["integral"])
 
 
 class TestSweepInput:

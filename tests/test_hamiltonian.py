@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpdwell.eigensolver import lowest_eigenpairs, refine_eigenpair
+from gpdwell.eigensolver import lowest_eigenpairs
 from gpdwell.grid import TrapConfig, make_grid, potential
 from gpdwell.hamiltonian import (
     TridiagonalOperator,
@@ -127,8 +127,8 @@ def _sector_basis(size: int, parity: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _refined_values(op, k, grid):
-    return [refine_eigenpair(op, p, grid).value for p in lowest_eigenpairs(op, k, grid)]
+def _values(op, k, grid):
+    return [p.value for p in lowest_eigenpairs(op, k, grid)]
 
 
 class TestParitySectors:
@@ -137,10 +137,10 @@ class TestParitySectors:
         trap = TrapConfig(a=3.0, beta=0.0)
         zero = np.zeros(grid.D - 1)
         op = assemble(grid, trap, zero)
-        even = _refined_values(assemble_block(grid, trap, fold(zero, 0), 0), 3, grid)
-        odd = _refined_values(assemble_block(grid, trap, fold(zero, 1), 1), 3, grid)
+        even = _values(assemble_block(grid, trap, fold(zero, 0), 0), 3, grid)
+        odd = _values(assemble_block(grid, trap, fold(zero, 1), 1), 3, grid)
         sectors = [value for pair in zip(even, odd) for value in pair]
-        full = _refined_values(op, 6, grid)
+        full = _values(op, 6, grid)
         assert sectors == pytest.approx(full, rel=0, abs=1e-12)
         for n, value in enumerate(sectors):
             oracle = tridiag_eigenvalue_bisection(op.diag, op.offdiag, n)

@@ -21,7 +21,7 @@ class TestEnergy:
         assert state.mu - e == pytest.approx(0.5 * trap.beta * quartic, abs=1e-6)
 
     def test_stores_into_state(self, ground_a2_b0):
-        # the solver stores the energy of its refined psi into the state it returns
+        # the solver stores the energy of its psi into the state it returns
         state = ground_a2_b0.state
         assert state.energy == energy(state.grid, state.psi, state.trap)
 

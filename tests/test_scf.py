@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import gpdwell.scf
-from gpdwell.eigensolver import lowest_eigenpairs, refine_eigenpair
+from gpdwell.eigensolver import lowest_eigenpairs
 from gpdwell.grid import TrapConfig, integrate, make_grid
-from gpdwell.hamiltonian import assemble, block_vector
+from gpdwell.hamiltonian import assemble, assemble_block, block_vector
 from gpdwell.scf import (
     DomainTooSmall,
     MaxIterationsExceeded,
@@ -34,7 +34,7 @@ class TestScfConfig:
 
 class TestLinearLimit:
     def test_beta_zero_converges_at_first_recheck(self):
-        # the first unrefined pair already meets the residual stop
+        # the first followed pair already meets the residual stop
         grid = make_grid(6.0, 800)
         result = solve_state(grid, TrapConfig(a=3.0, beta=0.0), 0)
         assert result.converged
@@ -45,8 +45,20 @@ class TestLinearLimit:
         trap = TrapConfig(a=3.0, beta=0.0)
         result = solve_state(grid, trap, 1)
         op = assemble(grid, trap, np.zeros(grid.D - 1))
-        linear = refine_eigenpair(op, lowest_eigenpairs(op, 2, grid)[1], grid).value
-        assert result.state.mu == linear
+        linear = lowest_eigenpairs(op, 2, grid)[1].value
+        assert result.state.mu == pytest.approx(linear, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_recorded_residual_is_the_returned_states(self, n):
+        # result.residual belongs to the psi and mu the state carries
+        grid = make_grid(6.0, 800)
+        trap = TrapConfig(a=3.0, beta=0.0)
+        result = solve_state(grid, trap, n)
+        parity = n % 2
+        w = block_vector(result.state.psi[1:-1], parity)
+        r = assemble_block(grid, trap, w * w, parity).apply(w) - result.state.mu * w
+        residual = np.sqrt(grid.delta * np.dot(r, r))
+        assert residual == pytest.approx(result.residual, rel=0.1, abs=0)
 
     def test_beta_zero_operator_is_bitwise_linear(self):
         grid = make_grid(6.0, 400)

@@ -95,6 +95,17 @@ class TestWignerTransform:
         np.testing.assert_array_equal(p, -p[::-1])
         assert p[-1] == pytest.approx(np.pi / (2.0 * grid.delta), rel=1e-15)
 
+    def test_default_P_when_half_D_is_odd(self):
+        # D = 402: P is 202, the smallest even integer >= D/2, not D // 2 = 201
+        grid = make_grid(12.0, 402)
+        psi = _hermite1(grid)
+        field = wigner_transform(grid, psi)
+        assert field.p_nodes.size == 203
+        np.testing.assert_allclose(field.values, wigner_cosine_sum(grid, psi, P=202),
+                                   rtol=0.0, atol=1e-13)
+        assert field.phase_space_integral() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(field.x_marginal(), psi**2, rtol=0.0, atol=1e-12)
+
     def test_parameter_validation(self):
         grid = make_grid(12.0, 600)
         psi = _gaussian(grid)
