@@ -185,8 +185,11 @@ def write_json(path: str, record: dict, config: dict) -> None:
 
 
 def n_workers() -> int:
+    """GPDWELL_THREADS, or by default the CPUs this process may run on."""
     env = os.environ.get("GPDWELL_THREADS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         return max(1, int(env))
@@ -198,6 +201,11 @@ def _scf_config(args) -> ScfConfig:
     return ScfConfig(tol=args.scf_tol, max_iter=args.max_iter)
 
 
+def _check_count(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
+
+
 def _config_echo(args) -> dict:
     skip = {"func", "output", "psi_out"}  # file paths are not physics config
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
@@ -206,6 +214,7 @@ def _config_echo(args) -> dict:
 # ---------------------------------------------------------------- solve
 
 def cmd_solve(args) -> int:
+    _check_count("--states", args.states, 1)
     grid = make_grid(args.L, args.D)
     trap = TrapConfig(a=args.a, beta=args.beta)
     cfg = _scf_config(args)
@@ -249,6 +258,7 @@ def _wigner_field(args, beta, P=None):
 
 
 def cmd_wigner(args) -> int:
+    _check_count("--state", args.state, 0)
     P = momentum_cells(args.D, args.P)  # a bad --P is refused before the solve
     field = _wigner_field(args, args.beta, P)
     columns = [np.repeat(field.x_nodes, field.p_nodes.size),
@@ -349,6 +359,8 @@ def cmd_wkb(args) -> int:
 
 
 def cmd_overlaps(args) -> int:
+    _check_count("--states", args.states, 1)
+
     def point(beta):
         c = overlap_matrix(_spectrum(args, beta, args.states))
         return [(beta, i, j, c[i, j]) for i in range(len(c)) for j in range(len(c))]
@@ -357,6 +369,8 @@ def cmd_overlaps(args) -> int:
 
 
 def cmd_negativity(args) -> int:
+    _check_count("--state", args.state, 0)
+
     def point(beta):
         field = _wigner_field(args, beta)
         return [(beta, negativity(field), field.phase_space_integral())]

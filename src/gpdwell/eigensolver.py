@@ -12,9 +12,12 @@ is the warm path for an operator close to one whose pair is known: two
 steps of inverse iteration shifted to the old vector's Rayleigh quotient
 (Parlett, The Symmetric Eigenvalue Problem, ch. 4). A warm pair is
 returned only with a certificate: its residual ball [lambda - h, lambda + h]
-holds an eigenvalue, and Sturm counts at its ends show that this is
-eigenvalue `index` and the only one there. Without the certificate it
-returns None and the caller takes the cold path.
+holds an eigenvalue, and either the ball lies inside a window the caller
+knows to hold no eigenvalue but number `index`, or Sturm counts at its
+ends show that this is eigenvalue `index` and the only one there. Without
+a certificate it returns None and the caller takes the cold path.
+eigenvalues gives chosen eigenvalues alone, by bisection, from which a
+caller builds such windows.
 """
 
 from __future__ import annotations
@@ -66,8 +69,26 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0 else v
 
 
+def eigenvalues(op: TridiagonalOperator, first: int, last: int) -> np.ndarray:
+    """Eigenvalues first..last of op (0-based, inclusive), ascending, without vectors.
+
+    LAPACK's bisection (dstebz) at its default absolute tolerance, about
+    eps * ||op||_1.
+    """
+    if not 0 <= first <= last < op.size:
+        raise ValueError(f"eigenvalues {first}..{last} outside [0, {op.size - 1}]")
+    m, w, *_, info = dstebz(op.diag, op.offdiag, 2, 0.0, 0.0, first + 1, last + 1, 0.0, b"E")
+    if info != 0 or m != last - first + 1:  # pragma: no cover - LAPACK failure path
+        raise EigensolverError(f"bisection failed (info={info})")
+    return w[:m]
+
+
 def follow_eigenpair(
-    op: TridiagonalOperator, previous: Eigenpair, index: int, grid: Grid
+    op: TridiagonalOperator,
+    previous: Eigenpair,
+    index: int,
+    grid: Grid,
+    window: tuple[float, float] | None = None,
 ) -> Eigenpair | None:
     """Eigenpair `index` of op by inverse iteration from a pair of a nearby operator.
 
@@ -78,8 +99,12 @@ def follow_eigenpair(
     (measured on the four lowest pairs at a = 5, D = 4000: up to
     6.2e-11 * (1 + |lambda|)). It is returned only if certified:
     with h = max(||op v - lambda v||, 1e-12 * (1 + |lambda|)) there is an
-    eigenvalue within h of lambda, and the Sturm counts below lambda - h and
-    lambda + h must be index and index + 1. Otherwise the result is None.
+    eigenvalue within h of lambda, and it is eigenvalue `index` if either
+    the ball [lambda - h, lambda + h] lies strictly inside window, an open
+    interval (lo, hi) that the caller guarantees holds no eigenvalue of op
+    but number `index`, or the Sturm counts below lambda - h and
+    lambda + h are index and index + 1. The counts run only when there is
+    no window or the ball is not inside it. Otherwise the result is None.
     """
     delta = grid.delta
     v = previous.vector
@@ -96,7 +121,9 @@ def follow_eigenpair(
         return None
     r = av - lam * v
     h = max(float(np.sqrt(delta * np.dot(r, r))), 1e-12 * (1.0 + abs(lam)))
-    if count_below(op, lam - h) != index or count_below(op, lam + h) != index + 1:
+    inside = window is not None and window[0] < lam - h and lam + h < window[1]
+    if not inside and (count_below(op, lam - h) != index
+                       or count_below(op, lam + h) != index + 1):
         return None
     return Eigenpair(value=lam, vector=_fix_sign(v))
 

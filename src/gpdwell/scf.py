@@ -27,6 +27,23 @@ full eigensolve is made only when the certificate fails.
 ScfResult.eigensolves counts those and not the shared bare pairs, so no
 result depends on what the process solved before.
 
+A cold solve certifies its pairs by Weyl's inequality (Weyl, Math. Ann.
+71, 441 (1912); Parlett, The Symmetric Eigenvalue Problem, ch. 10)
+rather than by Sturm counts. Each operator is the bare block plus the
+diagonal beta * rho, where 0 <= rho <= max(density) for the folded input
+density, so its eigenvalue k lies in [lambda_k(bare), lambda_k(bare) +
+beta * max(density)] for every k. The open window (lambda_{index-1}(bare)
++ beta * max(density), lambda_{index+1}(bare)), narrowed at each end by
+WEYL_MARGIN * eps * (||op||_inf + beta * max(density)), a bound on the
+norms of both blocks, then holds no eigenvalue of the operator but
+number index. The
+two bare neighbours come from their own cached values-only bisection
+(_bare_neighbours), so the bare pair stays the one LAPACK gives for
+index + 1 pairs. A pair whose residual ball leaves the window, as at
+strong coupling, and every pair of a warm solve, whose trap has no cached
+bare spectrum, are certified by the Sturm counts as before. So a pair is
+kept exactly when the counts alone would keep it.
+
 A solve stops on the nonlinear residual ||H[psi^2] psi - mu psi|| of the
 iterate's pair, once it is at most max(tol * (1 + |mu|), ROUNDOFF_FLOOR *
 eps * ||op||_inf), and returns that pair as it is. The second term is the
@@ -48,12 +65,13 @@ import numpy as np
 from .eigensolver import (
     EPS,
     Eigenpair,
+    eigenvalues,
     follow_eigenpair,
     lowest_eigenpairs,
     norm_inf,
 )
 from .grid import Grid, TrapConfig, make_grid
-from .hamiltonian import assemble_block, block_vector, unfold
+from .hamiltonian import TridiagonalOperator, assemble_block, block_vector, unfold
 from .observables import energy as _fill_energy  # the name perfbench traces
 
 MAX_DOMAIN_GROWTHS = 3
@@ -66,6 +84,12 @@ ANDERSON_DEPTH = 5  # earlier iterates kept by the mixing
 # tridiagonal solve, carries a true residual of the same order. Residuals
 # stalled at up to 2.5 eps ||op||_inf at D = 16000.
 ROUNDOFF_FLOOR = 8.0
+# Margin of the Weyl window's ends in units of eps times a bound on the
+# norms of the operator and its bare block. It covers the bisection
+# tolerance of the bare values (about eps ||bare||_1), the error of the
+# bisection's own Sturm counts (a few eps ||bare||) and the rounding of
+# beta * rho into the operator's diagonal (eps |diag|).
+WEYL_MARGIN = 8.0
 
 
 class ScfError(RuntimeError):
@@ -149,6 +173,15 @@ def _anderson(inputs: list[np.ndarray], outputs: list[np.ndarray]) -> np.ndarray
     return g - d_g @ np.linalg.lstsq(d_f, f[-1], rcond=None)[0]
 
 
+@functools.lru_cache(maxsize=8)
+def _bare_block(grid: Grid, a: float, parity: int) -> TridiagonalOperator:
+    """The beta = 0 block `parity` of the trap a on grid, shared read-only."""
+    op = assemble_block(grid, TrapConfig(a=a), np.zeros(grid.D // 2 - parity), parity)
+    op.diag.setflags(write=False)
+    op.offdiag.setflags(write=False)
+    return op
+
+
 @functools.lru_cache(maxsize=32)
 def _bare_pair(grid: Grid, a: float, parity: int, index: int) -> Eigenpair:
     """Eigenpair `index` of the beta = 0 block `parity` of the trap a on grid.
@@ -156,10 +189,24 @@ def _bare_pair(grid: Grid, a: float, parity: int, index: int) -> Eigenpair:
     A pure function of its arguments, shared by every cold solve of the
     process; its vector is read-only.
     """
-    op = assemble_block(grid, TrapConfig(a=a), np.zeros(grid.D // 2 - parity), parity)
-    pair = lowest_eigenpairs(op, index + 1, grid)[index]
+    pair = lowest_eigenpairs(_bare_block(grid, a, parity), index + 1, grid)[index]
     pair.vector.setflags(write=False)
     return pair
+
+
+@functools.lru_cache(maxsize=32)
+def _bare_neighbours(grid: Grid, a: float, parity: int, index: int) -> tuple[float, float]:
+    """Eigenvalues index - 1 and index + 1 of the block of _bare_pair.
+
+    -inf and inf stand in for those past the ends of the block. A pure
+    function of its arguments, like _bare_pair.
+    """
+    op = _bare_block(grid, a, parity)
+    last = op.size - 1
+    values = eigenvalues(op, max(index - 1, 0), min(index + 1, last))
+    below = float(values[0]) if index > 0 else -math.inf
+    above = float(values[-1]) if index < last else math.inf
+    return below, above
 
 
 def _iterate(
@@ -168,6 +215,7 @@ def _iterate(
     index, parity = divmod(n, 2)  # state n is eigenpair n // 2 of sector n % 2
     if start is None:
         pair = _bare_pair(grid, trap.a, parity, index)
+        below, above = _bare_neighbours(grid, trap.a, parity, index)
     else:
         pair = Eigenpair(value=start.mu, vector=block_vector(start.psi[1:-1], parity))
     # The loop runs in block coordinates: density is the folded input
@@ -181,7 +229,13 @@ def _iterate(
 
     for iterations in range(1, cfg.max_iter + 1):
         op = assemble_block(grid, trap, density, parity)
-        pair = follow_eigenpair(op, pair, index, grid)
+        scale = norm_inf(op)
+        window = None
+        if start is None:
+            shift = trap.beta * density.max()
+            margin = WEYL_MARGIN * EPS * (scale + shift)
+            window = (below + shift + margin, above - margin)
+        pair = follow_eigenpair(op, pair, index, grid, window)
         if pair is None:
             pair = lowest_eigenpairs(op, index + 1, grid)[index]
             eigensolves += 1
@@ -189,7 +243,7 @@ def _iterate(
         rho = w * w
         r = assemble_block(grid, trap, rho, parity).apply(w) - mu * w
         residual = math.sqrt(grid.delta * np.dot(r, r))
-        if residual <= max(cfg.tol * (1.0 + abs(mu)), ROUNDOFF_FLOOR * EPS * norm_inf(op)):
+        if residual <= max(cfg.tol * (1.0 + abs(mu)), ROUNDOFF_FLOOR * EPS * scale):
             converged = True
             break
 

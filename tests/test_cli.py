@@ -144,6 +144,18 @@ class TestSolve:
         code = main(["solve", "--a", "-1", "--output", str(tmp_path / "x.json")])
         assert code == EXIT_VALIDATION
 
+    def test_top_state_of_a_tiny_block(self, tmp_path, capsys):
+        # state 5 is the last eigenvalue of its 3-row odd block on D = 8; its
+        # certificate window is open above, and the state leaks as before
+        out = tmp_path / "x.json"
+        code = main(["solve", "--a", "1", "--states", "8", "--D", "8", "--L", "3",
+                     "--output", str(out)])
+        assert code == EXIT_CONVERGENCE
+        assert capsys.readouterr().err == (
+            "error: state still leaks past the walls after 3 enlargements "
+            "(final L=10.125, wall slope=1.76e-01)\n")
+        assert not out.exists()
+
     def test_eigensolver_failure_reported(self, tmp_path, capsys, monkeypatch):
         def follow_failing(*args):
             raise EigensolverError("Sturm count failed (injected)")
@@ -361,6 +373,16 @@ class TestScanCritical:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == "error: GPDWELL_THREADS must be an integer, got 'x'\n"
         assert not out.exists()
+
+    def test_default_thread_count_is_the_affinity_set(self, monkeypatch):
+        monkeypatch.delenv("GPDWELL_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
+        assert gpdwell.cli.n_workers() == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert gpdwell.cli.n_workers() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert gpdwell.cli.n_workers() == 1
 
     def test_failures_independent_of_worker_count(self, tmp_path, monkeypatch):
         # a worker's MaxIterationsExceeded comes back to the parent as a status row
@@ -627,6 +649,28 @@ class TestNonFiniteInput:
         assert main(command + ["--output", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestStateIndexInput:
+    @pytest.mark.parametrize("command, message", [
+        (["solve", "--a", "2", "--states", "0"], "--states must be >= 1, got 0"),
+        (["overlaps", "--a", "5", "--betas", "0", "--states", "0"],
+         "--states must be >= 1, got 0"),
+        (["wigner", "--a", "2", "--state", "-1"], "--state must be >= 0, got -1"),
+        (["negativity", "--a", "2", "--betas", "0", "--state", "-1"],
+         "--state must be >= 0, got -1"),
+    ])
+    def test_flag_named_before_any_solve(self, tmp_path, capsys, monkeypatch, command,
+                                         message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the flag was checked")
+
+        monkeypatch.setattr(gpdwell.cli, "solve_state", no_solve)
+        monkeypatch.setattr(gpdwell.cli, "solve_spectrum", no_solve)
+        out = tmp_path / "out"
+        assert main(command + ["--output", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from gpdwell.eigensolver import count_below, follow_eigenpair, lowest_eigenpairs
+from gpdwell.eigensolver import (
+    EPS,
+    count_below,
+    eigenvalues,
+    follow_eigenpair,
+    lowest_eigenpairs,
+    norm_inf,
+)
 from gpdwell.grid import TrapConfig, make_grid
 from gpdwell.hamiltonian import (
     TridiagonalOperator,
@@ -166,3 +173,55 @@ def test_follow_rejects_a_pair_of_another_index():
     assert follow_eigenpair(op, pairs[1], 0, grid) is None
     assert follow_eigenpair(op, pairs[0], 1, grid) is None
     assert follow_eigenpair(op, pairs[1], 1, grid) is not None
+
+
+def test_eigenvalues_are_the_spectrum_slice():
+    rng = np.random.default_rng(5)
+    op = TridiagonalOperator(diag=rng.normal(size=40), offdiag=rng.normal(size=39))
+    vals = np.linalg.eigvalsh(op.dense())
+    for first, last in ((0, 0), (0, 2), (5, 7), (38, 39), (0, 39)):
+        np.testing.assert_allclose(eigenvalues(op, first, last), vals[first:last + 1],
+                                   rtol=0, atol=1e-12)
+    for first, last in ((-1, 0), (2, 1), (0, 40)):
+        with pytest.raises(ValueError):
+            eigenvalues(op, first, last)
+
+
+def _weyl_case(a, parity, index, beta=0.5):
+    """An interacting block at D = 4000, the bare pair to follow and its Weyl window."""
+    grid = make_grid(6.0, 4000)
+    bare = assemble_block(grid, TrapConfig(a=a), np.zeros(grid.D // 2 - parity), parity)
+    previous = lowest_eigenpairs(bare, index + 1, grid)[index]
+    density = previous.vector**2
+    op = assemble_block(grid, TrapConfig(a=a, beta=beta), density, parity)
+    values = eigenvalues(bare, max(index - 1, 0), index + 1)
+    margin = 8.0 * EPS * norm_inf(op)
+    below = values[0] + beta * density.max() + margin if index > 0 else -np.inf
+    return grid, op, previous, (below, values[-1] - margin)
+
+
+@pytest.mark.parametrize("a", [5.0, 12.0])
+@pytest.mark.parametrize("parity, index", [(0, 0), (1, 0), (0, 1), (1, 1)])
+def test_window_certified_pair_is_the_counted_pair(sturm_counts, a, parity, index):
+    grid, op, previous, window = _weyl_case(a, parity, index)
+    windowed = follow_eigenpair(op, previous, index, grid, window)
+    assert windowed is not None and sturm_counts == []  # no Sturm count ran
+    counted = follow_eigenpair(op, previous, index, grid)
+    assert len(sturm_counts) == 2
+    assert windowed.value == counted.value
+    assert np.array_equal(windowed.vector, counted.vector)
+
+
+def test_ball_outside_the_window_falls_back_to_counts(sturm_counts):
+    grid, op, previous, _ = _weyl_case(5.0, 0, 1)
+    counted = follow_eigenpair(op, previous, 1, grid)
+    for window in ((counted.value + 1.0, np.inf), (-np.inf, counted.value), (0.0, 0.0)):
+        sturm_counts.clear()
+        pair = follow_eigenpair(op, previous, 1, grid, window)
+        assert len(sturm_counts) == 2
+        assert pair.value == counted.value
+        assert np.array_equal(pair.vector, counted.vector)
+    sturm_counts.clear()
+    # the counts still refuse a pair of another index
+    assert follow_eigenpair(op, previous, 0, grid, (counted.value + 1.0, np.inf)) is None
+    assert sturm_counts

@@ -303,6 +303,54 @@ class TestWarmEigenpairs:
             assert abs(w.iterations - cold.iterations) <= 1
 
 
+class TestWeylCertificate:
+    def test_cold_spectrum_makes_no_sturm_counts(self, grid4000, spectrum_a5_b01,
+                                                 sturm_counts):
+        results = solve_spectrum(grid4000, TrapConfig(a=5.0, beta=0.1), 4)
+        assert sturm_counts == []
+        for r, ref in zip(results, spectrum_a5_b01):
+            assert np.array_equal(r.state.psi, ref.state.psi)
+            assert r.iterations == ref.iterations
+
+    def test_strong_coupling_falls_back_to_counts(self, grid4000, monkeypatch, sturm_counts):
+        trap = TrapConfig(a=2.0, beta=20.0)
+        windowed = solve_state(grid4000, trap, 0)
+        assert len(sturm_counts) > 0
+        original = gpdwell.scf.follow_eigenpair
+        monkeypatch.setattr(gpdwell.scf, "follow_eigenpair",
+                            lambda op, previous, index, grid, window:
+                            original(op, previous, index, grid, (0.0, 0.0)))  # empty
+        counted = solve_state(grid4000, trap, 0)
+        assert np.array_equal(windowed.state.psi, counted.state.psi)
+        assert (windowed.state.mu, windowed.state.energy) == (counted.state.mu,
+                                                             counted.state.energy)
+        assert (windowed.iterations, windowed.converged, windowed.residual,
+                windowed.eigensolves) == (counted.iterations, counted.converged,
+                                          counted.residual, counted.eigensolves)
+
+    def test_window_keeps_only_what_the_counts_keep(self, grid1200, monkeypatch):
+        # Cases where the window certifies all, some or none of the iterates:
+        # with a window or without, follow_eigenpair returns the same pair.
+        original = gpdwell.scf.follow_eigenpair
+        windows = []
+
+        def both(op, previous, index, grid, window):
+            pair = original(op, previous, index, grid, window)
+            counted = original(op, previous, index, grid, None)
+            assert (pair is None) == (counted is None)
+            if pair is not None:
+                assert pair.value == counted.value
+                assert np.array_equal(pair.vector, counted.vector)
+            windows.append(window)
+            return pair
+
+        monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", both)
+        for a, beta in ((2.0, 4.0), (5.0, 9.0), (12.0, 1.0), (0.5, 20.0)):
+            for n in range(4):
+                solve_state(grid1200, TrapConfig(a=a, beta=beta), n)
+        assert windows and None not in windows  # every solve here is cold
+
+
 class TestFailureModes:
     def test_budget_exhausted_reports_residual(self):
         grid = make_grid(6.0, 2000)
