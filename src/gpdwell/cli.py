@@ -20,10 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 import numpy as np
 
@@ -39,7 +36,7 @@ from .dynamics import (
     snapshot_count,
 )
 from .eigensolver import EigensolverError
-from .grid import TrapConfig, integrate, make_grid
+from .grid import Grid, TrapConfig, integrate, make_grid
 from .observables import overlap_matrix
 from .scf import (
     MaxIterationsExceeded,
@@ -184,26 +181,21 @@ def write_json(path: str, record: dict, config: dict) -> None:
         fh.write("\n")
 
 
-def n_workers() -> int:
-    """GPDWELL_THREADS, or by default the CPUs this process may run on."""
-    env = os.environ.get("GPDWELL_THREADS")
-    if not env:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"GPDWELL_THREADS must be an integer, got {env!r}") from None
-
-
 def _scf_config(args) -> ScfConfig:
     return ScfConfig(tol=args.scf_tol, max_iter=args.max_iter)
 
 
-def _check_count(flag: str, value: int, least: int) -> None:
+def _check_count(flag: str, value: int, least: int, grid: Grid) -> None:
+    """Refuse a value of flag outside [least, least + D - 2] before any solve.
+
+    A grid of D intervals holds D - 1 states: counts 1..D-1, indices 0..D-2.
+    """
+    most = least + grid.D - 2
     if value < least:
         raise ValueError(f"{flag} must be >= {least}, got {value}")
+    if value > most:
+        raise ValueError(f"{flag} must be <= {most} on a grid of D = {grid.D} intervals, "
+                         f"got {value}")
 
 
 def _config_echo(args) -> dict:
@@ -214,8 +206,8 @@ def _config_echo(args) -> dict:
 # ---------------------------------------------------------------- solve
 
 def cmd_solve(args) -> int:
-    _check_count("--states", args.states, 1)
     grid = make_grid(args.L, args.D)
+    _check_count("--states", args.states, 1, grid)
     trap = TrapConfig(a=args.a, beta=args.beta)
     cfg = _scf_config(args)
     results = solve_spectrum(grid, trap, args.states, cfg)
@@ -258,7 +250,7 @@ def _wigner_field(args, beta, P=None):
 
 
 def cmd_wigner(args) -> int:
-    _check_count("--state", args.state, 0)
+    _check_count("--state", args.state, 0, make_grid(args.L, args.D))
     P = momentum_cells(args.D, args.P)  # a bad --P is refused before the solve
     field = _wigner_field(args, args.beta, P)
     columns = [np.repeat(field.x_nodes, field.p_nodes.size),
@@ -272,32 +264,26 @@ def cmd_wigner(args) -> int:
 
 # -------------------------------------------------------------- sweeps
 
-def _sweep(args, names, solve_point, workers=1, keys=((),), footer=None) -> int:
-    """Solve every beta of args.betas, write one CSV, and return the exit code.
+def _sweep(args, names, solve_point, keys=((),), footer=None) -> int:
+    """Solve every beta of args.betas in order, write one CSV, and return the exit code.
 
     solve_point(beta) returns the point's rows without their status. A point
     that raises ScfError, NoSignChange or EigensolverError gets one row
     (beta, *key, NaN..., type(exc).__name__) per key in keys instead; any
-    other error aborts the sweep. footer(rows) gives the CSV footer.
+    other error aborts the sweep. footer(rows) gives the CSV footer. The
+    points run in this process, one after another, and share its caches of
+    bare (beta = 0) eigenpairs; a point's rows do not depend on the points
+    before it, so a long sweep may be split over --betas ranges run apart.
     """
     try:
         betas = parse_range(args.betas)
     except ValueError as exc:
         raise ValueError(f"--betas must be start:stop:step or a single value: {exc}") from None
-    _scf_config(args)  # a bad --scf-tol or --max-iter is refused before any worker starts
-    workers = min(workers, len(betas))
-    if workers > 1:
-        # A point's cost grows steeply with beta: hand out the heaviest first
-        # so that no long job starts last.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {b: pool.submit(solve_point, b) for b in sorted(set(betas), reverse=True)}
-        points = [futures[b].result for b in betas]
-    else:
-        points = [partial(solve_point, b) for b in betas]
+    _scf_config(args)  # a bad --scf-tol or --max-iter is refused before any solve
     rows, failed = [], []
-    for beta, point in zip(betas, points):
+    for beta in betas:
         try:
-            rows += [row + ("ok",) for row in point()]
+            rows += [row + ("ok",) for row in solve_point(beta)]
         except (ScfError, NoSignChange, EigensolverError) as exc:
             failed.append(type(exc).__name__)
             nans = (np.nan,) * (len(names) - len(keys[0]) - 2)
@@ -307,11 +293,6 @@ def _sweep(args, names, solve_point, workers=1, keys=((),), footer=None) -> int:
     if len(failed) < len(betas):
         return EXIT_PARTIAL if failed else EXIT_OK
     return EXIT_VALIDATION if set(failed) == {NoSignChange.__name__} else EXIT_CONVERGENCE
-
-
-def _critical_point(args, bracket, beta):
-    res = find_critical_a(beta, make_grid(args.L, args.D), bracket, args.tol, _scf_config(args))
-    return [(beta, res.a_c, res.E_c, res.curvature_at_ac)]
 
 
 def _critical_fits(rows) -> dict:
@@ -326,18 +307,20 @@ def _critical_fits(rows) -> dict:
 
 def cmd_scan_critical(args) -> int:
     try:
-        bracket = [float(b) for b in args.bracket.split(",")]
+        bracket = tuple(float(b) for b in args.bracket.split(","))
     except ValueError:
-        bracket = []  # not numbers: rejected below with the flag named
+        bracket = ()  # not numbers: rejected below with the flag named
     if len(bracket) != 2 or not np.isfinite(bracket).all() or not bracket[0] < bracket[1]:
         raise ValueError(f"--bracket must be two finite values a_lo,a_hi with a_lo < a_hi, "
                          f"got {args.bracket!r}")
     if not 0.0 < args.tol < np.inf:  # also rejects nan
         raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
-    # Only scan-critical fans out, as its points are costly. The other sweeps
-    # run serially: one worker process would about double their peak memory.
-    return _sweep(args, ["beta", "a_c", "E_c", "curvature", "status"],
-                  partial(_critical_point, args, tuple(bracket)), workers=n_workers(),
+
+    def point(beta):
+        res = find_critical_a(beta, make_grid(args.L, args.D), bracket, args.tol,
+                              _scf_config(args))
+        return [(beta, res.a_c, res.E_c, res.curvature_at_ac)]
+    return _sweep(args, ["beta", "a_c", "E_c", "curvature", "status"], point,
                   footer=_critical_fits)
 
 
@@ -359,7 +342,7 @@ def cmd_wkb(args) -> int:
 
 
 def cmd_overlaps(args) -> int:
-    _check_count("--states", args.states, 1)
+    _check_count("--states", args.states, 1, make_grid(args.L, args.D))
 
     def point(beta):
         c = overlap_matrix(_spectrum(args, beta, args.states))
@@ -369,7 +352,7 @@ def cmd_overlaps(args) -> int:
 
 
 def cmd_negativity(args) -> int:
-    _check_count("--state", args.state, 0)
+    _check_count("--state", args.state, 0, make_grid(args.L, args.D))
 
     def point(beta):
         field = _wigner_field(args, beta)

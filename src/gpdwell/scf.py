@@ -107,9 +107,6 @@ class MaxIterationsExceeded(ScfError):
             f"(residual {result.residual:.3e} > tol {tol:g})"
         )
 
-    def __reduce__(self):  # rebuilt from its arguments when sent back from a worker
-        return type(self), (self.result, self.tol)
-
 
 class DomainTooSmall(ScfError):
     """Converged state still leaks past +-L after repeated enlargements."""

@@ -7,7 +7,6 @@ upper bounds, not benchmarks.
 """
 
 import filecmp
-import os
 import time
 
 import numpy as np
@@ -36,8 +35,7 @@ def _report(num: int, name: str, conditions: list[tuple[str, bool]]) -> None:
     assert not failed, f"criterion {num} ({name}): {failed}"
 
 
-def test_01_critical_parameter_beta_zero(tmp_path, monkeypatch):
-    monkeypatch.setenv("GPDWELL_THREADS", "1")
+def test_01_critical_parameter_beta_zero(tmp_path):
     out = tmp_path / "scan0.csv"
     t0 = time.perf_counter()
     code = main(["scan-critical", "--betas", "0", "--L", "6", "--D", "4000",
@@ -55,8 +53,7 @@ def test_01_critical_parameter_beta_zero(tmp_path, monkeypatch):
     ])
 
 
-def test_02_critical_curve_fits(tmp_path, monkeypatch):
-    monkeypatch.setenv("GPDWELL_THREADS", "4")
+def test_02_critical_curve_fits(tmp_path):
     out = tmp_path / "scan.csv"
     t0 = time.perf_counter()
     code = main(["scan-critical", "--betas", "0:4:0.5", "--L", "6", "--D", "4000",
@@ -76,7 +73,7 @@ def test_02_critical_curve_fits(tmp_path, monkeypatch):
          abs(footer["E_c_fit_c1"] - 0.2662) <= 0.15 * 0.2662),
         (f"E_c |c0|={abs(footer['E_c_fit_c0']):.4f} <= 0.01",
          abs(footer["E_c_fit_c0"]) <= 0.01),
-        (f"runtime {elapsed:.0f}s <= 900s with 4 workers", elapsed <= 900.0),
+        (f"runtime {elapsed:.0f}s <= 900s", elapsed <= 900.0),
     ])
 
 
@@ -230,8 +227,7 @@ def test_09_dynamics_suite():
     ])
 
 
-def test_10_determinism(tmp_path, monkeypatch):
-    monkeypatch.setenv("GPDWELL_THREADS", "2")
+def test_10_determinism(tmp_path):
     commands = {
         "scan": ["scan-critical", "--betas", "0:0.5:0.5", "--D", "600", "--tol", "1e-3"],
         "wkb": ["wkb", "--a", "5", "--betas", "0:0.2:0.1", "--D", "800"],

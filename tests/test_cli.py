@@ -148,7 +148,7 @@ class TestSolve:
         # state 5 is the last eigenvalue of its 3-row odd block on D = 8; its
         # certificate window is open above, and the state leaks as before
         out = tmp_path / "x.json"
-        code = main(["solve", "--a", "1", "--states", "8", "--D", "8", "--L", "3",
+        code = main(["solve", "--a", "1", "--states", "6", "--D", "8", "--L", "3",
                      "--output", str(out)])
         assert code == EXIT_CONVERGENCE
         assert capsys.readouterr().err == (
@@ -290,8 +290,7 @@ class TestWriteCsv:
 
 
 class TestScanCritical:
-    def test_single_point(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GPDWELL_THREADS", "1")
+    def test_single_point(self, tmp_path):
         out = tmp_path / "scan.csv"
         code = main(["scan-critical", "--betas", "0", "--D", "1000",
                      "--tol", "1e-3", "--output", str(out)])
@@ -303,8 +302,7 @@ class TestScanCritical:
         assert col["a_c"][0] == pytest.approx(1.7616, abs=0.01)
         assert footer == {}  # fewer than 4 points: no fit
 
-    def test_sweep_emits_fit(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GPDWELL_THREADS", "2")
+    def test_sweep_emits_fit(self, tmp_path):
         out = tmp_path / "scan.csv"
         code = main(["scan-critical", "--betas", "0:1.5:0.5", "--D", "600",
                      "--tol", "1e-3", "--output", str(out)])
@@ -314,27 +312,15 @@ class TestScanCritical:
         assert "a_c_fit_c0" in footer and "E_c_fit_c1" in footer
         assert footer["a_c_fit_c1"] < 0.0
 
-    def test_output_independent_of_worker_count(self, tmp_path, monkeypatch):
-        argv = ["scan-critical", "--betas", "0:1.5:0.5", "--D", "600", "--tol", "1e-3"]
-        outputs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("GPDWELL_THREADS", threads)
-            out = tmp_path / f"scan_{threads}.csv"
-            assert main(argv + ["--output", str(out)]) == EXIT_OK
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
-    def test_bad_bracket_partial(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GPDWELL_THREADS", "1")
+    def test_bad_bracket_partial(self, tmp_path):
         out = tmp_path / "scan.csv"
         code = main(["scan-critical", "--betas", "0", "--bracket", "2.5,3.0",
                      "--D", "600", "--output", str(out)])
         assert code == EXIT_VALIDATION
 
 
-    def test_bracket_without_root_at_one_beta(self, tmp_path, monkeypatch):
+    def test_bracket_without_root_at_one_beta(self, tmp_path):
         # a_c(4) is below 1.3: only that point lacks a sign change
-        monkeypatch.setenv("GPDWELL_THREADS", "1")
         out = tmp_path / "scan.csv"
         code = main(["scan-critical", "--betas", "0:4:2", "--bracket", "1.3,3.0",
                      "--D", "400", "--output", str(out)])
@@ -344,8 +330,7 @@ class TestScanCritical:
         assert col["status"] == ["ok", "ok", "NoSignChange"]
         assert np.isnan(col["a_c"][2])
 
-    def test_reversed_bracket_is_validation_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GPDWELL_THREADS", "1")
+    def test_reversed_bracket_is_validation_error(self, tmp_path):
         code = main(["scan-critical", "--betas", "0", "--bracket", "3.0,0.5",
                      "--D", "400", "--output", str(tmp_path / "scan.csv")])
         assert code == EXIT_VALIDATION
@@ -355,10 +340,8 @@ class TestScanCritical:
         ["--bracket", "1"], ["--bracket", "0.5,1,3"], ["--bracket", "0.5,nan"],
         ["--bracket", "0.5,inf"], ["--bracket", "0.5,x"],
     ])
-    def test_bad_search_option_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
-                                                         option):
+    def test_bad_search_option_rejected_before_any_solve(self, tmp_path, capsys, option):
         # beta = 0 only: with --tol <= 0 at beta >= 1 the search used not to stop.
-        monkeypatch.setenv("GPDWELL_THREADS", "1")
         out = tmp_path / "scan.csv"
         code = main(["scan-critical", "--betas", "0", "--D", "200", *option,
                      "--output", str(out)])
@@ -366,35 +349,36 @@ class TestScanCritical:
         assert capsys.readouterr().err.startswith(f"error: {option[0]} must be")
         assert not out.exists()
 
-    def test_bad_thread_count_named(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GPDWELL_THREADS", "x")
+    def test_failed_points_reported_in_band(self, tmp_path):
+        # three iterations are too few at beta = 2 and 4; the finished point keeps its row
         out = tmp_path / "scan.csv"
-        code = main(["scan-critical", "--betas", "0", "--D", "200", "--output", str(out)])
-        assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err == "error: GPDWELL_THREADS must be an integer, got 'x'\n"
-        assert not out.exists()
+        code = main(["scan-critical", "--betas", "0:4:2", "--D", "400", "--max-iter", "3",
+                     "--output", str(out)])
+        assert code == EXIT_PARTIAL
+        col = _columns(out)
+        assert col["beta"] == [0.0, 2.0, 4.0]
+        assert col["status"] == ["ok", "MaxIterationsExceeded", "MaxIterationsExceeded"]
+        assert col["a_c"][0] == pytest.approx(1.7616, abs=0.01)
+        assert np.isnan(col["a_c"][1]) and np.isnan(col["a_c"][2])
 
-    def test_default_thread_count_is_the_affinity_set(self, monkeypatch):
-        monkeypatch.delenv("GPDWELL_THREADS", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
-        assert gpdwell.cli.n_workers() == 2
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert gpdwell.cli.n_workers() == 8
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert gpdwell.cli.n_workers() == 1
+    def test_points_share_the_bare_eigensolves(self, tmp_path, monkeypatch):
+        # every point starts its searches from the two bracket ends' bare pairs,
+        # solved once in this process and shared by the later points
+        gpdwell.scf._bare_block.cache_clear()
+        gpdwell.scf._bare_pair.cache_clear()
+        gpdwell.scf._bare_neighbours.cache_clear()
+        calls = []
+        original = gpdwell.scf.lowest_eigenpairs
 
-    def test_failures_independent_of_worker_count(self, tmp_path, monkeypatch):
-        # a worker's MaxIterationsExceeded comes back to the parent as a status row
-        argv = ["scan-critical", "--betas", "0:4:2", "--D", "400", "--max-iter", "3"]
-        outputs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("GPDWELL_THREADS", threads)
-            out = tmp_path / f"scan_{threads}.csv"
-            assert main(argv + ["--output", str(out)]) == EXIT_PARTIAL
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-        assert _columns(out)["status"] == ["ok", "MaxIterationsExceeded", "MaxIterationsExceeded"]
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gpdwell.scf, "lowest_eigenpairs", counting)
+        code = main(["scan-critical", "--betas", "0:1.5:0.5", "--D", "600", "--tol", "1e-3",
+                     "--output", str(tmp_path / "scan.csv")])
+        assert code == EXIT_OK
+        assert len(calls) == 2
 
 
 class TestWkbAndOverlaps:
@@ -672,6 +656,36 @@ class TestStateIndexInput:
         assert main(command + ["--output", str(out)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+    # a grid of D = 8 intervals holds 7 states: n = 0..6
+    LIMITS = [(["solve", "--a", "0.5"], "--states", 7),
+              (["overlaps", "--a", "0.5", "--betas", "0"], "--states", 7),
+              (["wigner", "--a", "2"], "--state", 6),
+              (["negativity", "--a", "2", "--betas", "0"], "--state", 6)]
+
+    @pytest.mark.parametrize("command, flag, most", LIMITS)
+    def test_past_the_grid_refused_with_the_limit_named(self, tmp_path, capsys, monkeypatch,
+                                                        command, flag, most):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the flag was checked")
+
+        monkeypatch.setattr(gpdwell.cli, "solve_state", no_solve)
+        monkeypatch.setattr(gpdwell.cli, "solve_spectrum", no_solve)
+        out = tmp_path / "out"
+        code = main(command + [flag, str(most + 1), "--D", "8", "--L", "20",
+                               "--output", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {flag} must be <= {most} on a grid of D = 8 intervals, got {most + 1}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, most", LIMITS)
+    def test_last_state_of_the_grid_accepted(self, tmp_path, command, flag, most):
+        out = tmp_path / "out"
+        code = main(command + [flag, str(most), "--D", "8", "--L", "20", "--output", str(out)])
+        assert code == EXIT_OK
+        assert out.exists()
 
 
 class TestReadme:
