@@ -20,7 +20,6 @@ from .hamiltonian import (
     assemble_block,
     block_vector,
     kinetic_operator,
-    second_derivative_at,
     unfold,
 )
 from .observables import energy, overlap_matrix

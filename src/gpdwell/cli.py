@@ -279,6 +279,8 @@ def _sweep(args, names, solve_point, keys=((),), footer=None) -> int:
         betas = parse_range(args.betas)
     except ValueError as exc:
         raise ValueError(f"--betas must be start:stop:step or a single value: {exc}") from None
+    if betas[0] < 0:  # the first beta is the least
+        raise ValueError(f"--betas must be >= 0, got {args.betas!r}")
     _scf_config(args)  # a bad --scf-tol or --max-iter is refused before any solve
     rows, failed = [], []
     for beta in betas:
@@ -296,11 +298,13 @@ def _sweep(args, names, solve_point, keys=((),), footer=None) -> int:
 
 
 def _critical_fits(rows) -> dict:
+    """The footer's quadratic fits of the ok rows; none where they cannot be made."""
     ok = [r for r in rows if r[-1] == "ok"]
-    if len(ok) < 4:
+    try:
+        fit_a = fit_quadratic([(r[0], r[1]) for r in ok])
+        fit_e = fit_quadratic([(r[0], r[2]) for r in ok])
+    except ValueError:  # fewer than 4 rows, or betas too close for a quadratic
         return {}
-    fit_a = fit_quadratic([(r[0], r[1]) for r in ok])
-    fit_e = fit_quadratic([(r[0], r[2]) for r in ok])
     return {"a_c_fit_c0": fit_a.c0, "a_c_fit_c1": fit_a.c1, "a_c_fit_c2": fit_a.c2,
             "E_c_fit_c0": fit_e.c0, "E_c_fit_c1": fit_e.c1, "E_c_fit_c2": fit_e.c2}
 
@@ -310,8 +314,8 @@ def cmd_scan_critical(args) -> int:
         bracket = tuple(float(b) for b in args.bracket.split(","))
     except ValueError:
         bracket = ()  # not numbers: rejected below with the flag named
-    if len(bracket) != 2 or not np.isfinite(bracket).all() or not bracket[0] < bracket[1]:
-        raise ValueError(f"--bracket must be two finite values a_lo,a_hi with a_lo < a_hi, "
+    if len(bracket) != 2 or not np.isfinite(bracket).all() or not 0 < bracket[0] < bracket[1]:
+        raise ValueError(f"--bracket must be two finite values a_lo,a_hi with 0 < a_lo < a_hi, "
                          f"got {args.bracket!r}")
     if not 0.0 < args.tol < np.inf:  # also rejects nan
         raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")

@@ -1,12 +1,19 @@
 """Critical well depth a_c(beta) and critical energy E_c(beta).
 
-At a_c the ground-state curvature at the origin changes sign: below it
-the state has a single central peak, above it the origin becomes a local
-minimum between two peaks. The curvature is smooth in a, so a_c is found
-by a Brent-Dekker zero search on it inside a sign-change bracket, each
-SCF solve warm-started from the state of the nearest a already solved;
-E_c is the per-particle energy of the critical ground state, read off the
-solve made at a_c.
+At a_c the chemical potential of the ground state meets the top of the
+self-consistent barrier, V_eff(0) = V(0) + beta psi(0)^2 = beta psi(0)^2
+(V(0) = 0): below it mu lies above the barrier and the state has a single
+central peak, above it the barrier rises out of the condensate and the
+origin becomes a local minimum between two peaks. The same quantity
+beta psi(0)^2 - mu decides whether the WKB barrier exists
+(semiclassics.transmission is exactly 1 where it is <= 0). a_c is found by
+a Brent-Dekker zero search inside a sign-change bracket on the curvature
+psi''(0) = 2 (beta psi(0)^2 - mu) psi(0), which is smooth in a and has the
+sign of beta psi(0)^2 - mu (psi(0) > 0, see curvature_at_origin). The two
+bracket ends are solved cold, and every trial inside the bracket is
+warm-started from the state of the nearest a already solved; E_c is the
+per-particle energy of the critical ground state, read off the solve made
+at a_c.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, TrapConfig
-from .hamiltonian import second_derivative_at
 from .scf import ScfConfig, StationaryState, solve_state
 
 
@@ -45,14 +51,18 @@ class QuadraticFit:
 
 
 def curvature_at_origin(state: StationaryState) -> float:
-    """psi''(0) of a solved state by the 3-point stencil.
+    """psi''(0) of a solved state from its equation at x = 0: 2 (beta psi(0)^2 - mu) psi(0).
 
-    For a ground state psi(0) > 0: the even block's off-diagonals are all
-    negative, so its lowest eigenvector has one sign (Perron-Frobenius),
-    which the eigensolver makes positive. So psi''(0) < 0 at a single
-    central peak and > 0 at a central dip.
+    V(0) = 0, so the discrete equation there gives psi''(0) = 2 (beta psi(0)^2
+    - mu) psi(0) up to twice the residual at x = 0. For a ground state
+    psi(0) > 0: the even block's off-diagonals are all negative, so its
+    lowest eigenvector has one sign (Perron-Frobenius), which the
+    eigensolver makes positive. So psi''(0) has the sign of V_eff(0) - mu =
+    beta psi(0)^2 - mu: < 0 at a single central peak, over a submerged
+    barrier, and > 0 at a central dip, under a barrier that stands.
     """
-    return second_derivative_at(state.grid, state.psi, state.grid.D // 2)
+    psi0 = state.psi[state.grid.D // 2]
+    return 2.0 * (state.trap.beta * psi0**2 - state.mu) * psi0
 
 
 def _brent_root(f, xa: float, xb: float, fa: float, fb: float, tol: float) -> float:

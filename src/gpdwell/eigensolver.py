@@ -16,8 +16,6 @@ holds an eigenvalue, and either the ball lies inside a window the caller
 knows to hold no eigenvalue but number `index`, or Sturm counts at its
 ends show that this is eigenvalue `index` and the only one there. Without
 a certificate it returns None and the caller takes the cold path.
-eigenvalues gives chosen eigenvalues alone, by bisection, from which a
-caller builds such windows.
 """
 
 from __future__ import annotations
@@ -67,20 +65,6 @@ def count_below(op: TridiagonalOperator, x: float) -> int:
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     i = int(np.argmax(np.abs(v)))  # argmax takes the lowest index on ties
     return -v if v[i] < 0 else v
-
-
-def eigenvalues(op: TridiagonalOperator, first: int, last: int) -> np.ndarray:
-    """Eigenvalues first..last of op (0-based, inclusive), ascending, without vectors.
-
-    LAPACK's bisection (dstebz) at its default absolute tolerance, about
-    eps * ||op||_1.
-    """
-    if not 0 <= first <= last < op.size:
-        raise ValueError(f"eigenvalues {first}..{last} outside [0, {op.size - 1}]")
-    m, w, *_, info = dstebz(op.diag, op.offdiag, 2, 0.0, 0.0, first + 1, last + 1, 0.0, b"E")
-    if info != 0 or m != last - first + 1:  # pragma: no cover - LAPACK failure path
-        raise EigensolverError(f"bisection failed (info={info})")
-    return w[:m]
 
 
 def follow_eigenpair(

@@ -1,9 +1,9 @@
 """Spatial discretization, trap potential, rescaling, and quadrature.
 
 Everything downstream works on a uniform grid over [-L, L] with D
-subintervals. D is required to be even so that x = 0 is a node: the
-critical-parameter criterion evaluates the ground-state curvature
-exactly at the origin.
+subintervals. D is required to be even so that x = 0 is a node: psi(0),
+which the critical-parameter criterion reads, is a grid value, and the
+parity blocks split the grid at that node.
 """
 
 from __future__ import annotations

@@ -142,12 +142,3 @@ def block_vector(v: np.ndarray, parity: int) -> np.ndarray:
         w[0] = v[c]
     return w
 
-
-def second_derivative_at(grid: Grid, psi, alpha: int) -> float:
-    """3-point second-derivative stencil at interior node alpha."""
-    if not 1 <= alpha <= grid.D - 1:
-        raise ValueError(f"alpha must be an interior index in [1, {grid.D - 1}], got {alpha}")
-    psi = np.asarray(psi)
-    if psi.shape[-1] != grid.D + 1:
-        raise ValueError(f"psi must have length D+1={grid.D + 1}")
-    return float((psi[alpha + 1] - 2.0 * psi[alpha] + psi[alpha - 1]) / grid.delta**2)

@@ -19,7 +19,7 @@ a certificate fails. Every solve starts from a known pair and takes that
 pair's own density w * w as its first input density: a cold solve from
 the bare (beta = 0) pair of the grid, a pure function of (grid, a,
 parity, index) kept in a bounded per-process cache and shared read-only
-(_bare_pair), and a warm solve from the start state's psi and mu. Every
+(_bare_start), and a warm solve from the start state's psi and mu. Every
 iterate, the first included, follows the last pair onto its operator by
 certified inverse iteration (eigensolver.follow_eigenpair); the operators
 of consecutive iterates differ by beta times the change of density. A
@@ -36,13 +36,13 @@ beta * max(density)] for every k. The open window (lambda_{index-1}(bare)
 + beta * max(density), lambda_{index+1}(bare)), narrowed at each end by
 WEYL_MARGIN * eps * (||op||_inf + beta * max(density)), a bound on the
 norms of both blocks, then holds no eigenvalue of the operator but
-number index. The
-two bare neighbours come from their own cached values-only bisection
-(_bare_neighbours), so the bare pair stays the one LAPACK gives for
-index + 1 pairs. A pair whose residual ball leaves the window, as at
-strong coupling, and every pair of a warm solve, whose trap has no cached
-bare spectrum, are certified by the Sturm counts as before. So a pair is
-kept exactly when the counts alone would keep it.
+number index. The two bare neighbours come from the same LAPACK call as
+the bare start pair and are cached with it (_bare_start), so a cold start
+costs one eigensolve per (grid, a, parity, index). A pair whose residual
+ball leaves the window, as at strong coupling, and every pair of a warm
+solve, whose trap has no cached bare spectrum, are certified by the Sturm
+counts as before. So a pair is kept exactly when the counts alone would
+keep it.
 
 A solve stops on the nonlinear residual ||H[psi^2] psi - mu psi|| of the
 iterate's pair, once it is at most max(tol * (1 + |mu|), ROUNDOFF_FLOOR *
@@ -65,13 +65,12 @@ import numpy as np
 from .eigensolver import (
     EPS,
     Eigenpair,
-    eigenvalues,
     follow_eigenpair,
     lowest_eigenpairs,
     norm_inf,
 )
 from .grid import Grid, TrapConfig, make_grid
-from .hamiltonian import TridiagonalOperator, assemble_block, block_vector, unfold
+from .hamiltonian import assemble_block, block_vector, unfold
 from .observables import energy as _fill_energy  # the name perfbench traces
 
 MAX_DOMAIN_GROWTHS = 3
@@ -170,40 +169,24 @@ def _anderson(inputs: list[np.ndarray], outputs: list[np.ndarray]) -> np.ndarray
     return g - d_g @ np.linalg.lstsq(d_f, f[-1], rcond=None)[0]
 
 
-@functools.lru_cache(maxsize=8)
-def _bare_block(grid: Grid, a: float, parity: int) -> TridiagonalOperator:
-    """The beta = 0 block `parity` of the trap a on grid, shared read-only."""
-    op = assemble_block(grid, TrapConfig(a=a), np.zeros(grid.D // 2 - parity), parity)
-    op.diag.setflags(write=False)
-    op.offdiag.setflags(write=False)
-    return op
-
-
 @functools.lru_cache(maxsize=32)
-def _bare_pair(grid: Grid, a: float, parity: int, index: int) -> Eigenpair:
-    """Eigenpair `index` of the beta = 0 block `parity` of the trap a on grid.
+def _bare_start(grid: Grid, a: float, parity: int, index: int) -> tuple[Eigenpair, float, float]:
+    """Eigenpair `index` of the beta = 0 block `parity` of the trap a on grid, and its neighbours.
 
-    A pure function of its arguments, shared by every cold solve of the
-    process; its vector is read-only.
+    One LAPACK call gives pairs 0..index + 1 of the block (0..index at its
+    top); the record is pair index, with a read-only vector, and eigenvalues
+    index - 1 and index + 1 of that same call, -inf and inf past the ends of
+    the block. A pure function of its arguments, shared by every cold solve
+    of the process.
     """
-    pair = lowest_eigenpairs(_bare_block(grid, a, parity), index + 1, grid)[index]
+    bare = assemble_block(grid, TrapConfig(a=a), np.zeros(grid.D // 2 - parity), parity)
+    # pairs 0..index + 1, or 0..index at the top; past it lowest_eigenpairs refuses
+    pairs = lowest_eigenpairs(bare, index + 1 + (index + 1 < bare.size), grid)
+    pair = pairs[index]
     pair.vector.setflags(write=False)
-    return pair
-
-
-@functools.lru_cache(maxsize=32)
-def _bare_neighbours(grid: Grid, a: float, parity: int, index: int) -> tuple[float, float]:
-    """Eigenvalues index - 1 and index + 1 of the block of _bare_pair.
-
-    -inf and inf stand in for those past the ends of the block. A pure
-    function of its arguments, like _bare_pair.
-    """
-    op = _bare_block(grid, a, parity)
-    last = op.size - 1
-    values = eigenvalues(op, max(index - 1, 0), min(index + 1, last))
-    below = float(values[0]) if index > 0 else -math.inf
-    above = float(values[-1]) if index < last else math.inf
-    return below, above
+    below = pairs[index - 1].value if index > 0 else -math.inf
+    above = pairs[index + 1].value if index + 1 < len(pairs) else math.inf
+    return pair, below, above
 
 
 def _iterate(
@@ -211,8 +194,7 @@ def _iterate(
 ) -> ScfResult:
     index, parity = divmod(n, 2)  # state n is eigenpair n // 2 of sector n % 2
     if start is None:
-        pair = _bare_pair(grid, trap.a, parity, index)
-        below, above = _bare_neighbours(grid, trap.a, parity, index)
+        pair, below, above = _bare_start(grid, trap.a, parity, index)
     else:
         pair = Eigenpair(value=start.mu, vector=block_vector(start.psi[1:-1], parity))
     # The loop runs in block coordinates: density is the folded input

@@ -312,6 +312,30 @@ class TestScanCritical:
         assert "a_c_fit_c0" in footer and "E_c_fit_c1" in footer
         assert footer["a_c_fit_c1"] < 0.0
 
+    def test_failed_fit_keeps_the_rows(self, tmp_path):
+        # beta^2 underflows, so the quadratic fit is rank-deficient: no fit, every row kept
+        out = tmp_path / "scan.csv"
+        code = main(["scan-critical", "--betas", "0:3e-300:1e-300", "--D", "400",
+                     "--output", str(out)])
+        assert code == EXIT_OK
+        _, _, _, footer = read_csv(str(out))
+        assert _columns(out)["status"] == ["ok"] * 4
+        assert footer == {}
+
+    def test_split_sweep_gives_the_same_rows(self, tmp_path):
+        # the README's promise; the halves run on the bare pairs the whole sweep cached
+        def data_rows(betas):
+            out = tmp_path / f"scan_{betas}.csv"
+            assert main(["scan-critical", "--betas", betas, "--D", "400",
+                         "--output", str(out)]) == EXIT_OK
+            lines = [line for line in out.read_bytes().splitlines() if not line.startswith(b"#")]
+            return lines[1:]  # the column names go first
+
+        gpdwell.scf._bare_start.cache_clear()
+        whole = data_rows("0:1.5:0.5")
+        assert len(whole) == 4
+        assert whole == data_rows("0:0.5:0.5") + data_rows("1:1.5:0.5")
+
     def test_bad_bracket_partial(self, tmp_path):
         out = tmp_path / "scan.csv"
         code = main(["scan-critical", "--betas", "0", "--bracket", "2.5,3.0",
@@ -339,6 +363,7 @@ class TestScanCritical:
         ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
         ["--bracket", "1"], ["--bracket", "0.5,1,3"], ["--bracket", "0.5,nan"],
         ["--bracket", "0.5,inf"], ["--bracket", "0.5,x"],
+        ["--bracket=-1,3"], ["--bracket", "0,3"],
     ])
     def test_bad_search_option_rejected_before_any_solve(self, tmp_path, capsys, option):
         # beta = 0 only: with --tol <= 0 at beta >= 1 the search used not to stop.
@@ -346,7 +371,8 @@ class TestScanCritical:
         code = main(["scan-critical", "--betas", "0", "--D", "200", *option,
                      "--output", str(out)])
         assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith(f"error: {option[0]} must be")
+        flag = option[0].partition("=")[0]
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be")
         assert not out.exists()
 
     def test_failed_points_reported_in_band(self, tmp_path):
@@ -364,9 +390,7 @@ class TestScanCritical:
     def test_points_share_the_bare_eigensolves(self, tmp_path, monkeypatch):
         # every point starts its searches from the two bracket ends' bare pairs,
         # solved once in this process and shared by the later points
-        gpdwell.scf._bare_block.cache_clear()
-        gpdwell.scf._bare_pair.cache_clear()
-        gpdwell.scf._bare_neighbours.cache_clear()
+        gpdwell.scf._bare_start.cache_clear()
         calls = []
         original = gpdwell.scf.lowest_eigenpairs
 
@@ -548,9 +572,10 @@ class TestSweepInput:
                                          ["overlaps", "--a", "5"], ["negativity", "--a", "2"]])
     def test_non_numeric_range_names_the_flag(self, tmp_path, capsys, command):
         out = tmp_path / "sweep.csv"
-        assert main(command + ["--betas", "0:x:1", "--output", str(out)]) == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error: --betas must be")
-        assert not out.exists()
+        for betas in ("--betas=0:x:1", "--betas=-0.1:0.1:0.1", "--betas=-1"):
+            assert main(command + [betas, "--output", str(out)]) == EXIT_VALIDATION
+            assert capsys.readouterr().err.startswith("error: --betas must be")
+            assert not out.exists()
 
 
 class TestDynamicsCommands:

@@ -5,6 +5,7 @@ import gpdwell.critical
 from gpdwell.critical import curvature_at_origin, find_critical_a, fit_quadratic
 from gpdwell.grid import TrapConfig, make_grid
 from gpdwell.scf import solve_state
+from gpdwell.semiclassics import transmission
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,26 @@ class TestFindCriticalA:
         with pytest.raises(ValueError, match="tol"):
             find_critical_a(0.0, tol=tol, grid=make_grid(6.0, 200))
         assert solves == []
+
+
+class TestSubmergedBarrier:
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.0, 4.0])
+    def test_barrier_appears_at_a_c(self, grid4000, beta):
+        # one quantity, beta psi(0)^2 - mu, decides a_c and whether a WKB barrier stands
+        tol = 1e-4
+        res = find_critical_a(beta, grid4000, tol=tol)
+        below, above = (solve_state(grid4000, TrapConfig(a=a, beta=beta), 0).state
+                        for a in (res.a_c - tol, res.a_c + tol))
+        assert transmission(below) == 1.0
+        assert transmission(above) < 1.0
+
+    def test_curvature_is_the_stencil(self, grid4000):
+        # psi''(0) from the equation at x = 0 against the 3-point stencil
+        for a, beta in ((1.0, 0.0), (1.76, 1.0), (2.5, 4.0)):
+            state = solve_state(grid4000, TrapConfig(a=a, beta=beta), 0).state
+            mid, psi = grid4000.D // 2, state.psi
+            stencil = (psi[mid + 1] - 2.0 * psi[mid] + psi[mid - 1]) / grid4000.delta**2
+            assert curvature_at_origin(state) == pytest.approx(stencil, abs=1e-8)
 
 
 class TestFitQuadratic:

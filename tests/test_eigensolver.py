@@ -5,7 +5,6 @@ from scipy.linalg import eigh_tridiagonal
 from gpdwell.eigensolver import (
     EPS,
     count_below,
-    eigenvalues,
     follow_eigenpair,
     lowest_eigenpairs,
     norm_inf,
@@ -17,6 +16,7 @@ from gpdwell.hamiltonian import (
     assemble_block,
     kinetic_operator,
 )
+from gpdwell.scf import _bare_start
 
 from oracles import fold, numerov_even_eigenvalue, sturm_count, tridiag_eigenvalue_bisection
 
@@ -175,29 +175,14 @@ def test_follow_rejects_a_pair_of_another_index():
     assert follow_eigenpair(op, pairs[1], 1, grid) is not None
 
 
-def test_eigenvalues_are_the_spectrum_slice():
-    rng = np.random.default_rng(5)
-    op = TridiagonalOperator(diag=rng.normal(size=40), offdiag=rng.normal(size=39))
-    vals = np.linalg.eigvalsh(op.dense())
-    for first, last in ((0, 0), (0, 2), (5, 7), (38, 39), (0, 39)):
-        np.testing.assert_allclose(eigenvalues(op, first, last), vals[first:last + 1],
-                                   rtol=0, atol=1e-12)
-    for first, last in ((-1, 0), (2, 1), (0, 40)):
-        with pytest.raises(ValueError):
-            eigenvalues(op, first, last)
-
-
 def _weyl_case(a, parity, index, beta=0.5):
     """An interacting block at D = 4000, the bare pair to follow and its Weyl window."""
     grid = make_grid(6.0, 4000)
-    bare = assemble_block(grid, TrapConfig(a=a), np.zeros(grid.D // 2 - parity), parity)
-    previous = lowest_eigenpairs(bare, index + 1, grid)[index]
+    previous, below, above = _bare_start(grid, a, parity, index)
     density = previous.vector**2
     op = assemble_block(grid, TrapConfig(a=a, beta=beta), density, parity)
-    values = eigenvalues(bare, max(index - 1, 0), index + 1)
     margin = 8.0 * EPS * norm_inf(op)
-    below = values[0] + beta * density.max() + margin if index > 0 else -np.inf
-    return grid, op, previous, (below, values[-1] - margin)
+    return grid, op, previous, (below + beta * density.max() + margin, above - margin)
 
 
 @pytest.mark.parametrize("a", [5.0, 12.0])

@@ -9,7 +9,6 @@ from gpdwell.hamiltonian import (
     assemble_block,
     block_vector,
     kinetic_operator,
-    second_derivative_at,
     unfold,
 )
 
@@ -92,27 +91,6 @@ class TestAssemble:
         d0 = assemble(grid, TrapConfig(a=2.0, beta=0.2), dens).diag
         d1 = assemble(grid, TrapConfig(a=2.0, beta=0.7), dens).diag
         assert np.all(d1 >= d0)
-
-
-class TestSecondDerivativeAt:
-    def test_constant(self):
-        grid = make_grid(3.0, 30)
-        assert second_derivative_at(grid, np.ones(grid.D + 1), 15) == 0.0
-
-    def test_quadratic_exact(self):
-        grid = make_grid(3.0, 30)
-        assert second_derivative_at(grid, grid.nodes**2, 7) == pytest.approx(2.0, rel=1e-9)
-
-    def test_cosine_taylor_bound(self):
-        grid = make_grid(5.0, 1000)  # delta = 0.01
-        psi = np.cos(grid.nodes)
-        assert second_derivative_at(grid, psi, grid.D // 2) == pytest.approx(-1.0, abs=1e-4)
-
-    @pytest.mark.parametrize("alpha", [0, 30])
-    def test_rejects_boundary_index(self, alpha):
-        grid = make_grid(3.0, 30)
-        with pytest.raises(ValueError):
-            second_derivative_at(grid, np.ones(grid.D + 1), alpha)
 
 
 def _sector_basis(size: int, parity: int) -> np.ndarray:

@@ -233,7 +233,7 @@ class TestWarmEigenpairs:
                  (TrapConfig(a=5.0, beta=0.0), 1), (TrapConfig(a=5.0, beta=2.0), 3)]
         runs = []
         for order in (cases, cases[::-1]):
-            gpdwell.scf._bare_pair.cache_clear()
+            gpdwell.scf._bare_start.cache_clear()
             first = {case: solve_state(grid1200, *case) for case in order}
             second = {case: solve_state(grid1200, *case) for case in order}  # cache filled
             runs += [first, second]
@@ -248,7 +248,7 @@ class TestWarmEigenpairs:
 
     def test_shared_vectors_are_read_only(self, grid1200):
         solve_state(grid1200, TrapConfig(a=5.0, beta=0.3), 2)
-        pair = gpdwell.scf._bare_pair(grid1200, 5.0, 0, 1)
+        pair, _, _ = gpdwell.scf._bare_start(grid1200, 5.0, 0, 1)
         assert not pair.vector.flags.writeable
         with pytest.raises(ValueError):
             pair.vector[0] = 0.0
@@ -258,7 +258,7 @@ class TestWarmEigenpairs:
         # cold from the bare pair, warm from the start state, each with its own w * w
         index, parity = divmod(n, 2)
         trap = TrapConfig(a=5.0, beta=1.0)
-        bare = gpdwell.scf._bare_pair(grid1200, trap.a, parity, index)  # cached before recording
+        bare, _, _ = gpdwell.scf._bare_start(grid1200, trap.a, parity, index)  # cached before recording
         start = solve_state(grid1200, TrapConfig(a=5.1, beta=1.0), n).state
         densities = []
         original = gpdwell.scf.assemble_block
