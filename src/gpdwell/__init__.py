@@ -11,7 +11,7 @@ from .critical import (
     find_critical_a,
     fit_quadratic,
 )
-from .dynamics import GrowthFit, WavePacket, coherent_state, fotoc, growth_rate, propagate
+from .dynamics import GrowthFit, coherent_state, fotoc, growth_rate, propagate
 from .eigensolver import Eigenpair, lowest_eigenpairs
 from .grid import Grid, TrapConfig, integrate, make_grid, potential, quartic_rescale
 from .hamiltonian import (

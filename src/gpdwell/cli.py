@@ -8,11 +8,11 @@ content hash); summaries and fits as JSON. Identical configs produce
 byte-identical files: floats are written with 17 significant digits and
 no timestamps enter the data.
 
-Exit codes: 0 success; 2 validation error, or a sweep whose every point
-is a NoSignChange (a bracket with no root at any beta); 3 convergence or
-eigensolver failure, or a sweep with no point ok; 4 a sweep with some
-points failed, which keep their rows with NaN values and the failure's
-type name as status.
+Exit codes: 0 success; 2 validation error (output paths are checked
+before any work), or a sweep whose every point is a NoSignChange (a
+bracket with no root at any beta); 3 convergence or eigensolver failure,
+or a sweep with no point ok; 4 a sweep with some points failed, which
+keep their rows with NaN values and the failure's type name as status.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -196,6 +197,15 @@ def _check_count(flag: str, value: int, least: int, grid: Grid) -> None:
     if value > most:
         raise ValueError(f"{flag} must be <= {most} on a grid of D = {grid.D} intervals, "
                          f"got {value}")
+
+
+def _check_output_paths(args) -> None:
+    """Refuse, before any work, an --output or --psi-out that is a directory or lies in none."""
+    for flag, path in (("--output", args.output), ("--psi-out", getattr(args, "psi_out", None))):
+        if path is not None and os.path.isdir(path):
+            raise ValueError(f"{flag} {path!r} is a directory")
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag} {path!r} lies in no existing directory")
 
 
 def _config_echo(args) -> dict:
@@ -382,11 +392,9 @@ def cmd_dynamics(args) -> int:
                          f"the FOTOC series needs at least {MIN_SNAPSHOTS}")
     grid = make_grid(args.L, args.D)
     packet = coherent_state(grid, args.x0, args.p0)
-    snapshots = propagate(grid, args.a, packet, args.dt, steps, snapshot_stride=args.stride)
-    series = fotoc(snapshots)
-    norm_drift = max(
-        abs(integrate(grid, np.abs(s.values) ** 2) - 1.0) for s in snapshots
-    )
+    times, snapshots = propagate(grid, args.a, packet, args.dt, steps, snapshot_stride=args.stride)
+    series = fotoc(grid, times, snapshots)
+    norm_drift = max(abs(integrate(grid, np.abs(psi) ** 2) - 1.0) for psi in snapshots)
     footer = {"norm_drift": norm_drift,
               "lyapunov": lyapunov_exponent(args.a),
               "two_lyapunov": 2.0 * lyapunov_exponent(args.a)}
@@ -513,6 +521,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_paths(args)
         return args.func(args)
     except (ValueError, OSError, ScfError, EigensolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -69,13 +69,15 @@ def _brent_root(f, xa: float, xb: float, fa: float, fb: float, tol: float) -> fl
     """Brent-Dekker zero of f in [xa, xb], where fa = f(xa) and fb = f(xb) differ in sign.
 
     Inverse quadratic interpolation or secant steps while they shrink the
-    bracket fast enough, bisection otherwise (after scipy's brentq.c, with
-    rtol = 0). Stops once the sign-change bracket is narrower than tol and
-    returns its end with the smaller |f|, a point f was evaluated at.
+    bracket fast enough, bisection otherwise (after scipy's brentq.c). Stops
+    once the sign-change bracket is narrower than tol or than the floor
+    4 eps max(|xa|, |xb|), brentq's least rtol: every step then moves x by two
+    ulps or more, so any tol > 0 ends. Returns the bracket end with the
+    smaller |f|, a point f was evaluated at.
     """
     xpre, xcur, fpre, fcur = xa, xb, fa, fb
     xblk, fblk, spre, scur = xa, fa, 0.0, 0.0
-    delta = 0.5 * tol
+    delta = 0.5 * max(tol, 4.0 * np.finfo(float).eps * max(abs(xa), abs(xb)))
     while True:
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
@@ -116,8 +118,8 @@ def find_critical_a(
     Each a is solved once on grid; every trial inside the bracket is
     warm-started from the state of the nearest a already solved. a_c is the
     final Brent iterate, an a that was solved, so E_c and the curvature are
-    read off that solve. Raises ValueError unless a_lo < a_hi and tol is
-    positive and finite.
+    read off that solve; a tol below the floor 4 eps max(|a_lo|, |a_hi|) stops
+    there. Raises ValueError unless a_lo < a_hi and tol is positive and finite.
     """
     a_lo, a_hi = bracket
     if not a_lo < a_hi:

@@ -1,9 +1,11 @@
 """Coherent states, Crank-Nicolson propagation, and FOTOC growth.
 
 Propagation is strictly linear (no interaction term): the unstable-point
-dynamics of interest lives at beta = 0. The FOTOC is the sum of position
-and momentum variances of the evolving packet; near the separatrix it
-grows exponentially at a rate set by the fixed-point instability.
+dynamics of interest lives at beta = 0. A packet is its complex vector on
+grid.nodes, and a run its kept times with one array of snapshot rows. The
+FOTOC is the sum of position and momentum variances of the evolving packet;
+near the separatrix it grows exponentially at a rate set by the
+fixed-point instability.
 """
 
 from __future__ import annotations
@@ -18,13 +20,6 @@ from .hamiltonian import assemble
 from .semiclassics import MAX_STEPS
 
 MIN_SNAPSHOTS = 10  # the shortest series fotoc takes
-
-
-@dataclass(frozen=True)
-class WavePacket:
-    values: np.ndarray  # complex, length D+1, zeros at the walls
-    grid: Grid
-    time: float = 0.0
 
 
 @dataclass
@@ -44,24 +39,24 @@ class GrowthFit:
     window: tuple[float, float]
 
 
-def coherent_state(grid: Grid, x0: float, p0: float, width: float = 0.5) -> WavePacket:
-    """Minimal-uncertainty Gaussian packet centered at (x0, p0).
+def coherent_state(grid: Grid, x0: float, p0: float) -> np.ndarray:
+    """Minimal-uncertainty Gaussian packet centered at (x0, p0), on grid.nodes.
 
-    width is the position variance; the default 1/2 gives Var_x = Var_p = 1/2
-    (unit-frequency harmonic reference, hbar = m = 1).
+    Var_x = Var_p = 1/2 (unit-frequency harmonic reference, hbar = m = 1).
+    Returns the normalized complex vector of length D+1, zero at the walls.
     """
     if not abs(x0) < grid.L:  # also rejects nan
         raise ValueError(f"|x0| must be < L={grid.L}, got {x0}")
     if not np.isfinite(p0):
         raise ValueError(f"p0 must be finite, got {p0}")
     x = grid.nodes
-    psi = np.exp(-((x - x0) ** 2) / (4.0 * width)) * np.exp(1j * p0 * (x - x0))
+    psi = np.exp(-((x - x0) ** 2) / 2.0) * np.exp(1j * p0 * (x - x0))
     psi[0] = psi[-1] = 0.0
     psi /= np.sqrt(integrate(grid, np.abs(psi) ** 2))
     tail = max(abs(psi[1]), abs(psi[-2]))
     if tail > 1e-3:
         raise ValueError(f"packet tail {tail:.2e} at the walls exceeds 1e-3; enlarge L")
-    return WavePacket(values=psi, grid=grid)
+    return psi
 
 
 def snapshot_count(steps: int, snapshot_stride: int) -> int:
@@ -72,27 +67,29 @@ def snapshot_count(steps: int, snapshot_stride: int) -> int:
 def propagate(
     grid: Grid,
     a: float,
-    psi0: WavePacket,
+    psi0: np.ndarray,
     dt: float,
     steps: int,
     snapshot_stride: int = 1,
-) -> list[WavePacket]:
-    """Crank-Nicolson evolution under the bare double-well Hamiltonian.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Crank-Nicolson evolution of psi0 (length D+1) under the bare double-well Hamiltonian.
 
-    Each step solves (1 + i dt/2 H) psi_{k+1} = (1 - i dt/2 H) psi_k; the
-    scheme is unitary up to roundoff. The tridiagonal matrix on the left is
-    LU-factored once (LAPACK zgttrf, partial pivoting) and every step is one
-    zgttrs solve, which gives bitwise the result of a fresh banded solve per
-    step.
+    Each step is psi_{k+1} = (1 + zH)^-1 (1 - zH) psi_k, z = i dt/2, unitary
+    up to roundoff; as 1 - zH = 2 - (1 + zH), that is 2 (1 + zH)^-1 psi_k -
+    psi_k. 1 + zH is LU-factored once (LAPACK zgttrf, partial pivoting) and
+    every step is one zgttrs solve, bitwise a fresh banded solve per step.
 
-    Every snapshot is kept, so before any step a run is refused whose
-    snapshots (the start, every snapshot_stride-th step and the last) would
-    hold more than MAX_STEPS values in all.
+    Returns the kept steps k (0, every snapshot_stride-th and the last) as
+    times dt k, and a (count, D+1) complex array of the states there. Before
+    any step a psi0 of another length is refused, and so is a run whose
+    snapshots would hold more than MAX_STEPS values in all.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    if np.shape(psi0) != (grid.D + 1,):
+        raise ValueError(f"psi0 must have shape (D+1,) = ({grid.D + 1},), got {np.shape(psi0)}")
     count = snapshot_count(steps, snapshot_stride)
     if count * (grid.D + 1) > MAX_STEPS:
         raise ValueError(
@@ -107,16 +104,15 @@ def propagate(
     if info != 0:
         raise np.linalg.LinAlgError("Crank-Nicolson matrix is singular")
 
-    psi = psi0.values[1:-1].astype(complex)
-    snapshots = [WavePacket(values=psi0.values.astype(complex), grid=grid, time=psi0.time)]
-    for k in range(1, steps + 1):
-        rhs = psi - z * op.apply(psi)
-        psi, _ = zgttrs(*lu, rhs, overwrite_b=True)
-        if k % snapshot_stride == 0 or k == steps:
-            full = np.zeros(grid.D + 1, dtype=complex)
-            full[1:-1] = psi
-            snapshots.append(WavePacket(values=full, grid=grid, time=psi0.time + k * dt))
-    return snapshots
+    kept = np.append(np.arange(0, steps, snapshot_stride), steps)
+    snapshots = np.zeros((count, grid.D + 1), dtype=complex)
+    snapshots[0] = psi0
+    psi = snapshots[0, 1:-1].copy()
+    for row in range(1, count):
+        for _ in range(kept[row] - kept[row - 1]):
+            psi = 2.0 * zgttrs(*lu, psi)[0] - psi
+        snapshots[row, 1:-1] = psi
+    return dt * kept, snapshots
 
 
 def _moments(grid: Grid, psi: np.ndarray) -> tuple[float, float]:
@@ -138,15 +134,14 @@ def _moments(grid: Grid, psi: np.ndarray) -> tuple[float, float]:
     return float(var_x), float(var_p)
 
 
-def fotoc(snapshots: list[WavePacket]) -> FotocSeries:
-    """Variance-sum correlator F(t) = Var_x(t) + Var_p(t) over the snapshots."""
-    if len(snapshots) < MIN_SNAPSHOTS:
-        raise ValueError(f"need at least {MIN_SNAPSHOTS} snapshots, got {len(snapshots)}")
-    times = np.array([s.time for s in snapshots])
-    var_x = np.empty(len(snapshots))
-    var_p = np.empty(len(snapshots))
-    for i, s in enumerate(snapshots):
-        var_x[i], var_p[i] = _moments(s.grid, s.values)
+def fotoc(grid: Grid, times: np.ndarray, snapshots: np.ndarray) -> FotocSeries:
+    """Variance-sum correlator F(t) = Var_x(t) + Var_p(t), one snapshot row at a time."""
+    if len(times) < MIN_SNAPSHOTS:
+        raise ValueError(f"need at least {MIN_SNAPSHOTS} snapshots, got {len(times)}")
+    var_x = np.empty(len(times))
+    var_p = np.empty(len(times))
+    for i, psi in enumerate(snapshots):
+        var_x[i], var_p[i] = _moments(grid, psi)
     return FotocSeries(times=times, F=var_x + var_p, var_x=var_x, var_p=var_p)
 
 

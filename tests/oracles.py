@@ -4,12 +4,13 @@ These deliberately avoid the library's own solver paths: tridiagonal
 eigenvalues come from Sturm-sequence bisection (shooting on the 3-term
 recurrence), continuum eigenvalues from Numerov integration, and Wigner
 point values from direct quadrature of the transform integral or from
-the cosine sum taken row by row with a dense kernel. The
-bitwise references keep the plain forms of the fast paths: the CSV
-payload written row by row, RK4 on 2-vectors, Crank-Nicolson with a
-banded solve per step, the barrier turning points scanned on both
+the cosine sum taken row by row with a dense kernel. The bitwise
+references keep the plain forms of the fast paths: the CSV payload
+written row by row, RK4 on 2-vectors, the one-solve Crank-Nicolson step
+with a banded solve per step, the barrier turning points scanned on both
 sides of x = 0, and a full-grid density folded onto a parity block's
-nodes.
+nodes. The two-term Crank-Nicolson step, which applies H before its
+solve, checks the one-solve form to roundoff.
 """
 
 from __future__ import annotations
@@ -162,11 +163,15 @@ def rk4_vector(a: float, x0: float, p0: float, dt: float, n_steps: int) -> np.nd
     return points
 
 
-def crank_nicolson_banded(op, psi: np.ndarray, dt: float, steps: int) -> list[np.ndarray]:
-    """Crank-Nicolson steps with a fresh banded solve of 1 + i dt/2 H each step.
+def crank_nicolson_banded(op, psi: np.ndarray, dt: float, steps: int,
+                          one_solve: bool = False) -> list[np.ndarray]:
+    """Crank-Nicolson steps with a fresh banded solve of 1 + z H each step, z = i dt/2.
 
     op is the interior tridiagonal operator (diag, offdiag, apply); psi the
-    interior start vector. Returns the interior state after every step.
+    interior start vector. Each step solves the two-term form
+    (1 + zH) psi' = psi - zH psi, or with one_solve takes the equal
+    psi' = 2 (1 + zH)^-1 psi - psi. Returns the interior state after every
+    step.
     """
     z = 0.5j * dt
     ab = np.zeros((3, op.size), dtype=complex)
@@ -176,7 +181,10 @@ def crank_nicolson_banded(op, psi: np.ndarray, dt: float, steps: int) -> list[np
     out = []
     psi = psi.astype(complex)
     for _ in range(steps):
-        psi = solve_banded((1, 1), ab, psi - z * op.apply(psi))
+        if one_solve:
+            psi = 2.0 * solve_banded((1, 1), ab, psi) - psi
+        else:
+            psi = solve_banded((1, 1), ab, psi - z * op.apply(psi))
         out.append(psi)
     return out
 

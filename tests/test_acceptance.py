@@ -204,9 +204,9 @@ def test_08_overlap_suite(grid4000):
 def test_09_dynamics_suite():
     grid = make_grid(6.0, 1200)
     packet = coherent_state(grid, 0.0, 0.0)
-    snaps = propagate(grid, 10.0, packet, dt=1e-4, steps=6000, snapshot_stride=20)
-    norm_drift = max(abs(integrate(grid, np.abs(s.values) ** 2) - 1.0) for s in snaps)
-    series = fotoc(snaps)
+    times, snaps = propagate(grid, 10.0, packet, dt=1e-4, steps=6000, snapshot_stride=20)
+    norm_drift = max(abs(integrate(grid, np.abs(psi) ** 2) - 1.0) for psi in snaps)
+    series = fotoc(grid, times, snaps)
     fit = growth_rate(series, default_fit_window(series))
     lam = lyapunov_exponent(10.0)
 

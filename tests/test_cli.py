@@ -637,6 +637,41 @@ class TestDynamicsCommands:
         assert not out.exists()
 
 
+class TestOutputPaths:
+    # (argv, the flag, whether the bad path names an existing directory)
+    CASES = [
+        (["scan-critical", "--betas", "0:1:0.5", "--D", "1000", "--output"], "--output", False),
+        (["wkb", "--a", "5", "--betas", "0", "--D", "400", "--output"], "--output", True),
+        (["wigner", "--a", "2", "--D", "400", "--output"], "--output", False),
+        (["solve", "--a", "2", "--D", "400", "--output"], "--output", False),
+        (["solve", "--a", "2", "--D", "400", "--psi-out"], "--psi-out", False),
+        (["solve", "--a", "2", "--D", "400", "--psi-out"], "--psi-out", True),
+        (["dynamics", "--a", "10", "--D", "200", "--output"], "--output", True),
+    ]
+
+    @pytest.mark.parametrize("argv, flag, is_dir", CASES)
+    def test_refused_before_any_solve(self, tmp_path, capsys, monkeypatch, argv, flag, is_dir):
+        calls = []
+        iterate = gpdwell.scf._iterate
+
+        def counting(*args):
+            calls.append(args)
+            return iterate(*args)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(gpdwell.scf, "_iterate", counting)
+        monkeypatch.setattr(gpdwell.dynamics, "zgttrs", no_step)
+        monkeypatch.chdir(tmp_path)  # where solve.json would go by default
+        (tmp_path / "taken").mkdir()
+        bad = "taken" if is_dir else str(tmp_path / "missing_dir" / "out.csv")
+        assert main(argv + [bad]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+        assert calls == []
+        assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("command", [
         ["classical", "--a", "10", "--x0", "nan", "--p0", "0"],

@@ -93,6 +93,24 @@ class TestFindCriticalA:
         with pytest.raises(ValueError, match="sign"):
             find_critical_a(0.0, bracket=(2.5, 3.0), grid=grid_crit)
 
+    def test_tol_below_float_spacing_ends(self, monkeypatch):
+        # The least Brent step used to round away below one ulp of a, and the
+        # search solved the same a forever; the floor 4 eps max|a| stops it.
+        grid = make_grid(6.0, 400)
+        floor = 4.0 * np.finfo(float).eps * 3.0  # the default bracket's ends are 0.5, 3
+        at_floor = find_critical_a(0.0, grid, tol=floor)
+        solves = []
+        solve_state = gpdwell.critical.solve_state
+
+        def bounded(*args):
+            solves.append(args)
+            if len(solves) > 100:
+                raise AssertionError("more than 100 solves")
+            return solve_state(*args)
+
+        monkeypatch.setattr(gpdwell.critical, "solve_state", bounded)
+        assert find_critical_a(0.0, grid, tol=1e-20).a_c == at_floor.a_c
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_tol_rejected_before_any_solve(self, tol, monkeypatch):
         # Only at beta < 1: with tol <= 0 at beta >= 1 the search used not to stop.
