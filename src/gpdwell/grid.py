@@ -90,8 +90,8 @@ def quartic_rescale(a: float, b: float, beta: float, mu: float):
     Returns the scaled triple (a/b^{2/3}, beta/b^{1/3}, mu/b^{1/3}) and the
     coordinate scale factor b^{1/6} (scaled x = b^{1/6} * x).
     """
-    if b <= 0:
-        raise ValueError(f"quartic coefficient b must be positive, got {b}")
+    if not 0 < b < np.inf:  # also rejects nan
+        raise ValueError(f"quartic coefficient b must be positive and finite, got {b}")
     return (a / b ** (2.0 / 3.0), beta / b ** (1.0 / 3.0), mu / b ** (1.0 / 3.0)), b ** (1.0 / 6.0)
 
 

@@ -6,11 +6,11 @@ recurrence), continuum eigenvalues from Numerov integration, and Wigner
 point values from direct quadrature of the transform integral or from
 the cosine sum taken row by row with a dense kernel. The bitwise
 references keep the plain forms of the fast paths: the CSV payload
-written row by row, RK4 on 2-vectors, the one-solve Crank-Nicolson step
-with a banded solve per step, the barrier turning points scanned on both
-sides of x = 0, and a full-grid density folded onto a parity block's
-nodes. The two-term Crank-Nicolson step, which applies H before its
-solve, checks the one-solve form to roundoff.
+written row by row and read back field by field, RK4 on 2-vectors, the
+one-solve Crank-Nicolson step with a banded solve per step, the barrier
+turning points scanned on both sides of x = 0, and a full-grid density
+folded onto a parity block's nodes. The two-term Crank-Nicolson step,
+which applies H before its solve, checks the one-solve form to roundoff.
 """
 
 from __future__ import annotations
@@ -141,6 +141,31 @@ def csv_payload_rowwise(names, rows, footer=None) -> bytes:
     lines += [",".join(field(v) for v in row) for row in rows]
     lines += [f"# {key} = {field(val)}" for key, val in (footer or {}).items()]
     return ("\n".join(lines) + "\n").encode()
+
+
+def csv_rows_fieldwise(path):
+    """Column names and data rows of a gpdwell CSV, parsed one field at a time.
+
+    '#' lines are skipped; a field is float(text) where that parses and
+    its text otherwise, so every field gets a value object of its own.
+    """
+    names, rows = None, []
+    with open(path) as fh:
+        for line in fh.read().splitlines():
+            if not line or line.startswith("#"):
+                continue
+            texts = line.split(",")
+            if names is None:
+                names = texts
+                continue
+            row = []
+            for text in texts:
+                try:
+                    row.append(float(text))
+                except ValueError:
+                    row.append(text)
+            rows.append(tuple(row))
+    return names, rows
 
 
 def rk4_vector(a: float, x0: float, p0: float, dt: float, n_steps: int) -> np.ndarray:

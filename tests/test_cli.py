@@ -5,11 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import csv_payload_rowwise
+from oracles import csv_payload_rowwise, csv_rows_fieldwise
 
 import gpdwell.cli
 import gpdwell.dynamics
@@ -175,6 +176,34 @@ def _payload(path):
     return digest.decode(), data
 
 
+def _grid_table():
+    """A Wigner-like table of 200,704 rows: an x by p grid and a field even in both."""
+    x = np.linspace(-6.0, 6.0, 448)
+    p = np.linspace(-3.0, 3.0, 448)
+    return [np.repeat(x, p.size), np.tile(p, x.size), np.exp(-np.add.outer(x**2, p**2)).ravel()]
+
+
+def _traced_peak(call):
+    """The tracemalloc peak, in bytes, while call() runs."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def spool_dir(tmp_path, monkeypatch):
+    """A directory that tempfile, and so the writer's spool, uses."""
+    path = tmp_path / "spool"
+    path.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(path))
+    return path
+
+
 class TestWriteCsv:
     def test_matches_rowwise_reference(self, tmp_path):
         import hashlib
@@ -212,7 +241,8 @@ class TestWriteCsv:
             write_csv(str(out), names, columns, {})
             assert _payload(out)[1] == ref == b"beta,a_c,status\n"
 
-    @pytest.mark.parametrize("rows", [CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 2 * CSV_CHUNK + 1])
+    @pytest.mark.parametrize("rows", [4 * CSV_CHUNK - 1, 4 * CSV_CHUNK, 4 * CSV_CHUNK + 1,
+                                      8 * CSV_CHUNK + 1])
     def test_chunk_seams(self, tmp_path, rows):
         import hashlib
 
@@ -234,24 +264,14 @@ class TestWriteCsv:
         assert digest == hashlib.sha256(ref).hexdigest()
 
     def test_peak_memory_near_payload(self, tmp_path):
-        # A Wigner-like table of 200,704 rows: an x by p grid and a field even
-        # in both. The writer holds the payload once, as bytes: its tracemalloc
-        # peak reads 2.6x the payload, against 3.9x for a writer that also
-        # keeps the table as field lists, a line list and one joined string.
-        import tracemalloc
-
-        x = np.linspace(-6.0, 6.0, 448)
-        p = np.linspace(-3.0, 3.0, 448)
-        columns = [np.repeat(x, p.size), np.tile(p, x.size),
-                   np.exp(-np.add.outer(x**2, p**2)).ravel()]
+        # The writer spools each chunk to a file as soon as it is hashed, so it
+        # holds one chunk and the distinct strings of x, p and W: its tracemalloc
+        # peak reads 0.82x the payload, against 2.6x for a writer that keeps the
+        # encoded payload and an inverse per column until the digest is known.
+        columns = _grid_table()
         out = tmp_path / "grid.csv"
-        tracemalloc.start()
-        try:
-            write_csv(str(out), ["x", "p", "W"], columns, {})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.25 * out.stat().st_size
+        peak = _traced_peak(lambda: write_csv(str(out), ["x", "p", "W"], columns, {}))
+        assert peak < 1.0 * out.stat().st_size
 
     def test_mostly_distinct_columns_across_small_chunks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(gpdwell.cli, "CSV_CHUNK", 7)
@@ -267,26 +287,125 @@ class TestWriteCsv:
         assert _payload(out)[1] == csv_payload_rowwise(names, list(zip(*columns)), {"n": rows})
 
     def test_peak_memory_on_distinct_values(self, tmp_path):
-        # Three columns of 200,000 distinct values (12 MB of CSV): keeping each
-        # column's distinct strings for the whole write read a tracemalloc peak
-        # of 5.9x the payload; formatted per chunk they read 2.5x.
-        import tracemalloc
-
+        # Three columns of 200,000 distinct values (12 MB of CSV), formatted per
+        # chunk: spooled, they read a tracemalloc peak of 0.47x the payload,
+        # against 2.5x held as bytes until the digest is known and 5.9x with
+        # each column's distinct strings kept for the whole write.
         rng = np.random.default_rng(0)
         columns = [rng.standard_normal(200_000) for _ in range(3)]
         out = tmp_path / "normal.csv"
-        tracemalloc.start()
-        try:
-            write_csv(str(out), ["a", "b", "c"], columns, {})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.25 * out.stat().st_size
+        peak = _traced_peak(lambda: write_csv(str(out), ["a", "b", "c"], columns, {}))
+        assert peak < 1.0 * out.stat().st_size
 
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(str(tmp_path / "bad.csv"), ["x", "y"],
                       [np.zeros(3), np.zeros(2)], {})
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, spool_dir):
+        # the fourth chunk fails to format: no output and no spool are left
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("unprintable")
+
+        monkeypatch.setattr(gpdwell.cli, "CSV_CHUNK", 7)
+        status = ["ok"] * 30
+        status[24] = Unprintable()
+        out = tmp_path / "t.csv"
+        with pytest.raises(RuntimeError, match="unprintable"):
+            write_csv(str(out), ["x", "status"], [np.arange(30.0), status], {})
+        assert not out.exists()
+        assert list(spool_dir.iterdir()) == []
+
+
+class TestWriteWignerTable:
+    ARGV = ["wigner", "--a", "2", "--D", "200"]  # 201 x 101 = 20,301 rows
+
+    def test_matches_rowwise_reference_across_chunks(self, tmp_path, monkeypatch, spool_dir):
+        import hashlib
+
+        calls = []
+        write = gpdwell.cli.write_csv
+
+        def recording(path, names, columns, config, footer=None):
+            calls.append((names, columns, footer))
+            write(path, names, columns, config, footer=footer)
+
+        monkeypatch.setattr(gpdwell.cli, "write_csv", recording)
+        monkeypatch.setattr(gpdwell.cli, "CSV_CHUNK", 997)  # seams mid-row, 21 chunks
+        out = tmp_path / "w.csv"
+        assert main(self.ARGV + ["--output", str(out)]) == EXIT_OK
+        [(names, columns, footer)] = calls
+        assert len(columns[0]) == 201 * 101
+        digest, data = _payload(out)
+        ref = csv_payload_rowwise(names, list(zip(*columns)), footer)
+        assert data == ref
+        assert digest == hashlib.sha256(ref).hexdigest()
+        assert list(spool_dir.iterdir()) == []  # the spool is gone
+
+    def test_output_to_pipe(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert main(self.ARGV + ["--output", str(out)]) == EXIT_OK
+        src = os.path.dirname(os.path.dirname(gpdwell.cli.__file__))
+        piped = subprocess.run(
+            [sys.executable, "-m", "gpdwell.cli", *self.ARGV, "--output", "/dev/stdout"],
+            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+            timeout=120, check=True)
+        assert piped.stdout == out.read_bytes()
+
+
+def _same_value(a, b) -> bool:
+    """a and b are the same field value: type, sign of zero and nan included."""
+    if isinstance(a, float) and isinstance(b, float):
+        return (np.isnan(a) and np.isnan(b)) or (a == b and np.copysign(1, a) == np.copysign(1, b))
+    return type(a) is type(b) and a == b
+
+
+class TestReadCsv:
+    def _table(self, tmp_path):
+        x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1 / 3, 0.1, -0.0, 0.1, 2.5])
+        columns = [
+            x,
+            x[::-1].copy(),
+            np.resize([0.1, -0.0, np.nan], x.size),
+            ["ok", "nan", "MaxIterationsExceeded", "ok", "NoSignChange"] * 2,
+            list(range(x.size)),
+        ]
+        out = tmp_path / "t.csv"
+        write_csv(str(out), ["x", "r", "y", "status", "i"], columns, {"a": 2.0},
+                  footer={"rate": 0.5})
+        return out
+
+    def test_matches_fieldwise_parse(self, tmp_path):
+        out = self._table(tmp_path)
+        meta, names, rows, footer = read_csv(str(out))
+        ref_names, ref_rows = csv_rows_fieldwise(str(out))
+        assert names == ref_names == ["x", "r", "y", "status", "i"]
+        assert len(rows) == len(ref_rows) == 10
+        for row, ref in zip(rows, ref_rows):
+            assert len(row) == len(ref)
+            assert all(_same_value(a, b) for a, b in zip(row, ref)), (row, ref)
+        assert meta["a"] == "2" and footer == {"rate": 0.5}
+
+    def test_repeated_texts_share_one_value(self, tmp_path):
+        out = self._table(tmp_path)
+        _, _, rows, _ = read_csv(str(out))
+        texts = [text.split(",") for text in _payload(out)[1].decode().splitlines()[1:]]
+        ids = {}
+        for row, fields in zip(rows, texts):
+            for value, text in zip(row, fields):
+                ids.setdefault(text, set()).add(id(value))
+        assert all(len(found) == 1 for found in ids.values())
+        assert len(ids["0.10000000000000001"]) == 1 and len(ids["ok"]) == 1
+
+    def test_peak_memory_on_grid_table(self, tmp_path):
+        # Parsed once per distinct text, the 448 x 448 grid reads back at a
+        # tracemalloc peak of 1.94x its payload, mostly the row tuples; with a
+        # float object per field it read 2.35x.
+        out = tmp_path / "grid.csv"
+        write_csv(str(out), ["x", "p", "W"], _grid_table(), {})
+        peak = _traced_peak(lambda: read_csv(str(out)))
+        assert peak < 2.1 * out.stat().st_size
 
 
 class TestScanCritical:

@@ -93,8 +93,9 @@ class TestSzymanzikRescale:
         assert scale == pytest.approx(8.0 ** (1 / 6))
 
     def test_rejects_nonpositive_b(self):
-        with pytest.raises(ValueError):
-            quartic_rescale(1.0, 0.0, 1.0, 1.0)
+        for b in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                quartic_rescale(1.0, b, 1.0, 1.0)
 
 
 class TestIntegrate:
