@@ -14,14 +14,7 @@ from .critical import (
 from .dynamics import GrowthFit, coherent_state, fotoc, growth_rate, propagate
 from .eigensolver import Eigenpair, lowest_eigenpairs
 from .grid import Grid, TrapConfig, integrate, make_grid, potential, quartic_rescale
-from .hamiltonian import (
-    TridiagonalOperator,
-    assemble,
-    assemble_block,
-    block_vector,
-    kinetic_operator,
-    unfold,
-)
+from .hamiltonian import TridiagonalOperator, assemble_block, block_vector, unfold
 from .observables import energy, overlap_matrix
 from .scf import (
     DomainTooSmall,

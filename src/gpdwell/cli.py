@@ -237,12 +237,25 @@ def _check_count(flag: str, value: int, least: int, grid: Grid) -> None:
 
 
 def _check_output_paths(args) -> None:
-    """Refuse, before any work, an --output or --psi-out that is a directory or lies in none."""
-    for flag, path in (("--output", args.output), ("--psi-out", getattr(args, "psi_out", None))):
-        if path is not None and os.path.isdir(path):
+    """Refuse, before any work, an --output or --psi-out that is empty, is a directory or
+    lies in none, and the two naming one regular file, where the second write would
+    overwrite the first. Both may name one pipe or device, such as /dev/stdout on a pipe.
+    """
+    flags = (("--output", args.output), ("--psi-out", getattr(args, "psi_out", None)))
+    paths = [(flag, path) for flag, path in flags if path is not None]
+    for flag, path in paths:
+        if not path:
+            raise ValueError(f"{flag} must name a file, got ''")
+        if os.path.isdir(path):
             raise ValueError(f"{flag} {path!r} is a directory")
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"{flag} {path!r} lies in no existing directory")
+    if len(paths) == 2:
+        (_, out), (_, psi_out) = paths
+        same = os.path.realpath(out) == os.path.realpath(psi_out)
+        if same and (os.path.isfile(out) or not os.path.exists(out)):
+            raise ValueError(f"--output and --psi-out name the same file "
+                             f"{os.path.realpath(out)!r}")
 
 
 def _config_echo(args) -> dict:

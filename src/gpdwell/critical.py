@@ -33,7 +33,6 @@ class NoSignChange(ValueError):
 
 @dataclass(frozen=True)
 class CriticalResult:
-    beta: float
     a_c: float
     E_c: float
     curvature_at_ac: float
@@ -44,10 +43,6 @@ class QuadraticFit:
     c0: float
     c1: float
     c2: float
-    residual_rms: float
-
-    def __call__(self, beta):
-        return self.c0 + self.c1 * np.asarray(beta) + self.c2 * np.asarray(beta) ** 2
 
 
 def curvature_at_origin(state: StationaryState) -> float:
@@ -143,7 +138,7 @@ def find_critical_a(
         )
     a_c = _brent_root(curvature, a_lo, a_hi, c_lo, c_hi, tol)
     return CriticalResult(
-        beta=beta, a_c=a_c, E_c=solved[a_c].state.energy,
+        a_c=a_c, E_c=solved[a_c].state.energy,
         curvature_at_ac=curvature_at_origin(solved[a_c].state),
     )
 
@@ -160,8 +155,4 @@ def fit_quadratic(points: list[tuple[float, float]]) -> QuadraticFit:
     coeffs, _, rank, _ = np.linalg.lstsq(design, value, rcond=None)
     if rank < 3:
         raise ValueError("rank-deficient design matrix (collinear beta samples)")
-    resid = value - design @ coeffs
-    return QuadraticFit(
-        c0=float(coeffs[0]), c1=float(coeffs[1]), c2=float(coeffs[2]),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-    )
+    return QuadraticFit(c0=float(coeffs[0]), c1=float(coeffs[1]), c2=float(coeffs[2]))

@@ -1,11 +1,13 @@
 """Coherent states, Crank-Nicolson propagation, and FOTOC growth.
 
 Propagation is strictly linear (no interaction term): the unstable-point
-dynamics of interest lives at beta = 0. A packet is its complex vector on
-grid.nodes, and a run its kept times with one array of snapshot rows. The
-FOTOC is the sum of position and momentum variances of the evolving packet;
-near the separatrix it grows exponentially at a rate set by the
-fixed-point instability.
+dynamics of interest lives at beta = 0, so propagate builds the bare
+3-point Hamiltonian on the full grid itself: a packet off the origin has no
+parity, and the hamiltonian module's parity blocks do not apply. A packet
+is its complex vector on grid.nodes, and a run its kept times with one
+array of snapshot rows. The FOTOC is the sum of position and momentum
+variances of the evolving packet; near the separatrix it grows
+exponentially at a rate set by the fixed-point instability.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .grid import Grid, TrapConfig, integrate
-from .hamiltonian import assemble
+from .grid import Grid, integrate, potential
 from .semiclassics import MAX_STEPS
 
 MIN_SNAPSHOTS = 10  # the shortest series fotoc takes
@@ -74,15 +75,18 @@ def propagate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Crank-Nicolson evolution of psi0 (length D+1) under the bare double-well Hamiltonian.
 
-    Each step is psi_{k+1} = (1 + zH)^-1 (1 - zH) psi_k, z = i dt/2, unitary
-    up to roundoff; as 1 - zH = 2 - (1 + zH), that is 2 (1 + zH)^-1 psi_k -
+    H is the 3-point operator on the D-1 interior nodes with no interaction
+    term: 1/delta^2 + V(x) on the diagonal, -1/(2 delta^2) off it. Each
+    step is psi_{k+1} = (1 + zH)^-1 (1 - zH) psi_k, z = i dt/2, unitary up
+    to roundoff; as 1 - zH = 2 - (1 + zH), that is 2 (1 + zH)^-1 psi_k -
     psi_k. 1 + zH is LU-factored once (LAPACK zgttrf, partial pivoting) and
     every step is one zgttrs solve, bitwise a fresh banded solve per step.
 
     Returns the kept steps k (0, every snapshot_stride-th and the last) as
     times dt k, and a (count, D+1) complex array of the states there. Before
-    any step a psi0 of another length is refused, and so is a run whose
-    snapshots would hold more than MAX_STEPS values in all.
+    any step a psi0 of another length is refused, and so are a run whose
+    snapshots would hold more than MAX_STEPS values in all and an a that is
+    not positive and finite.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
@@ -96,11 +100,13 @@ def propagate(
             f"{count} snapshots of {grid.D + 1} values exceed {MAX_STEPS} in all; "
             f"raise the snapshot stride"
         )
-    op = assemble(grid, TrapConfig(a=a, beta=0.0), np.zeros(grid.D - 1))
-
+    if not 0 < a < np.inf:  # also rejects nan
+        raise ValueError(f"well-depth parameter a must be positive and finite, got {a}")
+    inv_d2 = 1.0 / grid.delta**2
     z = 0.5j * dt
-    off = z * op.offdiag
-    *lu, info = zgttrf(off, 1.0 + z * op.diag, off)  # lu: dl, d, du, du2, ipiv
+    off = z * np.full(grid.D - 2, -0.5 * inv_d2)
+    diag = 1.0 + z * (inv_d2 + potential(grid.interior, a))
+    *lu, info = zgttrf(off, diag, off)  # lu: dl, d, du, du2, ipiv
     if info != 0:
         raise np.linalg.LinAlgError("Crank-Nicolson matrix is singular")
 

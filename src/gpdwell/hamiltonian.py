@@ -8,14 +8,16 @@ density |psi|^2 for the self-consistent interaction term.
 Wavefunctions cross module boundaries as length-(D+1) arrays with zeros at
 alpha = 0, D; operators act on the interior slice.
 
-The trap and the grid are exactly mirror-symmetric, so an operator built
-from an even density splits into two exact blocks on the half grid: the
-even vectors (nodes x >= 0, coupling to x = 0 scaled by sqrt(2)) and the
-odd vectors (nodes x > 0, Dirichlet at x = 0). assemble_block builds a
-block from a density folded onto its nodes, which for a block vector w is
-w * w; unfold maps a block vector back to the full grid and block_vector
-maps an even or odd vector onto its block. This module is the only place
-that knows the symmetry.
+The trap and the grid are exactly mirror-symmetric, so the operator on
+the D-1 interior nodes, built from an even density, splits into two exact
+blocks on the half grid: the even vectors (nodes x >= 0, coupling to x = 0
+scaled by sqrt(2)) and the odd vectors (nodes x > 0, Dirichlet at x = 0).
+assemble_block builds a block from a density folded onto its nodes, which
+for a block vector w is w * w; unfold maps a block vector back to the full
+grid and block_vector maps an even or odd vector onto its block. This
+module is the only place that knows the symmetry. The full-grid operator
+itself is built only as the test reference (assemble in tests/oracles.py),
+against which the blocks are checked.
 """
 
 from __future__ import annotations
@@ -49,44 +51,11 @@ class TridiagonalOperator:
         out[1:] += self.offdiag * v[:-1]
         return out
 
-    def dense(self) -> np.ndarray:
-        """Materialize as a dense array (small sizes / tests)."""
-        m = np.diag(self.diag)
-        idx = np.arange(self.size - 1)
-        m[idx, idx + 1] = self.offdiag
-        m[idx + 1, idx] = self.offdiag
-        return m
-
-
-def kinetic_operator(grid: Grid) -> TridiagonalOperator:
-    """-(1/2) times the 3-point second-difference operator, m = hbar = 1."""
-    n = grid.D - 1
-    inv_d2 = 1.0 / grid.delta**2
-    return TridiagonalOperator(
-        diag=np.full(n, inv_d2),
-        offdiag=np.full(n - 1, -0.5 * inv_d2),
-    )
-
-
-def assemble(grid: Grid, trap: TrapConfig, density: np.ndarray) -> TridiagonalOperator:
-    """Kinetic + V(x) + beta*density on the interior nodes.
-
-    density is |psi|^2 sampled at interior nodes of a unit-normalized state.
-    """
-    density = np.asarray(density, dtype=float)
-    if density.shape != (grid.D - 1,):
-        raise ValueError(f"density must have length D-1={grid.D - 1}, got {density.shape}")
-    if np.any(density < 0):
-        raise ValueError("density entries must be nonnegative")
-    kin = kinetic_operator(grid)
-    diag = kin.diag + potential(grid.interior, trap.a) + trap.beta * density
-    return TridiagonalOperator(diag=diag, offdiag=kin.offdiag)
-
 
 def assemble_block(
     grid: Grid, trap: TrapConfig, folded: np.ndarray, parity: int
 ) -> TridiagonalOperator:
-    """The even (parity 0) or odd (parity 1) block of assemble, from the folded density.
+    """The even (parity 0) or odd (parity 1) block of the operator, from the folded density.
 
     The folded density of rho lives on the block's nodes, x >= 0 (even) or
     x > 0 (odd): rho(0) at x = 0 and rho(x_m) + rho(-x_m) at x_m > 0. So
@@ -97,8 +66,9 @@ def assemble_block(
     With u_m the unit vector at x = m*delta, the block's basis is
     e_m = (u_m + u_-m)/sqrt(2) for m >= 1 plus e_0 = u_0 (even), or
     e_m = (u_m - u_-m)/sqrt(2) for m >= 1 (odd), and the block is the
-    compression P^T assemble(grid, trap, rho) P for any rho. For an even rho
-    the even block is the x >= 0 half of that operator with its first
+    compression P^T H P, for any rho, of the full-grid operator H with
+    1/delta^2 + V + beta*rho on the diagonal and -1/(2 delta^2) off it. For
+    an even rho the even block is the x >= 0 half of H with its first
     coupling scaled by sqrt(2), and the odd block its x > 0 half, both
     bitwise.
     """

@@ -14,8 +14,8 @@ and exactly even in x for a state of definite parity. The 1/pi prefactor
 volume vanishes exactly for nonnegative W. Phase-space sums follow the
 same one-sided Riemann convention as the spatial quadrature (left
 endpoint excluded in both x and p); over the one period the p-sum of the
-kernel telescopes exactly, so for P >= D/2 the x-marginal reproduces
-|psi|^2 up to roundoff.
+kernel telescopes exactly, so for P >= D/2 the x-marginal, the p-step
+times the p-sum of each row, reproduces |psi|^2 up to roundoff.
 """
 
 from __future__ import annotations
@@ -35,17 +35,9 @@ class WignerField:
     values: np.ndarray  # (D+1, P+1)
     cell: float  # delta * delta_p
 
-    @property
-    def delta_p(self) -> float:
-        return float(self.p_nodes[1] - self.p_nodes[0])
-
     def phase_space_integral(self) -> float:
         """One-sided Riemann sum of W over the phase-space cells."""
         return float(self.values[1:, 1:].sum() * self.cell)
-
-    def x_marginal(self) -> np.ndarray:
-        """Momentum-integrated density, one node per x."""
-        return self.values[:, 1:].sum(axis=1) * self.delta_p
 
 
 def momentum_cells(D: int, P: int | None = None) -> int:

@@ -11,12 +11,58 @@ one-solve Crank-Nicolson step with a banded solve per step, the barrier
 turning points scanned on both sides of x = 0, and a full-grid density
 folded onto a parity block's nodes. The two-term Crank-Nicolson step,
 which applies H before its solve, checks the one-solve form to roundoff.
+The full-grid operator (assemble, kinetic_operator) and its dense matrix
+are the references for the parity blocks the library builds, and the
+Wigner x-marginal the reference for its quadrature.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_banded
+
+from gpdwell.grid import potential
+from gpdwell.hamiltonian import TridiagonalOperator
+
+
+def kinetic_operator(grid) -> TridiagonalOperator:
+    """-(1/2) times the 3-point second-difference operator, m = hbar = 1."""
+    n = grid.D - 1
+    inv_d2 = 1.0 / grid.delta**2
+    return TridiagonalOperator(
+        diag=np.full(n, inv_d2),
+        offdiag=np.full(n - 1, -0.5 * inv_d2),
+    )
+
+
+def assemble(grid, trap, density: np.ndarray) -> TridiagonalOperator:
+    """Kinetic + V(x) + beta*density on the D-1 interior nodes.
+
+    density is |psi|^2 sampled at interior nodes of a unit-normalized state.
+    """
+    density = np.asarray(density, dtype=float)
+    if density.shape != (grid.D - 1,):
+        raise ValueError(f"density must have length D-1={grid.D - 1}, got {density.shape}")
+    if np.any(density < 0):
+        raise ValueError("density entries must be nonnegative")
+    kin = kinetic_operator(grid)
+    diag = kin.diag + potential(grid.interior, trap.a) + trap.beta * density
+    return TridiagonalOperator(diag=diag, offdiag=kin.offdiag)
+
+
+def dense(op) -> np.ndarray:
+    """A tridiagonal operator as a dense array (small sizes)."""
+    m = np.diag(op.diag)
+    idx = np.arange(op.size - 1)
+    m[idx, idx + 1] = op.offdiag
+    m[idx + 1, idx] = op.offdiag
+    return m
+
+
+def x_marginal(field) -> np.ndarray:
+    """Momentum-integrated Wigner density, one node per x (p-sum without the left end)."""
+    delta_p = float(field.p_nodes[1] - field.p_nodes[0])
+    return field.values[:, 1:].sum(axis=1) * delta_p
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, lam: float) -> int:

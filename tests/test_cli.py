@@ -768,8 +768,9 @@ class TestOutputPaths:
         (["dynamics", "--a", "10", "--D", "200", "--output"], "--output", True),
     ]
 
-    @pytest.mark.parametrize("argv, flag, is_dir", CASES)
-    def test_refused_before_any_solve(self, tmp_path, capsys, monkeypatch, argv, flag, is_dir):
+    @pytest.fixture
+    def iterate_calls(self, monkeypatch):
+        """The scf._iterate calls made; a Crank-Nicolson step fails the test."""
         calls = []
         iterate = gpdwell.scf._iterate
 
@@ -782,13 +783,60 @@ class TestOutputPaths:
 
         monkeypatch.setattr(gpdwell.scf, "_iterate", counting)
         monkeypatch.setattr(gpdwell.dynamics, "zgttrs", no_step)
+        return calls
+
+    @pytest.mark.parametrize("argv, flag, is_dir", CASES)
+    def test_refused_before_any_solve(self, tmp_path, capsys, monkeypatch, iterate_calls,
+                                      argv, flag, is_dir):
         monkeypatch.chdir(tmp_path)  # where solve.json would go by default
         (tmp_path / "taken").mkdir()
         bad = "taken" if is_dir else str(tmp_path / "missing_dir" / "out.csv")
         assert main(argv + [bad]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"error: {flag} ")
-        assert calls == []
+        assert iterate_calls == []
         assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["wkb", "--a", "5", "--betas", "0:0.2:0.1", "--D", "400", "--output"], "--output"),
+        (["solve", "--a", "2", "--D", "400", "--psi-out"], "--psi-out"),
+        (["dynamics", "--a", "10", "--D", "200", "--output"], "--output"),
+    ])
+    def test_empty_path_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                 iterate_calls, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + [""]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {flag} must name a file, got ''\n"
+        assert iterate_calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_one_file_for_both_refused(self, tmp_path, capsys, monkeypatch, iterate_calls,
+                                       exists):
+        # the CSV would overwrite the JSON record
+        monkeypatch.chdir(tmp_path)
+        if exists:
+            (tmp_path / "P").write_text("kept\n")
+        argv = ["solve", "--a", "2", "--D", "400",
+                "--output", "P", "--psi-out", str(tmp_path / "P")]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: --output and --psi-out name the same file ")
+        assert iterate_calls == []
+        assert [p.name for p in tmp_path.iterdir()] == (["P"] if exists else [])
+        if exists:
+            assert (tmp_path / "P").read_text() == "kept\n"
+
+    def test_both_to_one_pipe(self, tmp_path):
+        argv = ["solve", "--a", "2", "--D", "400"]
+        record, psi = tmp_path / "solve.json", tmp_path / "psi.csv"
+        assert main(argv + ["--output", str(record), "--psi-out", str(psi)]) == EXIT_OK
+        src = os.path.dirname(os.path.dirname(gpdwell.cli.__file__))
+        piped = subprocess.run(
+            [sys.executable, "-m", "gpdwell.cli", *argv,
+             "--output", "/dev/stdout", "--psi-out", "/dev/stdout"],
+            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+            timeout=60, check=True)
+        assert piped.stdout == record.read_bytes() + psi.read_bytes()
 
 
 class TestNonFiniteInput:
@@ -889,6 +937,20 @@ class TestImportCost:
         env = {**os.environ, "PYTHONPATH": src}
         probe = "import gpdwell.cli, sys; sys.exit('scipy.optimize' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
+
+    def test_parser_loads_no_unused_scipy_subpackage(self):
+        # of scipy's public subpackages the CLI needs linalg alone
+        import gpdwell
+
+        src = os.path.dirname(os.path.dirname(gpdwell.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = ("import sys, gpdwell.cli; gpdwell.cli.build_parser(); "
+                 "print(' '.join(m for m in sorted(sys.modules) if m.startswith('scipy.')))")
+        loaded = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60, check=True,
+                                stdout=subprocess.PIPE, text=True).stdout.split()
+        unused = {"optimize", "sparse", "special", "integrate", "interpolate", "fft", "signal",
+                  "stats"}
+        assert [m for m in loaded if m.split(".")[1] in unused] == []
 
 
 class TestDeterminism:

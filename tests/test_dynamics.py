@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import crank_nicolson_banded
+from oracles import assemble, crank_nicolson_banded
 
 import gpdwell.dynamics
 from gpdwell.dynamics import (
@@ -12,7 +12,6 @@ from gpdwell.dynamics import (
     propagate,
 )
 from gpdwell.grid import TrapConfig, integrate, make_grid
-from gpdwell.hamiltonian import assemble
 from gpdwell.scf import solve_state
 from gpdwell.semiclassics import lyapunov_exponent
 
@@ -115,6 +114,16 @@ class TestPropagate:
         for dt in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 propagate(grid_dyn, 2.0, packet, dt=dt, steps=10)
+
+    def test_rejects_bad_depth_before_any_step(self, grid_dyn, monkeypatch):
+        def no_factor(*args, **kwargs):
+            raise AssertionError("factored")
+
+        monkeypatch.setattr(gpdwell.dynamics, "zgttrf", no_factor)
+        packet = coherent_state(grid_dyn, 0.0, 0.0)
+        for a in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="a must be positive and finite"):
+                propagate(grid_dyn, a, packet, dt=0.01, steps=10)
 
     def test_snapshot_memory_bounded(self, grid_dyn, monkeypatch):
         # The start and ceil(10 / 4) = 3 snapshots of D + 1 values each

@@ -10,15 +10,18 @@ from gpdwell.eigensolver import (
     norm_inf,
 )
 from gpdwell.grid import TrapConfig, make_grid
-from gpdwell.hamiltonian import (
-    TridiagonalOperator,
-    assemble,
-    assemble_block,
-    kinetic_operator,
-)
+from gpdwell.hamiltonian import TridiagonalOperator, assemble_block
 from gpdwell.scf import _bare_start
 
-from oracles import fold, numerov_even_eigenvalue, sturm_count, tridiag_eigenvalue_bisection
+from oracles import (
+    assemble,
+    dense,
+    fold,
+    kinetic_operator,
+    numerov_even_eigenvalue,
+    sturm_count,
+    tridiag_eigenvalue_bisection,
+)
 
 
 def test_pure_kinetic_matches_toeplitz_closed_form():
@@ -141,7 +144,7 @@ def test_count_below_matches_sturm_oracle():
     rng = np.random.default_rng(3)
     for size in (2, 7, 60):
         op = TridiagonalOperator(diag=rng.normal(size=size), offdiag=rng.normal(size=size - 1))
-        vals = np.linalg.eigvalsh(op.dense())
+        vals = np.linalg.eigvalsh(dense(op))
         points = list(rng.uniform(vals[0] - 1.0, vals[-1] + 1.0, size=20))
         points += [v + s for v in vals for s in (-1e-9, 1e-9)]
         for x in points:

@@ -3,16 +3,9 @@ import pytest
 
 from gpdwell.eigensolver import lowest_eigenpairs
 from gpdwell.grid import TrapConfig, make_grid, potential
-from gpdwell.hamiltonian import (
-    TridiagonalOperator,
-    assemble,
-    assemble_block,
-    block_vector,
-    kinetic_operator,
-    unfold,
-)
+from gpdwell.hamiltonian import TridiagonalOperator, assemble_block, block_vector, unfold
 
-from oracles import fold, tridiag_eigenvalue_bisection
+from oracles import assemble, dense, fold, kinetic_operator, tridiag_eigenvalue_bisection
 
 
 class TestKineticOperator:
@@ -78,10 +71,10 @@ class TestAssemble:
     def test_dense_form_is_symmetric(self):
         grid = make_grid(2.0, 12)
         dens = np.linspace(0, 1, grid.D - 1)
-        dense = assemble(grid, TrapConfig(a=1.5, beta=0.4), dens).dense()
-        np.testing.assert_array_equal(dense, dense.T)
+        m = dense(assemble(grid, TrapConfig(a=1.5, beta=0.4), dens))
+        np.testing.assert_array_equal(m, m.T)
         np.testing.assert_allclose(
-            np.diag(dense),
+            np.diag(m),
             1.0 / grid.delta**2 + potential(grid.interior, 1.5) + 0.4 * dens,
         )
 
@@ -167,8 +160,8 @@ class TestParitySectors:
             op = assemble(grid, trap, rho)
             p = _sector_basis(op.size, parity)
             np.testing.assert_allclose(
-                assemble_block(grid, trap, fold(rho, parity), parity).dense(),
-                p.T @ op.dense() @ p,
+                dense(assemble_block(grid, trap, fold(rho, parity), parity)),
+                p.T @ dense(op) @ p,
                 rtol=0, atol=1e-14,
             )
 

@@ -6,7 +6,7 @@ import pytest
 import gpdwell.scf
 from gpdwell.eigensolver import lowest_eigenpairs
 from gpdwell.grid import TrapConfig, integrate, make_grid
-from gpdwell.hamiltonian import assemble, assemble_block, block_vector
+from gpdwell.hamiltonian import assemble_block, block_vector
 from gpdwell.scf import (
     DomainTooSmall,
     MaxIterationsExceeded,
@@ -15,6 +15,8 @@ from gpdwell.scf import (
     solve_spectrum,
     solve_state,
 )
+
+from oracles import assemble
 
 
 class TestScfConfig:
