@@ -29,17 +29,9 @@ import numpy as np
 
 from . import __version__
 from .critical import NoSignChange, find_critical_a, fit_quadratic
-from .dynamics import (
-    MIN_SNAPSHOTS,
-    coherent_state,
-    default_fit_window,
-    fotoc,
-    growth_rate,
-    propagate,
-    snapshot_count,
-)
+from .dynamics import MIN_SNAPSHOTS, coherent_state, fotoc, growth_rate, propagate, snapshot_count
 from .eigensolver import EigensolverError
-from .grid import Grid, TrapConfig, integrate, make_grid
+from .grid import Grid, TrapConfig, make_grid
 from .observables import overlap_matrix
 from .scf import (
     MaxIterationsExceeded,
@@ -311,7 +303,7 @@ def _wigner_field(args, beta, P=None):
 
 def cmd_wigner(args) -> int:
     _check_count("--state", args.state, 0, make_grid(args.L, args.D))
-    P = momentum_cells(args.D, args.P)  # a bad --P is refused before the solve
+    P = momentum_cells(args.D, args.P)  # a bad or too large --P is refused before the solve
     field = _wigner_field(args, args.beta, P)
     columns = [np.repeat(field.x_nodes, field.p_nodes.size),
                np.tile(field.p_nodes, field.x_nodes.size),
@@ -417,6 +409,7 @@ def cmd_overlaps(args) -> int:
 
 def cmd_negativity(args) -> int:
     _check_count("--state", args.state, 0, make_grid(args.L, args.D))
+    momentum_cells(args.D)  # a transform too large is refused before any solve
 
     def point(beta):
         field = _wigner_field(args, beta)
@@ -444,12 +437,11 @@ def cmd_dynamics(args) -> int:
     packet = coherent_state(grid, args.x0, args.p0)
     times, snapshots = propagate(grid, args.a, packet, args.dt, steps, snapshot_stride=args.stride)
     series = fotoc(grid, times, snapshots)
-    norm_drift = max(abs(integrate(grid, np.abs(psi) ** 2) - 1.0) for psi in snapshots)
-    footer = {"norm_drift": norm_drift,
+    footer = {"norm_drift": np.max(np.abs(series.norm - 1.0)),
               "lyapunov": lyapunov_exponent(args.a),
               "two_lyapunov": 2.0 * lyapunov_exponent(args.a)}
     try:
-        fit = growth_rate(series, default_fit_window(series))
+        fit = growth_rate(series)
         footer.update({"fit_rate": fit.rate, "fit_r2": fit.r2,
                        "fit_t_lo": fit.window[0], "fit_t_hi": fit.window[1]})
     except ValueError:
@@ -464,12 +456,12 @@ def cmd_dynamics(args) -> int:
 
 def cmd_classical(args) -> int:
     _check_stepping(args)
+    lyapunov = lyapunov_exponent(args.a)  # an a <= 0 is refused before the run
     traj = classical_trajectory(args.a, args.x0, args.p0, args.dt, args.tmax)
     points = traj.points[::args.stride]
     write_csv(args.output, ["t", "x", "p"],
               [traj.times[::args.stride], points[:, 0], points[:, 1]], _config_echo(args),
-              footer={"energy": traj.energy,
-                      "lyapunov": lyapunov_exponent(args.a)})
+              footer={"energy": traj.energy, "lyapunov": lyapunov})
     return EXIT_OK
 
 

@@ -29,11 +29,12 @@ class FotocSeries:
     F: np.ndarray
     var_x: np.ndarray
     var_p: np.ndarray
+    norm: np.ndarray  # delta * sum |psi|^2 of each snapshot
 
 
 @dataclass(frozen=True)
 class GrowthFit:
-    """Least-squares line through log F over a time window."""
+    """Least-squares line through log F over its growth window."""
 
     rate: float  # slope of log F
     r2: float  # coefficient of determination of the line
@@ -121,8 +122,8 @@ def propagate(
     return dt * kept, snapshots
 
 
-def _moments(grid: Grid, psi: np.ndarray) -> tuple[float, float]:
-    """(Var_x, Var_p) of a normalized complex state via difference stencils."""
+def _moments(grid: Grid, psi: np.ndarray) -> tuple[float, float, float]:
+    """(Var_x, Var_p, norm) of a complex state via difference stencils."""
     x = grid.nodes
     rho = np.abs(psi) ** 2
     norm = integrate(grid, rho)
@@ -137,25 +138,29 @@ def _moments(grid: Grid, psi: np.ndarray) -> tuple[float, float]:
     d2psi[1:-1] = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / grid.delta**2
     ep2 = integrate(grid, (-np.conj(psi) * d2psi).real) / norm
     var_p = ep2 - ep**2
-    return float(var_x), float(var_p)
+    return float(var_x), float(var_p), float(norm)
 
 
 def fotoc(grid: Grid, times: np.ndarray, snapshots: np.ndarray) -> FotocSeries:
-    """Variance-sum correlator F(t) = Var_x(t) + Var_p(t), one snapshot row at a time."""
+    """Variance-sum correlator F(t) = Var_x(t) + Var_p(t), one snapshot row at a time.
+
+    The series also keeps the norm of each snapshot, which the moments divide by.
+    """
     if len(times) < MIN_SNAPSHOTS:
         raise ValueError(f"need at least {MIN_SNAPSHOTS} snapshots, got {len(times)}")
-    var_x = np.empty(len(times))
-    var_p = np.empty(len(times))
+    var_x, var_p, norm = np.empty((3, len(times)))
     for i, psi in enumerate(snapshots):
-        var_x[i], var_p[i] = _moments(grid, psi)
-    return FotocSeries(times=times, F=var_x + var_p, var_x=var_x, var_p=var_p)
+        var_x[i], var_p[i], norm[i] = _moments(grid, psi)
+    return FotocSeries(times=times, F=var_x + var_p, var_x=var_x, var_p=var_p, norm=norm)
 
 
-def default_fit_window(series: FotocSeries) -> tuple[float, float]:
-    """Heuristic window for the exponential-growth fit.
+def growth_rate(series: FotocSeries) -> GrowthFit:
+    """Least-squares line through log F over the growth window: its slope, r^2 and window.
 
-    Starts once F has cleared 3x its initial value (transient over) and
-    stops where F reaches half its peak on a log scale (before saturation).
+    The window runs from the first sample where F has cleared 3x its initial
+    value (transient over) to the first where F reaches half its peak on a
+    log scale (before saturation). Raises ValueError, naming the window,
+    where there is none or it holds fewer than 4 samples.
     """
     f0 = series.F[0]
     peak = float(np.max(series.F))
@@ -164,21 +169,13 @@ def default_fit_window(series: FotocSeries) -> tuple[float, float]:
     upper = np.nonzero(series.F >= log_hi)[0]
     if above.size == 0 or upper.size == 0 or upper[0] <= above[0]:
         raise ValueError("no exponential-growth window found in the series")
-    return float(series.times[above[0]]), float(series.times[upper[0]])
-
-
-def growth_rate(series: FotocSeries, window: tuple[float, float]) -> GrowthFit:
-    """Least-squares fit of log F over the window: its slope, r^2 and window."""
-    t_lo, t_hi = window
-    if t_lo < series.times[0] or t_hi > series.times[-1]:
-        raise ValueError("window outside the time span")
-    mask = (series.times >= t_lo) & (series.times <= t_hi)
-    if np.count_nonzero(mask) < 4:
-        raise ValueError("window contains fewer than 4 samples")
-    t = series.times[mask]
-    y = np.log(series.F[mask])
+    lo, hi = above[0], upper[0] + 1
+    if hi - lo < 4:
+        raise ValueError(f"growth window contains {hi - lo} samples, fewer than 4")
+    t = series.times[lo:hi]
+    y = np.log(series.F[lo:hi])
     slope, intercept = np.polyfit(t, y, 1)
     resid = y - (slope * t + intercept)
     ss_tot = np.sum((y - y.mean()) ** 2)
     r2 = 1.0 - float(np.sum(resid**2) / ss_tot) if ss_tot > 0 else 1.0
-    return GrowthFit(rate=float(slope), r2=r2, window=(t_lo, t_hi))
+    return GrowthFit(rate=float(slope), r2=r2, window=(float(t[0]), float(t[-1])))

@@ -36,6 +36,10 @@ class Grid:
         if self.D < 8:
             raise ValueError(f"D must be >= 8, got {self.D}")
         delta = 2.0 * self.L / self.D
+        # delta * delta, as delta**2 raises on overflow instead of giving inf
+        if not 0.0 < delta * delta < np.inf or not 1.0 / (delta * delta) < np.inf:
+            raise ValueError(f"half-width L={self.L} on D={self.D} intervals gives a spacing "
+                             f"delta={delta:g} whose 1/delta^2 is not positive and finite")
         nodes = delta * (np.arange(self.D + 1) - self.D // 2)
         nodes.setflags(write=False)
         object.__setattr__(self, "delta", delta)

@@ -102,7 +102,8 @@ def classical_trajectory(
 
     The step runs on Python floats, not on small arrays, and keeps the
     operation order of the vector form y + (dt/6)(k1 + 2 k2 + 2 k3 + k4),
-    so every point is bitwise that of the vector form.
+    so every point is bitwise that of the vector form. A run that leaves
+    the float range raises ValueError, naming the last time it reached.
     """
     if not all(map(math.isfinite, (a, x0, p0))):
         raise ValueError(f"a, x0 and p0 must be finite, got {a:g}, {x0:g}, {p0:g}")
@@ -114,16 +115,25 @@ def classical_trajectory(
     half, sixth = 0.5 * dt, dt / 6.0
     x, p = float(x0), float(p0)
     xs, ps = [x], [p]
-    for _ in range(n_steps):
-        # stage slopes k1 = (p, dp1), k2 = (dx2, dp2), k3 = (dx3, dp3), k4 = (dx4, dp4)
-        dp1 = force(x)
-        dx2, dp2 = p + half * dp1, force(x + half * p)
-        dx3, dp3 = p + half * dp2, force(x + half * dx2)
-        dx4, dp4 = p + dt * dp3, force(x + dt * dx3)
-        x = x + sixth * (p + 2 * dx2 + 2 * dx3 + dx4)
-        p = p + sixth * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
-        xs.append(x)
-        ps.append(p)
+    try:
+        for _ in range(n_steps):
+            # stage slopes k1 = (p, dp1), k2 = (dx2, dp2), k3 = (dx3, dp3), k4 = (dx4, dp4)
+            dp1 = force(x)
+            dx2, dp2 = p + half * dp1, force(x + half * p)
+            dx3, dp3 = p + half * dp2, force(x + half * dx2)
+            dx4, dp4 = p + dt * dp3, force(x + dt * dx3)
+            x = x + sixth * (p + 2 * dx2 + 2 * dx3 + dx4)
+            p = p + sixth * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
+            xs.append(x)
+            ps.append(p)
+    except OverflowError:  # x**3 left the float range
+        pass
+    if len(xs) <= n_steps or not (math.isfinite(x) and math.isfinite(p)):
+        # inf and nan never go away, so the run was finite up to its first such point
+        last = next((k for k, point in enumerate(zip(xs, ps))
+                     if not all(map(math.isfinite, point))), len(xs)) - 1
+        raise ValueError(f"the RK4 step overflowed after t = {dt * last:g}; "
+                         f"use a smaller time step dt (--dt)")
     points = np.empty((n_steps + 1, 2))
     points[:, 0] = xs
     points[:, 1] = ps

@@ -26,6 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid
+from .semiclassics import MAX_STEPS
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,19 @@ def momentum_cells(D: int, P: int | None = None) -> int:
     """The number P of momentum cells on a grid of D subintervals.
 
     P defaults to the smallest even integer >= D/2, which is D/2 whenever 4
-    divides D. Raises ValueError unless P is an even integer >= 2.
+    divides D. Raises ValueError unless P is an even integer >= 2 and the
+    largest array wigner_transform builds holds at most MAX_STEPS values:
+    the (D+1, P+1) field, or the correlation it folds, D/2 + 1 columns
+    padded to a multiple of P (D columns at the default P when 4 divides D).
     """
     if P is None:
         P = 2 * -(-D // 4)
     if P < 2 or P % 2 != 0:
         raise ValueError(f"P must be an even integer >= 2, got {P}")
+    values = (D + 1) * max(P + 1, P * -(-(D // 2 + 1) // P))
+    if values > MAX_STEPS:
+        raise ValueError(f"a Wigner transform of D = {D} and P = {P} holds {values} values, "
+                         f"more than {MAX_STEPS}; lower D or P")
     return P
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from gpdwell.cli import main, read_csv
 from gpdwell.critical import find_critical_a
-from gpdwell.dynamics import coherent_state, default_fit_window, fotoc, growth_rate, propagate
+from gpdwell.dynamics import coherent_state, fotoc, growth_rate, propagate
 from gpdwell.eigensolver import lowest_eigenpairs
 from gpdwell.grid import TrapConfig, integrate, make_grid, potential
 from gpdwell.observables import overlap_matrix
@@ -206,7 +206,7 @@ def test_09_dynamics_suite():
     times, snaps = propagate(grid, 10.0, packet, dt=1e-4, steps=6000, snapshot_stride=20)
     norm_drift = max(abs(integrate(grid, np.abs(psi) ** 2) - 1.0) for psi in snaps)
     series = fotoc(grid, times, snaps)
-    fit = growth_rate(series, default_fit_window(series))
+    fit = growth_rate(series)
     lam = lyapunov_exponent(10.0)
 
     traj = classical_trajectory(10.0, 1.0, 0.0, 1e-4, 10.0)

@@ -1,5 +1,6 @@
 import argparse
 import filecmp
+import importlib.metadata
 import json
 import os
 import re
@@ -31,6 +32,7 @@ from gpdwell.eigensolver import EigensolverError
 from gpdwell.scf import DomainTooSmall
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def _columns(path):
@@ -733,6 +735,27 @@ class TestDynamicsCommands:
         assert not out.exists()
 
 
+    def test_classical_bad_depth_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gpdwell.cli, "classical_trajectory", lambda *args: calls.append(args))
+        out = tmp_path / "cl.csv"
+        code = main(["classical", "--a", "-1", "--x0", "1", "--p0", "0", "--tmax", "100",
+                     "--output", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: a must be positive")
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("dt, tmax", [("0.5", "100"), ("1", "10")])
+    def test_classical_overflow_reported_in_band(self, tmp_path, capsys, dt, tmax):
+        out = tmp_path / "cl.csv"
+        code = main(["classical", "--a", "10", "--x0", "1.5", "--p0", "0", "--dt", dt,
+                     "--tmax", tmax, "--output", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: the RK4 step overflowed after t = ")
+        assert "--dt" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_snapshot_memory_bounded(self, tmp_path, capsys, monkeypatch):
         # 301 snapshots of 201 values: over a bound of 10^4 stored values
         monkeypatch.setattr(gpdwell.dynamics, "MAX_STEPS", 10_000)
@@ -756,6 +779,24 @@ class TestDynamicsCommands:
         assert not out.exists()
 
 
+@pytest.fixture
+def iterate_calls(monkeypatch):
+    """The scf._iterate calls made; a Crank-Nicolson step fails the test."""
+    calls = []
+    iterate = gpdwell.scf._iterate
+
+    def counting(*args):
+        calls.append(args)
+        return iterate(*args)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(gpdwell.scf, "_iterate", counting)
+    monkeypatch.setattr(gpdwell.dynamics, "zgttrs", no_step)
+    return calls
+
+
 class TestOutputPaths:
     # (argv, the flag, whether the bad path names an existing directory)
     CASES = [
@@ -767,23 +808,6 @@ class TestOutputPaths:
         (["solve", "--a", "2", "--D", "400", "--psi-out"], "--psi-out", True),
         (["dynamics", "--a", "10", "--D", "200", "--output"], "--output", True),
     ]
-
-    @pytest.fixture
-    def iterate_calls(self, monkeypatch):
-        """The scf._iterate calls made; a Crank-Nicolson step fails the test."""
-        calls = []
-        iterate = gpdwell.scf._iterate
-
-        def counting(*args):
-            calls.append(args)
-            return iterate(*args)
-
-        def no_step(*args, **kwargs):
-            raise AssertionError("stepped")
-
-        monkeypatch.setattr(gpdwell.scf, "_iterate", counting)
-        monkeypatch.setattr(gpdwell.dynamics, "zgttrs", no_step)
-        return calls
 
     @pytest.mark.parametrize("argv, flag, is_dir", CASES)
     def test_refused_before_any_solve(self, tmp_path, capsys, monkeypatch, iterate_calls,
@@ -837,6 +861,22 @@ class TestOutputPaths:
             env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
             timeout=60, check=True)
         assert piped.stdout == record.read_bytes() + psi.read_bytes()
+
+
+class TestSizeInput:
+    @pytest.mark.parametrize("argv, named", [
+        (["solve", "--a", "2", "--D", "400", "--L", "1e-300"], "L=1e-300 "),
+        (["solve", "--a", "2", "--D", "400", "--L", "1e300"], "L=1e+300 "),
+        (["wigner", "--a", "2", "--D", "40000"], "D = 40000 and P = 20000"),
+        (["wigner", "--a", "2", "--D", "400", "--P", "1000000"], "P = 1000000"),
+        (["negativity", "--a", "2", "--betas", "0", "--D", "40000"], "D = 40000"),
+    ])
+    def test_refused_before_any_solve(self, tmp_path, capsys, iterate_calls, argv, named):
+        out = tmp_path / "out"
+        assert main(argv + ["--output", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert iterate_calls == [] and not out.exists()
 
 
 class TestNonFiniteInput:
@@ -951,6 +991,34 @@ class TestImportCost:
         unused = {"optimize", "sparse", "special", "integrate", "interpolate", "fft", "signal",
                   "stats"}
         assert [m for m in loaded if m.split(".")[1] in unused] == []
+
+
+class TestConsoleScript:
+    @pytest.fixture
+    def project(self):
+        tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+        return tomllib.loads(PYPROJECT.read_text())["project"]
+
+    def _run(self, project, monkeypatch, *argv):
+        """What the installed gpdwell script does: load the entry point, call it on argv."""
+        script = importlib.metadata.EntryPoint(
+            name="gpdwell", value=project["scripts"]["gpdwell"], group="console_scripts").load()
+        assert script is main
+        monkeypatch.setattr(sys, "argv", ["gpdwell", *argv])
+        return script()
+
+    def test_version(self, project, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self._run(project, monkeypatch, "--version")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"gpdwell {project['version']}\n"
+
+    def test_classical(self, project, monkeypatch, tmp_path):
+        out = tmp_path / "c.csv"
+        assert self._run(project, monkeypatch, "classical", "--a", "10", "--x0", "1.5",
+                         "--p0", "0", "--tmax", "0.01", "--output", str(out)) == EXIT_OK
+        _, columns, rows, _ = read_csv(str(out))
+        assert columns == ["t", "x", "p"] and len(rows) == 11  # 100 steps at stride 10
 
 
 class TestDeterminism:

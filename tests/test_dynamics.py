@@ -6,7 +6,6 @@ import gpdwell.dynamics
 from gpdwell.dynamics import (
     FotocSeries,
     coherent_state,
-    default_fit_window,
     fotoc,
     growth_rate,
     propagate,
@@ -38,7 +37,8 @@ class TestCoherentState:
         from gpdwell.dynamics import _moments
 
         p = coherent_state(grid_dyn, 0.0, 0.0)
-        var_x, var_p = _moments(grid_dyn, p)
+        var_x, var_p, norm = _moments(grid_dyn, p)
+        assert norm == pytest.approx(1.0, abs=1e-12)
         assert var_x == pytest.approx(0.5, abs=1e-3)
         assert var_p == pytest.approx(0.5, abs=1e-3)
 
@@ -165,6 +165,10 @@ class TestFotoc:
         assert np.all(series.var_p >= 0.0)
         np.testing.assert_allclose(series.F, series.var_x + series.var_p)
 
+    def test_norm_of_every_snapshot(self, grid_dyn, separatrix_run):
+        _, snaps, series = separatrix_run
+        assert series.norm.tolist() == [integrate(grid_dyn, np.abs(psi) ** 2) for psi in snaps]
+
     def test_needs_enough_snapshots(self, grid_dyn):
         packet = coherent_state(grid_dyn, 0.0, 0.0)
         times, snaps = propagate(grid_dyn, 2.0, packet, dt=1e-4, steps=5)
@@ -173,23 +177,27 @@ class TestFotoc:
 
     def test_growth_rate_near_lyapunov(self, separatrix_run):
         *_, series = separatrix_run
-        window = default_fit_window(series)
-        fit = growth_rate(series, window)
+        fit = growth_rate(series)
         lam = lyapunov_exponent(10.0)
         assert 0.75 * lam <= fit.rate <= 2.5 * lam
         assert fit.r2 >= 0.98
-        assert fit.window == window
+        # the window runs from the first F >= 3 F(0) to the first F >= sqrt(F(0) max F)
+        f = series.F
+        lo = series.times[np.argmax(f >= 3.0 * f[0])]
+        hi = series.times[np.argmax(f >= np.exp(0.5 * (np.log(f[0]) + np.log(f.max()))))]
+        assert fit.window == (lo, hi)
 
-    def test_window_validation(self, separatrix_run):
-        *_, series = separatrix_run
-        with pytest.raises(ValueError):
-            growth_rate(series, (-1.0, 0.5))
-        with pytest.raises(ValueError):
-            growth_rate(series, (0.1, 0.1001))
+    def test_window_validation(self):
+        # F clears 3 F(0) at t = 2 and sqrt(F(0) max F) = 10 at t = 4: three samples
+        f = np.array([1.0, 1.0, 3.0, 5.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.0])
+        times = np.arange(10.0)
+        short = FotocSeries(times=times, F=f, var_x=f / 2, var_p=f / 2, norm=np.ones(10))
+        with pytest.raises(ValueError, match="window"):
+            growth_rate(short)
 
     def test_no_window_in_flat_series(self):
         times = np.linspace(0.0, 1.0, 20)
         flat = FotocSeries(times=times, F=np.ones(20), var_x=np.full(20, 0.5),
-                           var_p=np.full(20, 0.5))
+                           var_p=np.full(20, 0.5), norm=np.ones(20))
         with pytest.raises(ValueError, match="window"):
-            default_fit_window(flat)
+            growth_rate(flat)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -24,6 +26,12 @@ class TestMakeGrid:
         for L in (0.0, -1.0, np.nan, np.inf):  # and non-finite
             with pytest.raises(ValueError):
                 make_grid(L, 10)
+
+    @pytest.mark.parametrize("L", [1e-300, 1e300])
+    def test_rejects_spacing_without_finite_inverse_square(self, L):
+        # delta * delta underflows to 0 at L = 1e-300 and overflows to inf at L = 1e300
+        with pytest.raises(ValueError, match=re.escape(f"L={L} ")):
+            make_grid(L, 400)
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +159,15 @@ class TestClassicalTrajectory:
             classical_trajectory(2.0, 1.0, 0.0, -1e-3, 1.0)
         with pytest.raises(ValueError):
             classical_trajectory(2.0, 1.0, 0.0, 1e-12, 1e3)
+
+    @pytest.mark.parametrize("x0, dt, reached", [
+        (1.5, 0.5, 3.0),  # x**3 raises OverflowError
+        (4e102, 1e-4, 0.0),  # x**3 is finite, 4 x**3 is inf: inf and nan follow silently
+    ])
+    def test_overflow_refused_with_the_time_reached(self, x0, dt, reached):
+        with pytest.raises(ValueError, match=re.escape(
+                f"overflowed after t = {reached:g}; use a smaller time step dt")):
+            classical_trajectory(10.0, x0, 0.0, dt, 100 * dt)
 
 
 class TestLyapunov:

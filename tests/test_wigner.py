@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import gpdwell.wigner
 from gpdwell.grid import TrapConfig, make_grid
 from gpdwell.scf import solve_state
-from gpdwell.wigner import negativity, wigner_transform
+from gpdwell.wigner import momentum_cells, negativity, wigner_transform
 
 from oracles import wigner_cosine_sum, wigner_point_quadrature, x_marginal
 
@@ -115,6 +116,22 @@ class TestWignerTransform:
             wigner_transform(grid, psi[1:])
         with pytest.raises(ValueError):
             wigner_transform(grid, np.zeros_like(psi))
+
+    def test_size_cap_before_any_allocation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gpdwell.wigner, "sliding_window_view",
+                            lambda *args: calls.append(args))
+        grid = make_grid(12.0, 400)
+        with pytest.raises(ValueError, match="401000401 values"):  # the (401, 10^6 + 1) field
+            wigner_transform(grid, _gaussian(grid), P=1_000_000)
+        assert calls == []
+
+    def test_size_cap_counts_the_largest_array(self):
+        assert momentum_cells(1200) == 600  # a 1201 x 601 field, a 1201 x 1200 correlation
+        assert momentum_cells(7070) == 3536  # 3536 correlation columns fold unpadded
+        for D, P in ((7072, None), (40000, None), (40000, 2)):  # the correlation is too large
+            with pytest.raises(ValueError, match="more than 50000000"):
+                momentum_cells(D, P)
 
 
 class TestNegativity:
