@@ -4,7 +4,7 @@ Thin wrapper around LAPACK's tridiagonal solvers that fixes the
 conventions the rest of the package relies on: ascending eigenvalues,
 discrete-L2 normalization delta*sum(v^2) = 1, and deterministic sign
 (largest magnitude entry positive). It knows nothing of parity; the SCF
-solves each state inside one parity block (hamiltonian.assemble_block).
+hands it one parity block at a time, bare or plus beta * rho (hamiltonian).
 
 There are two ways to a pair. lowest_eigenpairs is the cold path: LAPACK
 bisection over the whole spectrum plus inverse iteration. follow_eigenpair

@@ -12,12 +12,12 @@ The trap and the grid are exactly mirror-symmetric, so the operator on
 the D-1 interior nodes, built from an even density, splits into two exact
 blocks on the half grid: the even vectors (nodes x >= 0, coupling to x = 0
 scaled by sqrt(2)) and the odd vectors (nodes x > 0, Dirichlet at x = 0).
-assemble_block builds a block from a density folded onto its nodes, which
-for a block vector w is w * w; unfold maps a block vector back to the full
-grid and block_vector maps an even or odd vector onto its block. This
-module is the only place that knows the symmetry. The full-grid operator
-itself is built only as the test reference (assemble in tests/oracles.py),
-against which the blocks are checked.
+assemble_block builds a block at beta = 0 and block_density the diagonal
+rho adds to it, from rho folded onto the block's nodes; unfold maps a
+block vector back to the full grid, block_vector an even or odd vector
+onto its block. This module is the only place that knows the symmetry. The
+full-grid operator itself is built only as the test reference (assemble in
+tests/oracles.py), against which the blocks are checked.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, TrapConfig, potential
+from .grid import Grid, potential
 
 
 @dataclass(frozen=True)
@@ -52,40 +52,39 @@ class TridiagonalOperator:
         return out
 
 
-def assemble_block(
-    grid: Grid, trap: TrapConfig, folded: np.ndarray, parity: int
-) -> TridiagonalOperator:
-    """The even (parity 0) or odd (parity 1) block of the operator, from the folded density.
-
-    The folded density of rho lives on the block's nodes, x >= 0 (even) or
-    x > 0 (odd): rho(0) at x = 0 and rho(x_m) + rho(-x_m) at x_m > 0. So
-    delta * sum(folded) over the even block is the integral of rho, only
-    the even part of rho enters, and a block vector w (block_vector) has
-    the folded density w * w exactly.
+def assemble_block(grid: Grid, a: float, parity: int) -> TridiagonalOperator:
+    """The even (parity 0) or odd (parity 1) block of the beta = 0 operator of the well a.
 
     With u_m the unit vector at x = m*delta, the block's basis is
     e_m = (u_m + u_-m)/sqrt(2) for m >= 1 plus e_0 = u_0 (even), or
     e_m = (u_m - u_-m)/sqrt(2) for m >= 1 (odd), and the block is the
-    compression P^T H P, for any rho, of the full-grid operator H with
-    1/delta^2 + V + beta*rho on the diagonal and -1/(2 delta^2) off it. For
-    an even rho the even block is the x >= 0 half of H with its first
-    coupling scaled by sqrt(2), and the odd block its x > 0 half, both
-    bitwise.
+    compression P^T H P of the full-grid operator H, 1/delta^2 + V on the
+    diagonal and -1/(2 delta^2) off it: bitwise, the x >= 0 half of H with
+    its first coupling scaled by sqrt(2) (even) or its x > 0 half (odd).
     """
-    folded = np.asarray(folded, dtype=float)
+    if not 0 < a < np.inf:  # also rejects nan
+        raise ValueError(f"well-depth parameter a must be positive and finite, got {a}")
     size = grid.D // 2 - parity
-    if folded.shape != (size,):
-        raise ValueError(f"folded density must have length {size}, got {folded.shape}")
-    if np.any(folded < 0):
-        raise ValueError("density entries must be nonnegative")
     inv_d2 = 1.0 / grid.delta**2
-    density = 0.5 * folded  # rho(x_m) of the even part
     offdiag = np.full(size - 1, -0.5 * inv_d2)
     if parity == 0:
-        density[0] = folded[0]  # x = 0 is its own mirror image
         offdiag[0] *= np.sqrt(2.0)  # e_0 = u_0 meets e_1 = (u_1 + u_-1)/sqrt(2)
-    diag = inv_d2 + potential(grid.interior[-size:], trap.a) + trap.beta * density
-    return TridiagonalOperator(diag=diag, offdiag=offdiag)
+    return TridiagonalOperator(diag=inv_d2 + potential(grid.interior[-size:], a), offdiag=offdiag)
+
+
+def block_density(folded: np.ndarray, parity: int) -> np.ndarray:
+    """The diagonal that rho adds to block `parity`, from its folded density. Linear.
+
+    The folded density of rho lives on the block's nodes, x >= 0 (even) or
+    x > 0 (odd): rho(0) at x = 0 and rho(x_m) + rho(-x_m) at x_m > 0. So
+    delta * sum(folded) over the even block is the integral of rho, a block
+    vector w (block_vector) has the folded density w * w exactly, and the
+    diagonal is the even part of rho: half the folded density, rho(0) whole.
+    """
+    density = 0.5 * folded
+    if parity == 0:
+        density[0] = folded[0]
+    return density
 
 
 def unfold(w: np.ndarray, parity: int) -> np.ndarray:

@@ -2,23 +2,23 @@
 
 Each stationary state n is iterated to self-consistency with its own
 density, on the half grid of parity sector n % 2 (even for even n),
-starting from a known eigenpair (see below): build the sector's block of
-the operator from the folded input density (hamiltonian.assemble_block),
-take its eigenpair n // 2, and mix the output density with the earlier
-ones by Anderson (type II) mixing of depth ANDERSON_DEPTH (Anderson,
-J. ACM 12, 547 (1965); Walker & Ni, SIAM J. Numer. Anal. 49, 1715
-(2011)). The state is mapped back to the full grid once, after the loop
-(hamiltonian.unfold), so it is exactly even or odd, and its per-particle
-energy (observables.energy) is taken there from the returned psi. So a
-StationaryState is complete and frozen when the solver returns it,
-converged or not: it carries its trap, grid, mu and energy, and its
-consumers need nothing else.
+starting from a known eigenpair (see below): take eigenpair n // 2 of the
+sector's bare block (hamiltonian.assemble_block, once per solve) plus the
+diagonal beta * block_density(density) of the folded input density, and
+mix the output density with the earlier ones by Anderson (type II) mixing
+of depth ANDERSON_DEPTH (Anderson, J. ACM 12, 547 (1965); Walker & Ni,
+SIAM J. Numer. Anal. 49, 1715 (2011)). The state is mapped back to the
+full grid once, after the loop (hamiltonian.unfold), so it is exactly even
+or odd, and its per-particle energy (observables.energy) is taken there
+from the returned psi. So a StationaryState is complete and frozen when
+the solver returns it, converged or not: it carries its trap, grid, mu and
+energy, and its consumers need nothing else.
 
 No iterate needs a full eigensolve (eigensolver.lowest_eigenpairs) unless
 a certificate fails. Every solve starts from a known pair and takes that
 pair's own density w * w as its first input density: a cold solve from
-the bare (beta = 0) pair of the grid, a pure function of (grid, a,
-parity, index) kept in a bounded per-process cache and shared read-only
+the bare pair of the grid, a pure function of (grid, a, parity, index)
+kept with its block in a bounded per-process cache and shared read-only
 (_bare_start), and a warm solve from the start state's psi and mu. Every
 iterate, the first included, follows the last pair onto its operator by
 certified inverse iteration (eigensolver.follow_eigenpair); the operators
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +70,7 @@ from .eigensolver import (
     norm_inf,
 )
 from .grid import Grid, TrapConfig, make_grid
-from .hamiltonian import assemble_block, block_vector, unfold
+from .hamiltonian import TridiagonalOperator, assemble_block, block_density, block_vector, unfold
 from .observables import energy as _fill_energy  # the name perfbench traces
 
 MAX_DOMAIN_GROWTHS = 3
@@ -170,23 +170,24 @@ def _anderson(inputs: list[np.ndarray], outputs: list[np.ndarray]) -> np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
-def _bare_start(grid: Grid, a: float, parity: int, index: int) -> tuple[Eigenpair, float, float]:
-    """Eigenpair `index` of the beta = 0 block `parity` of the trap a on grid, and its neighbours.
+def _bare_start(grid: Grid, a: float, parity: int,
+                index: int) -> tuple[TridiagonalOperator, Eigenpair, float, float]:
+    """The beta = 0 block `parity` of the trap a on grid, its eigenpair `index` and neighbours.
 
     One LAPACK call gives pairs 0..index + 1 of the block (0..index at its
-    top); the record is pair index, with a read-only vector, and eigenvalues
-    index - 1 and index + 1 of that same call, -inf and inf past the ends of
-    the block. A pure function of its arguments, shared by every cold solve
-    of the process.
+    top); the record is the block, pair index and eigenvalues index - 1 and
+    index + 1 of that same call (-inf and inf past the ends of the block),
+    its arrays read-only. A pure function of its arguments, shared by every
+    cold solve of the process.
     """
-    bare = assemble_block(grid, TrapConfig(a=a), np.zeros(grid.D // 2 - parity), parity)
+    bare = assemble_block(grid, a, parity)
     # pairs 0..index + 1, or 0..index at the top; past it lowest_eigenpairs refuses
     pairs = lowest_eigenpairs(bare, index + 1 + (index + 1 < bare.size), grid)
     pair = pairs[index]
-    pair.vector.setflags(write=False)
+    bare.diag.flags.writeable = bare.offdiag.flags.writeable = pair.vector.flags.writeable = False
     below = pairs[index - 1].value if index > 0 else -math.inf
     above = pairs[index + 1].value if index + 1 < len(pairs) else math.inf
-    return pair, below, above
+    return bare, pair, below, above
 
 
 def _iterate(
@@ -194,12 +195,12 @@ def _iterate(
 ) -> ScfResult:
     index, parity = divmod(n, 2)  # state n is eigenpair n // 2 of sector n % 2
     if start is None:
-        pair, below, above = _bare_start(grid, trap.a, parity, index)
+        bare, pair, below, above = _bare_start(grid, trap.a, parity, index)
     else:
+        bare = assemble_block(grid, trap.a, parity)
         pair = Eigenpair(value=start.mu, vector=block_vector(start.psi[1:-1], parity))
-    # The loop runs in block coordinates: density is the folded input
-    # density, and an iterate w, the start pair's included, has the folded
-    # density w * w.
+    # Block coordinates: density is the folded input density, op is H[density],
+    # and an iterate w, the start pair's included, has the folded density w * w.
     density = pair.vector * pair.vector
     inputs: list[np.ndarray] = []
     outputs: list[np.ndarray] = []
@@ -207,7 +208,7 @@ def _iterate(
     eigensolves = 0
 
     for iterations in range(1, cfg.max_iter + 1):
-        op = assemble_block(grid, trap, density, parity)
+        op = replace(bare, diag=bare.diag + trap.beta * block_density(density, parity))
         scale = norm_inf(op)
         window = None
         if start is None:
@@ -220,7 +221,7 @@ def _iterate(
             eigensolves += 1
         w, mu = pair.vector, pair.value
         rho = w * w
-        r = assemble_block(grid, trap, rho, parity).apply(w) - mu * w
+        r = op.apply(w) + trap.beta * block_density(rho - density, parity) * w - mu * w
         residual = math.sqrt(grid.delta * np.dot(r, r))
         if residual <= max(cfg.tol * (1.0 + abs(mu)), ROUNDOFF_FLOOR * EPS * scale):
             converged = True

@@ -9,11 +9,13 @@ references keep the plain forms of the fast paths: the CSV payload
 written row by row and read back field by field, RK4 on 2-vectors, the
 one-solve Crank-Nicolson step with a banded solve per step, the barrier
 turning points scanned on both sides of x = 0, and a full-grid density
-folded onto a parity block's nodes. The two-term Crank-Nicolson step,
-which applies H before its solve, checks the one-solve form to roundoff.
-The full-grid operator (assemble, kinetic_operator) and its dense matrix
-are the references for the parity blocks the library builds, and the
-Wigner x-marginal the reference for its quadrature.
+folded onto a parity block's nodes, from which block_operator composes an
+interacting block as the bare block plus beta times its diagonal. The
+two-term Crank-Nicolson step, which applies H before its solve, checks the
+one-solve form to roundoff. The full-grid operator (assemble,
+kinetic_operator) and its dense matrix are the references for the parity
+blocks the library builds, and the Wigner x-marginal the reference for its
+quadrature.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from gpdwell.grid import potential
-from gpdwell.hamiltonian import TridiagonalOperator
+from gpdwell.hamiltonian import TridiagonalOperator, assemble_block, block_density
 
 
 def kinetic_operator(grid) -> TridiagonalOperator:
@@ -298,3 +300,10 @@ def fold(density: np.ndarray, parity: int) -> np.ndarray:
     folded = density[c:] + density[c::-1]
     folded[0] = density[c]
     return folded[parity:]
+
+
+def block_operator(grid, trap, folded: np.ndarray, parity: int) -> TridiagonalOperator:
+    """Block `parity` of H[rho] from rho's folded density: bare block + beta * block_density."""
+    bare = assemble_block(grid, trap.a, parity)
+    return TridiagonalOperator(diag=bare.diag + trap.beta * block_density(folded, parity),
+                               offdiag=bare.offdiag)

@@ -10,11 +10,12 @@ from gpdwell.eigensolver import (
     norm_inf,
 )
 from gpdwell.grid import TrapConfig, make_grid
-from gpdwell.hamiltonian import TridiagonalOperator, assemble_block
+from gpdwell.hamiltonian import TridiagonalOperator
 from gpdwell.scf import _bare_start
 
 from oracles import (
     assemble,
+    block_operator,
     dense,
     fold,
     kinetic_operator,
@@ -154,7 +155,7 @@ def test_count_below_matches_sturm_oracle():
 def _block_and_pairs(density_scale):
     grid = make_grid(6.0, 1200)
     density = np.exp(-density_scale * grid.interior**2)
-    op = assemble_block(grid, TrapConfig(a=3.0, beta=0.5), fold(density, 0), 0)
+    op = block_operator(grid, TrapConfig(a=3.0, beta=0.5), fold(density, 0), 0)
     return grid, op, lowest_eigenpairs(op, 3, grid)
 
 
@@ -181,9 +182,9 @@ def test_follow_rejects_a_pair_of_another_index():
 def _weyl_case(a, parity, index, beta=0.5):
     """An interacting block at D = 4000, the bare pair to follow and its Weyl window."""
     grid = make_grid(6.0, 4000)
-    previous, below, above = _bare_start(grid, a, parity, index)
+    _, previous, below, above = _bare_start(grid, a, parity, index)
     density = previous.vector**2
-    op = assemble_block(grid, TrapConfig(a=a, beta=beta), density, parity)
+    op = block_operator(grid, TrapConfig(a=a, beta=beta), density, parity)
     margin = 8.0 * EPS * norm_inf(op)
     return grid, op, previous, (below + beta * density.max() + margin, above - margin)
 

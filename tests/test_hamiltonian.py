@@ -5,7 +5,14 @@ from gpdwell.eigensolver import lowest_eigenpairs
 from gpdwell.grid import TrapConfig, make_grid, potential
 from gpdwell.hamiltonian import TridiagonalOperator, assemble_block, block_vector, unfold
 
-from oracles import assemble, dense, fold, kinetic_operator, tridiag_eigenvalue_bisection
+from oracles import (
+    assemble,
+    block_operator,
+    dense,
+    fold,
+    kinetic_operator,
+    tridiag_eigenvalue_bisection,
+)
 
 
 class TestKineticOperator:
@@ -106,10 +113,9 @@ class TestParitySectors:
     def test_block_spectra_interleave_to_full_spectrum(self):
         grid = make_grid(6.0, 800)
         trap = TrapConfig(a=3.0, beta=0.0)
-        zero = np.zeros(grid.D - 1)
-        op = assemble(grid, trap, zero)
-        even = _values(assemble_block(grid, trap, fold(zero, 0), 0), 3, grid)
-        odd = _values(assemble_block(grid, trap, fold(zero, 1), 1), 3, grid)
+        op = assemble(grid, trap, np.zeros(grid.D - 1))
+        even = _values(assemble_block(grid, trap.a, 0), 3, grid)
+        odd = _values(assemble_block(grid, trap.a, 1), 3, grid)
         sectors = [value for pair in zip(even, odd) for value in pair]
         full = _values(op, 6, grid)
         assert sectors == pytest.approx(full, rel=0, abs=1e-12)
@@ -160,7 +166,7 @@ class TestParitySectors:
             op = assemble(grid, trap, rho)
             p = _sector_basis(op.size, parity)
             np.testing.assert_allclose(
-                dense(assemble_block(grid, trap, fold(rho, parity), parity)),
+                dense(block_operator(grid, trap, fold(rho, parity), parity)),
                 p.T @ dense(op) @ p,
                 rtol=0, atol=1e-14,
             )
@@ -171,15 +177,15 @@ class TestParitySectors:
         rho = np.exp(-grid.interior**2)
         op = assemble(grid, trap, rho)
         c = grid.D // 2 - 1
-        even = assemble_block(grid, trap, fold(rho, 0), 0)
-        odd = assemble_block(grid, trap, fold(rho, 1), 1)
+        even = block_operator(grid, trap, fold(rho, 0), 0)
+        odd = block_operator(grid, trap, fold(rho, 1), 1)
         assert np.array_equal(even.diag, op.diag[c:])
         assert even.offdiag[0] == np.sqrt(2.0) * op.offdiag[c]
         assert np.array_equal(even.offdiag[1:], op.offdiag[c + 1:])
         assert np.array_equal(odd.diag, op.diag[c + 1:])
         assert np.array_equal(odd.offdiag, op.offdiag[c + 1:])
 
-    @pytest.mark.parametrize("folded", [np.ones(5), -np.ones(6)])
-    def test_block_rejects_bad_density(self, folded):
-        with pytest.raises(ValueError):
-            assemble_block(make_grid(3.0, 12), TrapConfig(a=2.0, beta=1.0), folded, 0)
+    @pytest.mark.parametrize("a", [0.0, -1.0, np.nan, np.inf])
+    def test_block_rejects_bad_well_depth(self, a):
+        with pytest.raises(ValueError, match="well-depth"):
+            assemble_block(make_grid(3.0, 12), a, 0)

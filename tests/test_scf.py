@@ -6,7 +6,7 @@ import pytest
 import gpdwell.scf
 from gpdwell.eigensolver import lowest_eigenpairs
 from gpdwell.grid import TrapConfig, integrate, make_grid
-from gpdwell.hamiltonian import assemble_block, block_vector
+from gpdwell.hamiltonian import block_vector
 from gpdwell.scf import (
     DomainTooSmall,
     MaxIterationsExceeded,
@@ -16,7 +16,7 @@ from gpdwell.scf import (
     solve_state,
 )
 
-from oracles import assemble
+from oracles import assemble, block_operator
 
 
 class TestScfConfig:
@@ -52,15 +52,17 @@ class TestLinearLimit:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_recorded_residual_is_the_returned_states(self, n):
-        # result.residual belongs to the psi and mu the state carries
+        # result.residual belongs to the psi and mu the state carries: that of a
+        # freshly composed H[psi^2], whose beta term is not zero past beta = 0
         grid = make_grid(6.0, 800)
-        trap = TrapConfig(a=3.0, beta=0.0)
-        result = solve_state(grid, trap, n)
         parity = n % 2
-        w = block_vector(result.state.psi[1:-1], parity)
-        r = assemble_block(grid, trap, w * w, parity).apply(w) - result.state.mu * w
-        residual = np.sqrt(grid.delta * np.dot(r, r))
-        assert residual == pytest.approx(result.residual, rel=0.1, abs=0)
+        for a, beta in [(3.0, 0.0), (3.0, 0.5), (5.0, 2.0)]:
+            trap = TrapConfig(a=a, beta=beta)
+            result = solve_state(grid, trap, n)
+            w = block_vector(result.state.psi[1:-1], parity)
+            r = block_operator(grid, trap, w * w, parity).apply(w) - result.state.mu * w
+            residual = np.sqrt(grid.delta * np.dot(r, r))
+            assert residual == pytest.approx(result.residual, rel=0.1, abs=0)
 
     def test_beta_zero_operator_is_bitwise_linear(self):
         grid = make_grid(6.0, 400)
@@ -250,33 +252,54 @@ class TestWarmEigenpairs:
 
     def test_shared_vectors_are_read_only(self, grid1200):
         solve_state(grid1200, TrapConfig(a=5.0, beta=0.3), 2)
-        pair, _, _ = gpdwell.scf._bare_start(grid1200, 5.0, 0, 1)
-        assert not pair.vector.flags.writeable
-        with pytest.raises(ValueError):
-            pair.vector[0] = 0.0
+        bare, pair, _, _ = gpdwell.scf._bare_start(grid1200, 5.0, 0, 1)
+        for shared in (pair.vector, bare.diag, bare.offdiag):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0] = 0.0
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_first_density_is_the_start_pairs_own(self, grid1200, monkeypatch, n):
         # cold from the bare pair, warm from the start state, each with its own w * w
         index, parity = divmod(n, 2)
         trap = TrapConfig(a=5.0, beta=1.0)
-        bare, _, _ = gpdwell.scf._bare_start(grid1200, trap.a, parity, index)  # cached before recording
+        _, bare_pair, _, _ = gpdwell.scf._bare_start(grid1200, trap.a, parity, index)  # cached
         start = solve_state(grid1200, TrapConfig(a=5.1, beta=1.0), n).state
         densities = []
-        original = gpdwell.scf.assemble_block
+        original = gpdwell.scf.block_density
 
-        def recording(grid, trap, folded, parity):
+        def recording(folded, parity):
             densities.append(folded)
-            return original(grid, trap, folded, parity)
+            return original(folded, parity)
 
-        monkeypatch.setattr(gpdwell.scf, "assemble_block", recording)
+        monkeypatch.setattr(gpdwell.scf, "block_density", recording)
         solve_state(grid1200, trap, n)
         cold = densities[0]
         densities.clear()
         solve_state(grid1200, trap, n, start=start)
         warm = densities[0]
-        assert np.array_equal(cold, bare.vector ** 2)
+        assert np.array_equal(cold, bare_pair.vector ** 2)
         assert np.array_equal(warm, block_vector(start.psi[1:-1], parity) ** 2)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_one_bare_block_per_solve(self, grid1200, monkeypatch, n):
+        # every iterate adds beta * rho to the bare block: a cold solve finds it
+        # cached, a warm one builds it once before its loop
+        trap = TrapConfig(a=5.0, beta=1.0)
+        start = solve_state(grid1200, TrapConfig(a=5.1, beta=1.0), n).state
+        solve_state(grid1200, trap, n)  # caches the bare record
+        builds = []
+        original = gpdwell.scf.assemble_block
+
+        def counting(*args):
+            builds.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(gpdwell.scf, "assemble_block", counting)
+        cold = solve_state(grid1200, trap, n)
+        assert cold.iterations > 1 and builds == []
+        warm = solve_state(grid1200, trap, n, start=start)
+        assert warm.iterations > 1 and len(builds) == 1
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_warm_start_without_certificates_reaches_the_same_state(self, grid1200,
