@@ -457,11 +457,9 @@ def cmd_dynamics(args) -> int:
 def cmd_classical(args) -> int:
     _check_stepping(args)
     lyapunov = lyapunov_exponent(args.a)  # an a <= 0 is refused before the run
-    traj = classical_trajectory(args.a, args.x0, args.p0, args.dt, args.tmax)
-    points = traj.points[::args.stride]
-    write_csv(args.output, ["t", "x", "p"],
-              [traj.times[::args.stride], points[:, 0], points[:, 1]], _config_echo(args),
-              footer={"energy": traj.energy, "lyapunov": lyapunov})
+    traj = classical_trajectory(args.a, args.x0, args.p0, args.dt, args.tmax, args.stride)
+    write_csv(args.output, ["t", "x", "p"], [traj.times, traj.points[:, 0], traj.points[:, 1]],
+              _config_echo(args), footer={"energy": traj.energy, "lyapunov": lyapunov})
     return EXIT_OK
 
 
@@ -477,7 +475,8 @@ def _add_scf_args(p):
                    help="SCF stop: ||H psi - mu psi|| <= scf_tol * (1 + |mu|), "
                         "or the float64 roundoff floor of that residual on fine grids")
     p.add_argument("--max-iter", type=int, default=ScfConfig.max_iter,
-                   help="SCF iteration budget per state")
+                   help="iteration budget per state, shared by the Newton steps and the "
+                        "fallback fixed-point iterations")
 
 
 def _add_sweep(sub, name, func, help, betas="0:0.5:0.1", L=6.0, D=4000):

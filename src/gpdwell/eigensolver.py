@@ -10,12 +10,9 @@ There are two ways to a pair. lowest_eigenpairs is the cold path: LAPACK
 bisection over the whole spectrum plus inverse iteration. follow_eigenpair
 is the warm path for an operator close to one whose pair is known: two
 steps of inverse iteration shifted to the old vector's Rayleigh quotient
-(Parlett, The Symmetric Eigenvalue Problem, ch. 4). A warm pair is
-returned only with a certificate: its residual ball [lambda - h, lambda + h]
-holds an eigenvalue, and either the ball lies inside a window the caller
-knows to hold no eigenvalue but number `index`, or Sturm counts at its
-ends show that this is eigenvalue `index` and the only one there. Without
-a certificate it returns None and the caller takes the cold path.
+(Parlett, The Symmetric Eigenvalue Problem, ch. 4). It returns a pair
+only if Sturm counts certify it as eigenvalue `index` (certified), and
+None otherwise; the caller then takes the cold path.
 """
 
 from __future__ import annotations
@@ -62,17 +59,24 @@ def count_below(op: TridiagonalOperator, x: float) -> int:
     return int(m)
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
+def fix_sign(v: np.ndarray) -> np.ndarray:
+    """v or -v, whichever has its largest-magnitude entry positive."""
     i = int(np.argmax(np.abs(v)))  # argmax takes the lowest index on ties
     return -v if v[i] < 0 else v
 
 
+def certified(op: TridiagonalOperator, value: float, residual: float, index: int) -> bool:
+    """Whether eigenvalue `index` of op, and no other, lies within h of value.
+
+    residual, ||op v - value v|| / ||v|| for some v, puts an eigenvalue within
+    h = max(residual, 1e-12 * (1 + |value|)); Sturm counts at value -+ h number it.
+    """
+    h = max(residual, 1e-12 * (1.0 + abs(value)))
+    return count_below(op, value - h) == index and count_below(op, value + h) == index + 1
+
+
 def follow_eigenpair(
-    op: TridiagonalOperator,
-    previous: Eigenpair,
-    index: int,
-    grid: Grid,
-    window: tuple[float, float] | None = None,
+    op: TridiagonalOperator, previous: Eigenpair, index: int, grid: Grid
 ) -> Eigenpair | None:
     """Eigenpair `index` of op by inverse iteration from a pair of a nearby operator.
 
@@ -81,14 +85,8 @@ def follow_eigenpair(
     The result is normalized and sign-fixed like the pairs of
     lowest_eigenpairs, and its residual sits at the float64 floor of op
     (measured on the four lowest pairs at a = 5, D = 4000: up to
-    6.2e-11 * (1 + |lambda|)). It is returned only if certified:
-    with h = max(||op v - lambda v||, 1e-12 * (1 + |lambda|)) there is an
-    eigenvalue within h of lambda, and it is eigenvalue `index` if either
-    the ball [lambda - h, lambda + h] lies strictly inside window, an open
-    interval (lo, hi) that the caller guarantees holds no eigenvalue of op
-    but number `index`, or the Sturm counts below lambda - h and
-    lambda + h are index and index + 1. The counts run only when there is
-    no window or the ball is not inside it. Otherwise the result is None.
+    6.2e-11 * (1 + |lambda|)). It is returned only if certified; otherwise
+    the result is None.
     """
     delta = grid.delta
     v = previous.vector
@@ -104,12 +102,9 @@ def follow_eigenpair(
     if not np.isfinite(lam):
         return None
     r = av - lam * v
-    h = max(float(np.sqrt(delta * np.dot(r, r))), 1e-12 * (1.0 + abs(lam)))
-    inside = window is not None and window[0] < lam - h and lam + h < window[1]
-    if not inside and (count_below(op, lam - h) != index
-                       or count_below(op, lam + h) != index + 1):
+    if not certified(op, lam, float(np.sqrt(delta * np.dot(r, r))), index):
         return None
-    return Eigenpair(value=lam, vector=_fix_sign(v))
+    return Eigenpair(value=lam, vector=fix_sign(v))
 
 
 def lowest_eigenpairs(op: TridiagonalOperator, k: int, grid: Grid) -> list[Eigenpair]:
@@ -131,5 +126,5 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int, grid: Grid) -> list[Eigen
     pairs = []
     for j in range(k):
         v = vecs[:, j] / np.sqrt(grid.delta * np.dot(vecs[:, j], vecs[:, j]))
-        pairs.append(Eigenpair(value=float(vals[j]), vector=_fix_sign(v)))
+        pairs.append(Eigenpair(value=float(vals[j]), vector=fix_sign(v)))
     return pairs

@@ -1,52 +1,42 @@
 """Self-consistent solution of the nonlinear eigenvalue problem.
 
-Each stationary state n is iterated to self-consistency with its own
-density, on the half grid of parity sector n % 2 (even for even n),
-starting from a known eigenpair (see below): take eigenpair n // 2 of the
-sector's bare block (hamiltonian.assemble_block, once per solve) plus the
-diagonal beta * block_density(density) of the folded input density, and
-mix the output density with the earlier ones by Anderson (type II) mixing
-of depth ANDERSON_DEPTH (Anderson, J. ACM 12, 547 (1965); Walker & Ni,
-SIAM J. Numer. Anal. 49, 1715 (2011)). The state is mapped back to the
-full grid once, after the loop (hamiltonian.unfold), so it is exactly even
-or odd, and its per-particle energy (observables.energy) is taken there
-from the returned psi. So a StationaryState is complete and frozen when
-the solver returns it, converged or not: it carries its trap, grid, mu and
-energy, and its consumers need nothing else.
+State n is solved on the half grid of parity sector n % 2 (even for even
+n) as a block vector w and its mu; H[w^2] is the sector's bare block
+(hamiltonian.assemble_block) plus the diagonal beta * block_density(w * w).
+It is mapped back to the full grid once, at the end (hamiltonian.unfold),
+so it is exactly even or odd, and its per-particle energy
+(observables.energy) is taken from the returned psi: a StationaryState is
+complete and frozen when the solver returns it, converged or not.
 
-No iterate needs a full eigensolve (eigensolver.lowest_eigenpairs) unless
-a certificate fails. Every solve starts from a known pair and takes that
-pair's own density w * w as its first input density: a cold solve from
-the bare pair of the grid, a pure function of (grid, a, parity, index)
-kept with its block in a bounded per-process cache and shared read-only
-(_bare_start), and a warm solve from the start state's psi and mu. Every
-iterate, the first included, follows the last pair onto its operator by
-certified inverse iteration (eigensolver.follow_eigenpair); the operators
-of consecutive iterates differ by beta times the change of density. A
-full eigensolve is made only when the certificate fails.
-ScfResult.eigensolves counts those and not the shared bare pairs, so no
-result depends on what the process solved before.
+A solve starts from a known pair: a cold one from eigenpair n // 2 of the
+bare block, cached per process and shared read-only (_bare_start), a warm
+one from the start state's psi and mu. It takes Newton steps on
+F(w, mu) = (H[w^2] w - mu w, (delta w.w - 1) / 2), whose Jacobian is the
+tridiagonal A = bare + 3 beta * block_density(w * w) - mu bordered by the
+column -w and the row delta w^T (Keller, in Applications of Bifurcation
+Theory, Academic Press (1977); Govaerts, Numerical Methods for
+Bifurcations of Dynamical Equilibria, SIAM (2000)). A step renormalises w
+(without that, (a, beta, n) = (2, 4, 2) ended on a wrong state), tests the
+stop below, factors A once (LAPACK gttrf) and solves it for z = A^-1 r, r
+the residual, and y = A^-1 w together (gttrs); then dmu = (w.z) / (w.y),
+w <- w - z + dmu y and mu <- mu + dmu.
 
-A cold solve certifies its pairs by Weyl's inequality (Weyl, Math. Ann.
-71, 441 (1912); Parlett, The Symmetric Eigenvalue Problem, ch. 10)
-rather than by Sturm counts. Each operator is the bare block plus the
-diagonal beta * rho, where 0 <= rho <= max(density) for the folded input
-density, so its eigenvalue k lies in [lambda_k(bare), lambda_k(bare) +
-beta * max(density)] for every k. The open window (lambda_{index-1}(bare)
-+ beta * max(density), lambda_{index+1}(bare)), narrowed at each end by
-WEYL_MARGIN * eps * (||op||_inf + beta * max(density)), a bound on the
-norms of both blocks, then holds no eigenvalue of the operator but
-number index. The two bare neighbours come from the same LAPACK call as
-the bare start pair and are cached with it (_bare_start), so a cold start
-costs one eigensolve per (grid, a, parity, index). A pair whose residual
-ball leaves the window, as at strong coupling, and every pair of a warm
-solve, whose trap has no cached bare spectrum, are certified by the Sturm
-counts as before. So a pair is kept exactly when the counts alone would
-keep it.
+Newton may land on another eigenpair, so its pair is kept only if two
+Sturm counts on H[w^2] certify it (eigensolver.certified). On a miss, a
+singular A, a non-finite value or NEWTON_STEPS steps, the solve starts
+again from the same pair by the fixed-point loop (_mix): each iterate
+follows eigenpair n // 2 of H[density] by certified inverse iteration
+(eigensolver.follow_eigenpair, or a full eigensolve where that fails), and
+Anderson (type II) mixing combines its output density with earlier ones
+(Anderson, J. ACM 12, 547 (1965); Walker & Ni, SIAM J. Numer. Anal. 49,
+1715 (2011)). ScfResult.iterations counts the Newton steps and the loop's
+iterations, which share cfg.max_iter, and ScfResult.eigensolves the loop's
+full eigensolves, not the shared bare pairs: no result depends on what the
+process solved before.
 
 A solve stops on the nonlinear residual ||H[psi^2] psi - mu psi|| of the
 iterate's pair, once it is at most max(tol * (1 + |mu|), ROUNDOFF_FLOOR *
-eps * ||op||_inf), and returns that pair as it is. The second term is the
+eps * ||op||_inf), and returns that pair, sign-fixed. The second term is the
 float64 floor of that residual: it grows like D^2 (eps * ||op||_inf is
 5.6e-12 at D = 1200, 5.4e-11 at D = 4000 and 8.7e-10 at D = 16000), and
 below it a solve would stall on roundoff, as a ground state at a = 2 on
@@ -62,13 +52,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigensolver import (
-    EPS,
-    Eigenpair,
-    follow_eigenpair,
-    lowest_eigenpairs,
-    norm_inf,
-)
+from .eigensolver import (EPS, Eigenpair, certified, dgttrf, dgttrs, fix_sign, follow_eigenpair,
+                          lowest_eigenpairs, norm_inf)
 from .grid import Grid, TrapConfig, make_grid
 from .hamiltonian import TridiagonalOperator, assemble_block, block_density, block_vector, unfold
 from .observables import energy as _fill_energy  # the name perfbench traces
@@ -83,12 +68,9 @@ ANDERSON_DEPTH = 5  # earlier iterates kept by the mixing
 # tridiagonal solve, carries a true residual of the same order. Residuals
 # stalled at up to 2.5 eps ||op||_inf at D = 16000.
 ROUNDOFF_FLOOR = 8.0
-# Margin of the Weyl window's ends in units of eps times a bound on the
-# norms of the operator and its bare block. It covers the bisection
-# tolerance of the bare values (about eps ||bare||_1), the error of the
-# bisection's own Sturm counts (a few eps ||bare||) and the rounding of
-# beta * rho into the operator's diagonal (eps |diag|).
-WEYL_MARGIN = 8.0
+# Newton steps before the fallback. Of 512 states (a 0.25-16, beta 0-40, n <= 7; D = 600,
+# 2400) those certified took <= 32; the rest met the stop at a wrong state in <= 91.
+NEWTON_STEPS = 50
 
 
 class ScfError(RuntimeError):
@@ -147,10 +129,10 @@ class StationaryState:
 @dataclass
 class ScfResult:
     state: StationaryState
-    iterations: int
+    iterations: int  # Newton steps plus the fallback loop's iterations
     converged: bool = False
     residual: float = math.inf  # ||H[psi^2] psi - mu psi|| of the returned psi and mu
-    eigensolves: int = 0  # lowest_eigenpairs calls on the loop's operators: failed certificates
+    eigensolves: int = 0  # lowest_eigenpairs calls of the fallback loop: failed certificates
 
 
 def _anderson(inputs: list[np.ndarray], outputs: list[np.ndarray]) -> np.ndarray:
@@ -171,77 +153,90 @@ def _anderson(inputs: list[np.ndarray], outputs: list[np.ndarray]) -> np.ndarray
 
 @functools.lru_cache(maxsize=32)
 def _bare_start(grid: Grid, a: float, parity: int,
-                index: int) -> tuple[TridiagonalOperator, Eigenpair, float, float]:
-    """The beta = 0 block `parity` of the trap a on grid, its eigenpair `index` and neighbours.
-
-    One LAPACK call gives pairs 0..index + 1 of the block (0..index at its
-    top); the record is the block, pair index and eigenvalues index - 1 and
-    index + 1 of that same call (-inf and inf past the ends of the block),
-    its arrays read-only. A pure function of its arguments, shared by every
-    cold solve of the process.
-    """
+                index: int) -> tuple[TridiagonalOperator, Eigenpair]:
+    """The beta = 0 block `parity` of the trap a on grid and its eigenpair `index`, read-only."""
     bare = assemble_block(grid, a, parity)
-    # pairs 0..index + 1, or 0..index at the top; past it lowest_eigenpairs refuses
-    pairs = lowest_eigenpairs(bare, index + 1 + (index + 1 < bare.size), grid)
-    pair = pairs[index]
+    pair = lowest_eigenpairs(bare, index + 1, grid)[index]
     bare.diag.flags.writeable = bare.offdiag.flags.writeable = pair.vector.flags.writeable = False
-    below = pairs[index - 1].value if index > 0 else -math.inf
-    above = pairs[index + 1].value if index + 1 < len(pairs) else math.inf
-    return bare, pair, below, above
+    return bare, pair
 
 
-def _iterate(
-    grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig, start: StationaryState | None
-) -> ScfResult:
-    index, parity = divmod(n, 2)  # state n is eigenpair n // 2 of sector n % 2
-    if start is None:
-        bare, pair, below, above = _bare_start(grid, trap.a, parity, index)
-    else:
-        bare = assemble_block(grid, trap.a, parity)
-        pair = Eigenpair(value=start.mu, vector=block_vector(start.psi[1:-1], parity))
-    # Block coordinates: density is the folded input density, op is H[density],
-    # and an iterate w, the start pair's included, has the folded density w * w.
+def _stop(cfg: ScfConfig, mu: float, op: TridiagonalOperator) -> float:
+    """The residual at which a solve stops (see the module docstring)."""
+    return max(cfg.tol * (1.0 + abs(mu)), ROUNDOFF_FLOOR * EPS * norm_inf(op))
+
+
+def _newton(grid: Grid, beta: float, bare: TridiagonalOperator, pair: Eigenpair, index: int,
+            parity: int, cfg: ScfConfig) -> tuple[np.ndarray, float, int, bool]:
+    """Newton steps from pair: (w, mu, steps, certified) of the last pair tested.
+
+    They end at the stop, a singular A, a non-finite residual or the step limit.
+    """
+    w, mu = pair.vector, pair.value
+    limit = min(NEWTON_STEPS, cfg.max_iter)
+    for steps in range(1, limit + 1):
+        w = w / math.sqrt(grid.delta * np.dot(w, w))
+        rho = beta * block_density(w * w, parity)
+        op = replace(bare, diag=bare.diag + rho)
+        r = op.apply(w) - mu * w
+        residual = math.sqrt(grid.delta * np.dot(r, r))
+        if residual <= _stop(cfg, mu, op):
+            return w, mu, steps, certified(op, mu, residual, index)
+        # A: d(H[w^2] w)/dw is H[w^2] plus twice its beta term rho
+        *lu, info = dgttrf(bare.offdiag, op.diag + 2.0 * rho - mu, bare.offdiag)
+        if steps == limit or info != 0 or not math.isfinite(residual):
+            break
+        z, y = dgttrs(*lu, np.column_stack((r, w)))[0].T
+        dmu = float(np.dot(w, z) / np.dot(w, y))
+        w, mu = w - z + dmu * y, mu + dmu
+    return w, mu, steps, False
+
+
+def _mix(grid: Grid, beta: float, bare: TridiagonalOperator, pair: Eigenpair, index: int,
+         parity: int, cfg: ScfConfig, budget: int) -> tuple[np.ndarray, float, int, bool, int]:
+    """The loop from pair, first input w * w: (w, mu, iterations, converged, eigensolves)."""
     density = pair.vector * pair.vector
-    inputs: list[np.ndarray] = []
-    outputs: list[np.ndarray] = []
-    converged = False
-    eigensolves = 0
-
-    for iterations in range(1, cfg.max_iter + 1):
-        op = replace(bare, diag=bare.diag + trap.beta * block_density(density, parity))
-        scale = norm_inf(op)
-        window = None
-        if start is None:
-            shift = trap.beta * density.max()
-            margin = WEYL_MARGIN * EPS * (scale + shift)
-            window = (below + shift + margin, above - margin)
-        pair = follow_eigenpair(op, pair, index, grid, window)
+    inputs, outputs, eigensolves = [], [], 0
+    for iterations in range(1, budget + 1):
+        op = replace(bare, diag=bare.diag + beta * block_density(density, parity))
+        pair = follow_eigenpair(op, pair, index, grid)
         if pair is None:
             pair = lowest_eigenpairs(op, index + 1, grid)[index]
             eigensolves += 1
         w, mu = pair.vector, pair.value
         rho = w * w
-        r = op.apply(w) + trap.beta * block_density(rho - density, parity) * w - mu * w
+        r = op.apply(w) + beta * block_density(rho - density, parity) * w - mu * w
         residual = math.sqrt(grid.delta * np.dot(r, r))
-        if residual <= max(cfg.tol * (1.0 + abs(mu)), ROUNDOFF_FLOOR * EPS * scale):
-            converged = True
-            break
-
+        if residual <= _stop(cfg, mu, op):
+            return w, mu, iterations, True, eigensolves
         inputs.append(density)
         outputs.append(rho)
         del inputs[:-(ANDERSON_DEPTH + 1)], outputs[:-(ANDERSON_DEPTH + 1)]
         density = np.maximum(_anderson(inputs, outputs), 0.0)
         density /= grid.delta * density.sum()
+    return w, mu, budget, False, eigensolves
 
-    psi = np.pad(unfold(w, parity), 1)  # zeros at the walls
-    result = ScfResult(
-        state=StationaryState(n=n, psi=psi, mu=mu,
-                              energy=_fill_energy(grid, psi, trap), trap=trap, grid=grid),
-        iterations=iterations,
-        converged=converged,
-        residual=residual,
-        eigensolves=eigensolves,
-    )
+
+def _iterate(grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig,
+             start: StationaryState | None) -> ScfResult:
+    index, parity = divmod(n, 2)  # state n is eigenpair n // 2 of sector n % 2
+    if start is None:
+        bare, pair = _bare_start(grid, trap.a, parity, index)
+    else:
+        bare = assemble_block(grid, trap.a, parity)
+        pair = Eigenpair(value=start.mu, vector=block_vector(start.psi[1:-1], parity))
+    w, mu, iterations, converged = _newton(grid, trap.beta, bare, pair, index, parity, cfg)
+    eigensolves = 0
+    if not converged and iterations < cfg.max_iter:
+        w, mu, more, converged, eigensolves = _mix(grid, trap.beta, bare, pair, index, parity,
+                                                   cfg, cfg.max_iter - iterations)
+        iterations += more
+    psi = np.pad(unfold(fix_sign(w), parity), 1)  # zeros at the walls
+    w = block_vector(psi[1:-1], parity)  # the returned state's own, for its residual
+    r = replace(bare, diag=bare.diag + trap.beta * block_density(w * w, parity)).apply(w) - mu * w
+    residual = math.sqrt(grid.delta * np.dot(r, r))
+    state = StationaryState(n, psi, mu, _fill_energy(grid, psi, trap), trap, grid)
+    result = ScfResult(state, iterations, converged, residual, eigensolves)
     if not converged:
         raise MaxIterationsExceeded(result, cfg.tol)
     return result
@@ -258,8 +253,7 @@ def solve_state(
 
     start, a state solved before (e.g. for a nearby trap), warm-starts the
     solve on a grid equal to start.grid: its psi and mu take the place of
-    the bare pair, and its density start.psi^2 is the first input density;
-    on any other grid the solve starts cold.
+    the bare pair; on any other grid the solve starts cold.
 
     The hard walls at +-L bias a state through its slope there: for a = 2,
     beta = 0.5 they moved mu by 0.1 to 0.2 times psi'(L)^2 / 2. So while

@@ -14,6 +14,7 @@ at MAX_STEPS steps, and a propagation's snapshots at MAX_STEPS values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -95,52 +96,62 @@ def step_count(t_max: float, dt: float) -> int:
     return int(round(t_max / dt))
 
 
-def classical_trajectory(
-    a: float, x0: float, p0: float, dt: float, t_max: float
-) -> ClassicalTrajectory:
-    """RK4 integration of xdot = p, pdot = 2a x - 4 x^3.
+def _rk4(a: float, dt: float, x: float, p: float, blocks):
+    """RK4 for xdot = p, pdot = 2a x - 4 x^3 from (x, p): the point after each block of steps.
 
-    The step runs on Python floats, not on small arrays, and keeps the
-    operation order of the vector form y + (dt/6)(k1 + 2 k2 + 2 k3 + k4),
-    so every point is bitwise that of the vector form. A run that leaves
-    the float range raises ValueError, naming the last time it reached.
+    The step runs on Python floats in the operation order of the vector form
+    y + (dt/6)(k1 + 2 k2 + 2 k3 + k4), so every point is bitwise that of the
+    vector form. An x**3 past the float range yields (nan, nan) and ends it.
     """
-    if not all(map(math.isfinite, (a, x0, p0))):
-        raise ValueError(f"a, x0 and p0 must be finite, got {a:g}, {x0:g}, {p0:g}")
-    n_steps = step_count(t_max, dt)
-
     def force(x):
         return 2.0 * a * x - 4.0 * x**3
 
     half, sixth = 0.5 * dt, dt / 6.0
-    x, p = float(x0), float(p0)
-    xs, ps = [x], [p]
-    try:
-        for _ in range(n_steps):
-            # stage slopes k1 = (p, dp1), k2 = (dx2, dp2), k3 = (dx3, dp3), k4 = (dx4, dp4)
-            dp1 = force(x)
-            dx2, dp2 = p + half * dp1, force(x + half * p)
-            dx3, dp3 = p + half * dp2, force(x + half * dx2)
-            dx4, dp4 = p + dt * dp3, force(x + dt * dx3)
-            x = x + sixth * (p + 2 * dx2 + 2 * dx3 + dx4)
-            p = p + sixth * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
-            xs.append(x)
-            ps.append(p)
-    except OverflowError:  # x**3 left the float range
-        pass
-    if len(xs) <= n_steps or not (math.isfinite(x) and math.isfinite(p)):
-        # inf and nan never go away, so the run was finite up to its first such point
-        last = next((k for k, point in enumerate(zip(xs, ps))
-                     if not all(map(math.isfinite, point))), len(xs)) - 1
-        raise ValueError(f"the RK4 step overflowed after t = {dt * last:g}; "
-                         f"use a smaller time step dt (--dt)")
-    points = np.empty((n_steps + 1, 2))
-    points[:, 0] = xs
-    points[:, 1] = ps
+    for block in blocks:
+        try:
+            for _ in range(block):
+                # stage slopes k1 = (p, dp1), k2 = (dx2, dp2), k3 = (dx3, dp3), k4 = (dx4, dp4)
+                dp1 = force(x)
+                dx2, dp2 = p + half * dp1, force(x + half * p)
+                dx3, dp3 = p + half * dp2, force(x + half * dx2)
+                dx4, dp4 = p + dt * dp3, force(x + dt * dx3)
+                x = x + sixth * (p + 2 * dx2 + 2 * dx3 + dx4)
+                p = p + sixth * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
+        except OverflowError:
+            yield math.nan, math.nan
+            return
+        yield x, p
 
-    energy = 0.5 * p0**2 + potential(x0, a)
-    times = dt * np.arange(n_steps + 1)
-    return ClassicalTrajectory(times=times, points=points, energy=float(energy))
+
+def classical_trajectory(a: float, x0: float, p0: float, dt: float, t_max: float,
+                         stride: int = 1) -> ClassicalTrajectory:
+    """RK4 (_rk4) from (x0, p0) for round(t_max / dt) steps dt, keeping steps 0, stride, ...
+
+    The kept points go into arrays of their final size as the run goes. A
+    run that leaves the float range raises ValueError, naming the last time
+    it reached, also past the last kept point.
+    """
+    if not all(map(math.isfinite, (a, x0, p0))):
+        raise ValueError(f"a, x0 and p0 must be finite, got {a:g}, {x0:g}, {p0:g}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    n_steps = step_count(t_max, dt)
+    kept = n_steps // stride + 1
+    points = np.empty((kept, 2))
+    points[0] = x0, p0
+    blocks = itertools.chain(itertools.repeat(stride, kept - 1), [n_steps % stride])
+    for j, (x, p) in enumerate(_rk4(a, dt, float(x0), float(p0), blocks), 1):
+        if not (math.isfinite(x) and math.isfinite(p)):
+            # inf and nan never go away: step the block again to its first such point
+            again = _rk4(a, dt, *points[j - 1].tolist(), itertools.repeat(1, stride))
+            last = (j - 1) * stride + sum(1 for _ in itertools.takewhile(
+                lambda point: all(map(math.isfinite, point)), again))
+            raise ValueError(f"the RK4 step overflowed after t = {dt * last:g}; "
+                             f"use a smaller time step dt (--dt)")
+        if j < kept:
+            points[j] = x, p
+    return ClassicalTrajectory(times=dt * np.arange(0, n_steps + 1, stride), points=points,
+                               energy=float(0.5 * p0**2 + potential(x0, a)))
 
 
 def lyapunov_exponent(a: float) -> float:

@@ -15,6 +15,7 @@ from oracles import csv_payload_rowwise, csv_rows_fieldwise
 
 import gpdwell.cli
 import gpdwell.dynamics
+import gpdwell.eigensolver
 import gpdwell.scf
 from gpdwell.cli import (
     CSV_CHUNK,
@@ -148,8 +149,8 @@ class TestSolve:
         assert code == EXIT_VALIDATION
 
     def test_top_state_of_a_tiny_block(self, tmp_path, capsys):
-        # state 5 is the last eigenvalue of its 3-row odd block on D = 8; its
-        # certificate window is open above, and the state leaks as before
+        # state 5 is the last eigenvalue of its 3-row odd block on D = 8, and it
+        # leaks as before
         out = tmp_path / "x.json"
         code = main(["solve", "--a", "1", "--states", "6", "--D", "8", "--L", "3",
                      "--output", str(out)])
@@ -160,10 +161,10 @@ class TestSolve:
         assert not out.exists()
 
     def test_eigensolver_failure_reported(self, tmp_path, capsys, monkeypatch):
-        def follow_failing(*args):
+        def count_failing(*args):  # the Sturm count that certifies the Newton pair
             raise EigensolverError("Sturm count failed (injected)")
 
-        monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", follow_failing)
+        monkeypatch.setattr(gpdwell.eigensolver, "count_below", count_failing)
         code = main(["solve", "--a", "2", "--D", "400",
                      "--output", str(tmp_path / "x.json")])
         assert code == EXIT_CONVERGENCE
@@ -497,10 +498,11 @@ class TestScanCritical:
         assert not out.exists()
 
     def test_failed_points_reported_in_band(self, tmp_path):
-        # three iterations are too few at beta = 2 and 4; the finished point keeps its row
+        # three iterations are too few at beta = 2 and 4, where the cold solves at the
+        # bracket ends take four and five; the finished point keeps its row
         out = tmp_path / "scan.csv"
         code = main(["scan-critical", "--betas", "0:4:2", "--D", "400", "--max-iter", "3",
-                     "--output", str(out)])
+                     "--bracket", "1.7,1.8", "--output", str(out)])
         assert code == EXIT_PARTIAL
         col = _columns(out)
         assert col["beta"] == [0.0, 2.0, 4.0]
@@ -557,17 +559,17 @@ class TestWkbAndOverlaps:
         assert np.isnan(col["T_0"][1])
 
     def test_wkb_eigensolver_failure_at_one_beta(self, tmp_path, monkeypatch):
-        follow, calls = gpdwell.scf.follow_eigenpair, []
+        count, calls = gpdwell.eigensolver.count_below, []
 
-        def follow_failing_third(*args):
+        def count_failing_fifth(*args):
             calls.append(args)
-            # a beta = 0 solve follows once, so states 0, 1 at beta = 0 came
-            # first and this is the first iterate of state 0 at beta = 0.1
-            if len(calls) == 3:
+            # each solve certifies its Newton pair by two counts, so states 0, 1
+            # at beta = 0 came first and this certifies state 0 at beta = 0.1
+            if len(calls) == 5:
                 raise EigensolverError("injected")
-            return follow(*args)
+            return count(*args)
 
-        monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", follow_failing_third)
+        monkeypatch.setattr(gpdwell.eigensolver, "count_below", count_failing_fifth)
         out = tmp_path / "wkb.csv"
         code = main(["wkb", "--a", "5", "--betas", "0:0.2:0.1", "--D", "600",
                      "--output", str(out)])

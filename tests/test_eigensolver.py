@@ -3,15 +3,13 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from gpdwell.eigensolver import (
-    EPS,
+    certified,
     count_below,
     follow_eigenpair,
     lowest_eigenpairs,
-    norm_inf,
 )
 from gpdwell.grid import TrapConfig, make_grid
 from gpdwell.hamiltonian import TridiagonalOperator
-from gpdwell.scf import _bare_start
 
 from oracles import (
     assemble,
@@ -179,38 +177,16 @@ def test_follow_rejects_a_pair_of_another_index():
     assert follow_eigenpair(op, pairs[1], 1, grid) is not None
 
 
-def _weyl_case(a, parity, index, beta=0.5):
-    """An interacting block at D = 4000, the bare pair to follow and its Weyl window."""
-    grid = make_grid(6.0, 4000)
-    _, previous, below, above = _bare_start(grid, a, parity, index)
-    density = previous.vector**2
-    op = block_operator(grid, TrapConfig(a=a, beta=beta), density, parity)
-    margin = 8.0 * EPS * norm_inf(op)
-    return grid, op, previous, (below + beta * density.max() + margin, above - margin)
-
-
-@pytest.mark.parametrize("a", [5.0, 12.0])
-@pytest.mark.parametrize("parity, index", [(0, 0), (1, 0), (0, 1), (1, 1)])
-def test_window_certified_pair_is_the_counted_pair(sturm_counts, a, parity, index):
-    grid, op, previous, window = _weyl_case(a, parity, index)
-    windowed = follow_eigenpair(op, previous, index, grid, window)
-    assert windowed is not None and sturm_counts == []  # no Sturm count ran
-    counted = follow_eigenpair(op, previous, index, grid)
-    assert len(sturm_counts) == 2
-    assert windowed.value == counted.value
-    assert np.array_equal(windowed.vector, counted.vector)
-
-
-def test_ball_outside_the_window_falls_back_to_counts(sturm_counts):
-    grid, op, previous, _ = _weyl_case(5.0, 0, 1)
-    counted = follow_eigenpair(op, previous, 1, grid)
-    for window in ((counted.value + 1.0, np.inf), (-np.inf, counted.value), (0.0, 0.0)):
+def test_certified_is_two_counts_around_the_residual_ball(sturm_counts):
+    grid, op, pairs = _block_and_pairs(1.0)
+    for index, pair in enumerate(pairs):
+        r = op.apply(pair.vector) - pair.value * pair.vector
+        residual = float(np.sqrt(grid.delta * np.dot(r, r)))
         sturm_counts.clear()
-        pair = follow_eigenpair(op, previous, 1, grid, window)
-        assert len(sturm_counts) == 2
-        assert pair.value == counted.value
-        assert np.array_equal(pair.vector, counted.vector)
-    sturm_counts.clear()
-    # the counts still refuse a pair of another index
-    assert follow_eigenpair(op, previous, 0, grid, (counted.value + 1.0, np.inf)) is None
-    assert sturm_counts
+        assert certified(op, pair.value, residual, index)
+        h = max(residual, 1e-12 * (1.0 + abs(pair.value)))
+        assert sturm_counts == [pair.value - h, pair.value + h]
+        assert not certified(op, pair.value, residual, index + 1)
+    # a ball that holds two eigenvalues certifies neither
+    gap = pairs[1].value - pairs[0].value
+    assert not certified(op, pairs[0].value, 1.5 * gap, 0)

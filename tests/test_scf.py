@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import gpdwell.eigensolver
 import gpdwell.scf
-from gpdwell.eigensolver import lowest_eigenpairs
+from gpdwell.eigensolver import Eigenpair, count_below, fix_sign, lowest_eigenpairs
 from gpdwell.grid import TrapConfig, integrate, make_grid
-from gpdwell.hamiltonian import block_vector
+from gpdwell.hamiltonian import assemble_block, block_vector, unfold
 from gpdwell.scf import (
     DomainTooSmall,
     MaxIterationsExceeded,
@@ -16,7 +17,22 @@ from gpdwell.scf import (
     solve_state,
 )
 
-from oracles import assemble, block_operator
+from oracles import assemble, block_operator, sturm_count
+
+
+def miss_next_certificate(monkeypatch):
+    """Make the next Sturm count, the first of the next certificate, answer -1.
+
+    The next certificate to run is that of a solve's Newton pair, so that solve
+    falls back to the loop, whose own certificates are counted truly.
+    """
+    calls = []
+
+    def lying(op, x):
+        calls.append(x)
+        return -1 if len(calls) == 1 else count_below(op, x)
+
+    monkeypatch.setattr(gpdwell.eigensolver, "count_below", lying)
 
 
 class TestScfConfig:
@@ -227,10 +243,15 @@ class TestWarmEigenpairs:
         assert sum(r.iterations for r in spectrum_a5_b01) <= 14
 
     def test_failed_certificate_falls_back_to_eigensolve(self, grid4000, monkeypatch):
+        # the fallback loop solves in full each operator whose followed pair fails
+        trap = TrapConfig(a=5.0, beta=0.5)
+        newton = solve_state(grid4000, trap, 1)
         monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", lambda *args: None)
-        result = solve_state(grid4000, TrapConfig(a=5.0, beta=0.5), 1)
-        assert result.iterations > 1
-        assert result.eigensolves == result.iterations  # the first iterate follows too
+        miss_next_certificate(monkeypatch)
+        result = solve_state(grid4000, trap, 1)
+        loop = result.iterations - newton.iterations  # Newton's steps run as before the miss
+        assert loop > 1
+        assert result.eigensolves == loop  # the first iterate follows too
 
     def test_result_does_not_depend_on_the_shared_pairs(self, grid1200):
         cases = [(TrapConfig(a=5.0, beta=0.5), 1), (TrapConfig(a=2.0, beta=1.0), 0),
@@ -252,7 +273,7 @@ class TestWarmEigenpairs:
 
     def test_shared_vectors_are_read_only(self, grid1200):
         solve_state(grid1200, TrapConfig(a=5.0, beta=0.3), 2)
-        bare, pair, _, _ = gpdwell.scf._bare_start(grid1200, 5.0, 0, 1)
+        bare, pair = gpdwell.scf._bare_start(grid1200, 5.0, 0, 1)
         for shared in (pair.vector, bare.diag, bare.offdiag):
             assert not shared.flags.writeable
             with pytest.raises(ValueError):
@@ -260,10 +281,11 @@ class TestWarmEigenpairs:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_first_density_is_the_start_pairs_own(self, grid1200, monkeypatch, n):
-        # cold from the bare pair, warm from the start state, each with its own w * w
+        # cold from the bare pair, warm from the start state, each renormalised
+        # and with its own w * w
         index, parity = divmod(n, 2)
         trap = TrapConfig(a=5.0, beta=1.0)
-        _, bare_pair, _, _ = gpdwell.scf._bare_start(grid1200, trap.a, parity, index)  # cached
+        _, bare_pair = gpdwell.scf._bare_start(grid1200, trap.a, parity, index)  # cached
         start = solve_state(grid1200, TrapConfig(a=5.1, beta=1.0), n).state
         densities = []
         original = gpdwell.scf.block_density
@@ -278,8 +300,12 @@ class TestWarmEigenpairs:
         densities.clear()
         solve_state(grid1200, trap, n, start=start)
         warm = densities[0]
-        assert np.array_equal(cold, bare_pair.vector ** 2)
-        assert np.array_equal(warm, block_vector(start.psi[1:-1], parity) ** 2)
+
+        def unit(w):
+            return w / np.sqrt(grid1200.delta * np.dot(w, w))
+
+        assert np.array_equal(cold, unit(bare_pair.vector) ** 2)
+        assert np.array_equal(warm, unit(block_vector(start.psi[1:-1], parity)) ** 2)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_one_bare_block_per_solve(self, grid1200, monkeypatch, n):
@@ -304,76 +330,102 @@ class TestWarmEigenpairs:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_warm_start_without_certificates_reaches_the_same_state(self, grid1200,
                                                                     monkeypatch, n):
+        # the fallback loop from a warm start, following its pairs or solving each in full
         trap = TrapConfig(a=5.0, beta=1.0)
         start = solve_state(grid1200, TrapConfig(a=5.1, beta=1.0), n).state
+        steps = solve_state(grid1200, trap, n, start=start).iterations  # Newton's, before a miss
+        miss_next_certificate(monkeypatch)
         followed = solve_state(grid1200, trap, n, start=start)
         monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", lambda *args: None)
+        miss_next_certificate(monkeypatch)
         solved = solve_state(grid1200, trap, n, start=start)
-        assert solved.eigensolves == solved.iterations  # the first follow counts too
+        assert solved.eigensolves == solved.iterations - steps  # the first follow counts too
         assert abs(solved.iterations - followed.iterations) <= 1
         assert solved.state.mu == pytest.approx(followed.state.mu,
                                                 abs=1e-9 * (1.0 + abs(followed.state.mu)))
         np.testing.assert_allclose(solved.state.psi, followed.state.psi, rtol=0, atol=1e-7)
 
     def test_same_states_as_full_eigensolves(self, grid4000, monkeypatch):
+        # Newton's states against those of the loop that solves every operator in full
         cases = [(a, beta, n) for a in (5.0, 12.0) for beta in (0.0, 0.5, 1.0) for n in range(4)]
         cases += [(5.0, 9.0, 0), (2.0, 20.0, 0)]
-        warm = [solve_state(grid4000, TrapConfig(a=a, beta=b), n) for a, b, n in cases]
+        newton = [solve_state(grid4000, TrapConfig(a=a, beta=b), n) for a, b, n in cases]
         monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", lambda *args: None)
-        for (a, b, n), w in zip(cases, warm):
+        for (a, b, n), w in zip(cases, newton):
+            miss_next_certificate(monkeypatch)
             cold = solve_state(grid4000, TrapConfig(a=a, beta=b), n)
+            assert cold.eigensolves == cold.iterations - w.iterations > 0
             scale = 1e-9 * (1.0 + abs(cold.state.mu))
             assert w.state.mu == pytest.approx(cold.state.mu, abs=scale)
             assert w.state.energy == pytest.approx(cold.state.energy, abs=scale)
-            assert abs(w.iterations - cold.iterations) <= 1
 
 
-class TestWeylCertificate:
-    def test_cold_spectrum_makes_no_sturm_counts(self, grid4000, spectrum_a5_b01,
-                                                 sturm_counts):
-        results = solve_spectrum(grid4000, TrapConfig(a=5.0, beta=0.1), 4)
-        assert sturm_counts == []
-        for r, ref in zip(results, spectrum_a5_b01):
-            assert np.array_equal(r.state.psi, ref.state.psi)
-            assert r.iterations == ref.iterations
+class TestNewton:
+    def test_forced_fallback_returns_the_loops_state(self, monkeypatch):
+        # Newton meets the stop at a wrong state of the sector here, so the loop runs
+        grid = make_grid(6.0, 600)
+        trap = TrapConfig(a=5.0, beta=40.0)
+        ends = []
+        newton = gpdwell.scf._newton
 
-    def test_strong_coupling_falls_back_to_counts(self, grid4000, monkeypatch, sturm_counts):
-        trap = TrapConfig(a=2.0, beta=20.0)
-        windowed = solve_state(grid4000, trap, 0)
-        assert len(sturm_counts) > 0
-        original = gpdwell.scf.follow_eigenpair
-        monkeypatch.setattr(gpdwell.scf, "follow_eigenpair",
-                            lambda op, previous, index, grid, window:
-                            original(op, previous, index, grid, (0.0, 0.0)))  # empty
-        counted = solve_state(grid4000, trap, 0)
-        assert np.array_equal(windowed.state.psi, counted.state.psi)
-        assert (windowed.state.mu, windowed.state.energy) == (counted.state.mu,
-                                                             counted.state.energy)
-        assert (windowed.iterations, windowed.converged, windowed.residual,
-                windowed.eigensolves) == (counted.iterations, counted.converged,
-                                          counted.residual, counted.eigensolves)
+        def recording(*args):
+            ends.append(newton(*args))
+            return ends[-1]
 
-    def test_window_keeps_only_what_the_counts_keep(self, grid1200, monkeypatch):
-        # Cases where the window certifies all, some or none of the iterates:
-        # with a window or without, follow_eigenpair returns the same pair.
-        original = gpdwell.scf.follow_eigenpair
-        windows = []
+        monkeypatch.setattr(gpdwell.scf, "_newton", recording)
+        result = solve_state(grid, trap, 2)
+        [(_, _, steps, certified)] = ends
+        assert not certified
+        bare, pair = gpdwell.scf._bare_start(grid, trap.a, 0, 1)  # state 2: even pair 1
+        _, mu, iterations, converged, eigensolves = gpdwell.scf._mix(
+            grid, trap.beta, bare, pair, 1, 0, ScfConfig(), ScfConfig().max_iter)
+        assert result.converged and converged
+        assert result.state.mu == pytest.approx(mu, rel=1e-9, abs=0)
+        assert result.iterations == steps + iterations
+        assert result.eigensolves == eigensolves
+        # the loop gets what Newton left of the one budget
+        cfg = ScfConfig(max_iter=steps + 2)
+        with pytest.raises(MaxIterationsExceeded) as exc:
+            solve_state(grid, trap, 2, cfg)
+        assert exc.value.result.iterations == cfg.max_iter
 
-        def both(op, previous, index, grid, window):
-            pair = original(op, previous, index, grid, window)
-            counted = original(op, previous, index, grid, None)
-            assert (pair is None) == (counted is None)
-            if pair is not None:
-                assert pair.value == counted.value
-                assert np.array_equal(pair.vector, counted.vector)
-            windows.append(window)
-            return pair
+    def test_state_set_certified_without_fallback(self, grid1200, monkeypatch):
+        monkeypatch.setattr(gpdwell.scf, "_mix", lambda *args: pytest.fail("fell back"))
+        for a in (0.5, 2.0, 5.0, 12.0):
+            for beta in (0.0, 0.5, 4.0, 20.0):
+                trap = TrapConfig(a=a, beta=beta)
+                for n in range(4):
+                    result = solve_state(grid1200, trap, n)
+                    state, (index, parity) = result.state, divmod(n, 2)
+                    assert result.converged and result.eigensolves == 0
+                    # eigenvalue n // 2 of the block of H[psi^2] lies within the residual
+                    # of mu, and no other does
+                    w = block_vector(state.psi[1:-1], parity)
+                    op = block_operator(state.grid, trap, w * w, parity)
+                    h = max(result.residual, 1e-12 * (1.0 + abs(state.mu)))
+                    assert sturm_count(op.diag, op.offdiag, state.mu - h) == index
+                    assert sturm_count(op.diag, op.offdiag, state.mu + h) == index + 1
 
-        monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", both)
-        for a, beta in ((2.0, 4.0), (5.0, 9.0), (12.0, 1.0), (0.5, 20.0)):
-            for n in range(4):
-                solve_state(grid1200, TrapConfig(a=a, beta=beta), n)
-        assert windows and None not in windows  # every solve here is cold
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_certificate_miss_returns_the_loops_result(self, grid1200, monkeypatch, warm):
+        trap, (index, parity) = TrapConfig(a=5.0, beta=1.0), divmod(1, 2)
+        start = solve_state(grid1200, TrapConfig(a=5.1, beta=1.0), 1).state if warm else None
+        steps = solve_state(grid1200, trap, 1, start=start).iterations
+        miss_next_certificate(monkeypatch)
+        result = solve_state(grid1200, trap, 1, start=start)
+        if warm:  # the start pair of a warm solve
+            bare = assemble_block(grid1200, trap.a, parity)
+            pair = Eigenpair(value=start.mu, vector=block_vector(start.psi[1:-1], parity))
+        else:
+            bare, pair = gpdwell.scf._bare_start(grid1200, trap.a, parity, index)
+        cfg = ScfConfig()
+        w, mu, iterations, converged, eigensolves = gpdwell.scf._mix(
+            grid1200, trap.beta, bare, pair, index, parity, cfg, cfg.max_iter - steps)
+        assert result.converged and converged
+        assert result.state.mu == mu
+        assert np.array_equal(result.state.psi, np.pad(unfold(fix_sign(w), parity), 1))
+        assert result.iterations == steps + iterations
+        assert result.eigensolves == eigensolves
 
 
 class TestFailureModes:

@@ -154,7 +154,32 @@ class TestClassicalTrajectory:
         assert traj.points.dtype == ref.dtype and traj.points.shape == ref.shape
         assert traj.points.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("stride", [1, 3, 10, 1000])
+    def test_stride_keeps_every_stride_th_point(self, stride):
+        # the rows the whole run would give, 0, stride, 2 stride, ..., bitwise
+        full = classical_trajectory(2.0, -0.7, 1.3, 1e-3, 2.0)
+        kept = classical_trajectory(2.0, -0.7, 1.3, 1e-3, 2.0, stride)
+        assert kept.points.tobytes() == full.points[::stride].tobytes()
+        assert kept.times.tobytes() == full.times[::stride].tobytes()
+        assert kept.energy == full.energy
+
+    def test_peak_memory_is_the_kept_points(self):
+        # 10^5 steps at stride 10: the points held were 97 bytes a step when every
+        # step was kept, 9.7 MB here; the output arrays are 240 KB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            traj = classical_trajectory(10.0, 1.5, 0.0, 1e-4, 10.0, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) == 10_001
+        assert peak < 2 * (traj.points.nbytes + traj.times.nbytes)
+
     def test_validation(self):
+        with pytest.raises(ValueError):
+            classical_trajectory(2.0, 1.0, 0.0, 1e-3, 1.0, 0)
         with pytest.raises(ValueError):
             classical_trajectory(2.0, 1.0, 0.0, -1e-3, 1.0)
         with pytest.raises(ValueError):
@@ -168,6 +193,13 @@ class TestClassicalTrajectory:
         with pytest.raises(ValueError, match=re.escape(
                 f"overflowed after t = {reached:g}; use a smaller time step dt")):
             classical_trajectory(10.0, x0, 0.0, dt, 100 * dt)
+
+    @pytest.mark.parametrize("x0, dt, reached", [(1.5, 0.5, 3.0), (4e102, 1e-4, 0.0)])
+    @pytest.mark.parametrize("stride", [4, 7, 1000])
+    def test_overflow_time_does_not_depend_on_the_stride(self, x0, dt, reached, stride):
+        # the step is found inside the block of steps between kept points
+        with pytest.raises(ValueError, match=re.escape(f"overflowed after t = {reached:g};")):
+            classical_trajectory(10.0, x0, 0.0, dt, 100 * dt, stride)
 
 
 class TestLyapunov:
