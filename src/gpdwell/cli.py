@@ -510,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_sweep(sub, "scan-critical", cmd_scan_critical,
                    "critical parameter a_c and energy E_c vs beta", betas="0:4:0.5")
-    p.add_argument("--bracket", default="0.5,3.0", help="sign-change bracket a_lo,a_hi")
-    p.add_argument("--tol", type=float, default=1e-4, help="final bracket width on a")
+    p.add_argument("--bracket", default="0.5,3.0", help="search interval a_lo,a_hi")
+    p.add_argument("--tol", type=float, default=1e-4, help="a_c lies within tol of the root")
 
     p = sub.add_parser("wigner", help="Wigner function and negativity of a state")
     p.add_argument("--a", type=float, required=True)

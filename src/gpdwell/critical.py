@@ -5,15 +5,36 @@ self-consistent barrier, V_eff(0) = V(0) + beta psi(0)^2 = beta psi(0)^2
 (V(0) = 0): below it mu lies above the barrier and the state has a single
 central peak, above it the barrier rises out of the condensate and the
 origin becomes a local minimum between two peaks. The same quantity
-beta psi(0)^2 - mu decides whether the WKB barrier exists
-(semiclassics.transmission is exactly 1 where it is <= 0). a_c is found by
-a Brent-Dekker zero search inside a sign-change bracket on the curvature
-psi''(0) = 2 (beta psi(0)^2 - mu) psi(0), which is smooth in a and has the
-sign of beta psi(0)^2 - mu (psi(0) > 0, see curvature_at_origin). The two
-bracket ends are solved cold, and every trial inside the bracket is
-warm-started from the state of the nearest a already solved; E_c is the
-per-particle energy of the critical ground state, read off the solve made
-at a_c.
+g = beta psi(0)^2 - mu decides whether the WKB barrier exists
+(semiclassics.transmission is exactly 1 where it is <= 0), and the
+curvature psi''(0) = 2 g psi(0) has its sign (psi(0) > 0, see
+curvature_at_origin).
+
+a_c is solved for together with its state: one Newton run per beta on the
+even block (scf's coordinates, in which psi(0) = w_0) for the unknowns
+(w, mu, a) of F = H_a[w^2] w - mu w = 0, (delta w.w - 1) / 2 = 0 and
+g = beta w_0^2 - mu = 0. Its Jacobian is scf's tridiagonal A bordered
+twice: by the columns -w (the mu derivative) and -x^2 w (the a
+derivative, as dV/da = -x^2) and by the rows of the two conditions
+(Keller, in Applications of Bifurcation Theory, Academic Press (1977);
+Govaerts, Numerical Methods for Bifurcations of Dynamical Equilibria,
+SIAM (2000)). A step renormalises w as scf's Newton does, factors A once
+and solves it for r, w and x^2 w together, then solves a 2x2 Schur system
+for (dmu, da); a step that would take a out of the bracket is scaled so
+that a moves half the way to that end. The run starts from the shared
+bare ground pair at the bracket's midpoint and stops once both ||F|| and
+|g| are within scf's residual stop, at a_c. E_c and the curvature are
+read off one solve_state at a_c, warm-started from the run's pair: the
+pair is accepted only if that solve returns it, certified, at its first
+step and on the same grid.
+
+Otherwise (the step budget min(NEWTON_STEPS, max_iter) spent, a singular
+A or 2x2 system, a non-finite value, or a final solve that misses its
+certificate, grows the domain or ends on another state) a bisection takes
+over: it solves both bracket ends cold, raises NoSignChange if their
+curvatures have the same sign, and halves the bracket by warm-started
+solves until it is narrower than tol. Either way a_c lies within tol of
+the root, the Newton run's to the SCF tolerance.
 """
 
 from __future__ import annotations
@@ -23,8 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigensolver import fix_sign
 from .grid import Grid, TrapConfig
-from .scf import ScfConfig, StationaryState, solve_state
+from .hamiltonian import assemble_block, unfold
+from .observables import energy
+from .scf import (NEWTON_STEPS, ScfConfig, ScfError, ScfResult, StationaryState, _bare_start,
+                  _jacobian_solve, _newton_point, _stop, solve_state)
 
 
 class NoSignChange(ValueError):
@@ -60,45 +85,76 @@ def curvature_at_origin(state: StationaryState) -> float:
     return 2.0 * (state.trap.beta * psi0**2 - state.mu) * psi0
 
 
-def _brent_root(f, xa: float, xb: float, fa: float, fb: float, tol: float) -> float:
-    """Brent-Dekker zero of f in [xa, xb], where fa = f(xa) and fb = f(xb) differ in sign.
+def _bordered_newton(beta: float, grid: Grid, bracket: tuple[float, float],
+                     cfg: ScfConfig) -> ScfResult | None:
+    """The critical ground state by Newton on (w, mu, a), or None where the run fails.
 
-    Inverse quadratic interpolation or secant steps while they shrink the
-    bracket fast enough, bisection otherwise (after scipy's brentq.c). Stops
-    once the sign-change bracket is narrower than tol or than the floor
-    4 eps max(|xa|, |xb|), brentq's least rtol: every step then moves x by two
-    ulps or more, so any tol > 0 ends. Returns the bracket end with the
-    smaller |f|, a point f was evaluated at.
+    The result is the solve_state at the run's a that certified its pair.
     """
-    xpre, xcur, fpre, fcur = xa, xb, fa, fb
-    xblk, fblk, spre, scur = xa, fa, 0.0, 0.0
-    delta = 0.5 * max(tol, 4.0 * np.finfo(float).eps * max(abs(xa), abs(xb)))
+    a_lo, a_hi = bracket
+    a = 0.5 * (a_lo + a_hi)
+    bare, pair = _bare_start(grid, a, 0, 0)
+    w, mu = pair.vector, pair.value
+    x = grid.interior[-len(w):]  # the even block's nodes, x >= 0
+    x2 = x * x
+    limit = min(NEWTON_STEPS, cfg.max_iter)
+    for steps in range(1, limit + 1):
+        w, rho, op, r, residual = _newton_point(grid, beta, bare, w, mu, 0)
+        g = float(rho[0] - mu)  # beta psi(0)^2 - mu
+        stop = _stop(cfg, mu, op)
+        if residual <= stop and abs(g) <= stop:
+            break
+        if steps == limit or not math.isfinite(residual + g):
+            return None
+        solved = _jacobian_solve(op, rho, mu, r, w, x2 * w)
+        if solved is None:
+            return None
+        z, y, q = solved
+        # dw = -z + dmu y + da q solves the first block row; the 2x2 system
+        # keeps delta w.dw = 0 and sets the linearised g, g + dg dw_0 - dmu, to 0
+        dg = float(2.0 * beta * w[0])
+        m11, m12, b1 = float(np.dot(w, y)), float(np.dot(w, q)), float(np.dot(w, z))
+        m21, m22, b2 = dg * float(y[0]) - 1.0, dg * float(q[0]), dg * float(z[0]) - g
+        det = m11 * m22 - m12 * m21
+        if det == 0.0:
+            return None
+        dmu, da = (b1 * m22 - m12 * b2) / det, (m11 * b2 - m21 * b1) / det
+        if not math.isfinite(dmu + da):
+            return None
+        t = 1.0 if a_lo < a + da < a_hi else 0.5 * ((a_hi if da > 0 else a_lo) - a) / da
+        w, mu, a = w + t * (dmu * y + da * q - z), mu + t * dmu, a + t * da
+        bare = assemble_block(grid, a, 0)
+    trap = TrapConfig(a=a, beta=beta)
+    psi = np.pad(unfold(fix_sign(w), 0), 1)
+    start = StationaryState(0, psi, mu, energy(grid, psi, trap), trap, grid)
+    try:
+        result = solve_state(grid, trap, 0, cfg, start)
+    except ScfError:
+        return None
+    # one iteration: the solve's first Newton point, the run's own pair, was certified
+    return result if result.iterations == 1 and result.state.grid == grid else None
+
+
+def _bisection(beta: float, grid: Grid, bracket: tuple[float, float], tol: float,
+               cfg: ScfConfig) -> ScfResult:
+    """The solve of the bracket end with the smaller |curvature| once the bracket is below tol.
+
+    The ends start cold; each midpoint is warm-started from the end with the
+    smaller |curvature|. Halving stops also where no float lies strictly
+    between the ends.
+    """
+    ends = [solve_state(grid, TrapConfig(a=a, beta=beta), 0, cfg) for a in bracket]
+    signs = [np.sign(curvature_at_origin(end.state)) for end in ends]
+    if signs[0] == signs[1]:
+        raise NoSignChange(f"curvature has the same sign ({signs[0]:+g}) at both bracket ends")
     while True:
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        interpolate = abs(spre) > delta and abs(fcur) < abs(fpre)
-        if interpolate:
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            interpolate = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-        if interpolate:
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = f(xcur)
+        nearest = min(ends, key=lambda end: abs(curvature_at_origin(end.state)))
+        a_lo, a_hi = (end.state.trap.a for end in ends)
+        a_mid = 0.5 * (a_lo + a_hi)
+        if a_hi - a_lo < tol or not a_lo < a_mid < a_hi:
+            return nearest
+        mid = solve_state(grid, TrapConfig(a=a_mid, beta=beta), 0, cfg, nearest.state)
+        ends[int(np.sign(curvature_at_origin(mid.state)) == signs[1])] = mid
 
 
 def find_critical_a(
@@ -108,39 +164,25 @@ def find_critical_a(
     tol: float = 1e-4,
     cfg: ScfConfig | None = None,
 ) -> CriticalResult:
-    """Locate a_c inside a sign-change bracket of the curvature to a final bracket width tol.
+    """Locate a_c inside the search interval bracket, to within tol of the root.
 
-    Each a is solved once on grid; every trial inside the bracket is
-    warm-started from the state of the nearest a already solved. a_c is the
-    final Brent iterate, an a that was solved, so E_c and the curvature are
-    read off that solve; a tol below the floor 4 eps max(|a_lo|, |a_hi|) stops
-    there. Raises ValueError unless a_lo < a_hi and tol is positive and finite.
+    Newton on (w, mu, a) first, bisection where it fails (see the module
+    docstring); a_c is an a that was solved, and E_c and the curvature are
+    read off that solve. Raises ValueError unless a_lo < a_hi and tol is
+    positive and finite, and NoSignChange where the bisection finds the
+    curvature of the same sign at both bracket ends.
     """
     a_lo, a_hi = bracket
     if not a_lo < a_hi:
         raise ValueError("bracket must satisfy a_lo < a_hi")
     if not 0.0 < tol < math.inf:  # also rejects nan
         raise ValueError(f"tol must be positive and finite, got {tol:g}")
-
-    # The bracket ends start cold: they are far apart (one well against two),
-    # and a warm start from the other end takes more iterations than none.
-    solved = {a: solve_state(grid, TrapConfig(a=a, beta=beta), 0, cfg) for a in (a_lo, a_hi)}
-
-    def curvature(a: float) -> float:
-        nearest = solved[min(solved, key=lambda b: abs(b - a))]
-        solved[a] = solve_state(grid, TrapConfig(a=a, beta=beta), 0, cfg, nearest.state)
-        return curvature_at_origin(solved[a].state)
-
-    c_lo, c_hi = (curvature_at_origin(solved[a].state) for a in (a_lo, a_hi))
-    if np.sign(c_lo) == np.sign(c_hi):
-        raise NoSignChange(
-            f"curvature has the same sign ({np.sign(c_lo):+g}) at both bracket ends"
-        )
-    a_c = _brent_root(curvature, a_lo, a_hi, c_lo, c_hi, tol)
-    return CriticalResult(
-        a_c=a_c, E_c=solved[a_c].state.energy,
-        curvature_at_ac=curvature_at_origin(solved[a_c].state),
-    )
+    cfg = cfg or ScfConfig()
+    result = _bordered_newton(beta, grid, bracket, cfg) or _bisection(beta, grid, bracket, tol,
+                                                                         cfg)
+    state = result.state
+    return CriticalResult(a_c=state.trap.a, E_c=state.energy,
+                          curvature_at_ac=curvature_at_origin(state))
 
 
 def fit_quadratic(points: list[tuple[float, float]]) -> QuadraticFit:

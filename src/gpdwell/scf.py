@@ -166,6 +166,29 @@ def _stop(cfg: ScfConfig, mu: float, op: TridiagonalOperator) -> float:
     return max(cfg.tol * (1.0 + abs(mu)), ROUNDOFF_FLOOR * EPS * norm_inf(op))
 
 
+def _newton_point(grid: Grid, beta: float, bare: TridiagonalOperator, w: np.ndarray, mu: float,
+                  parity: int) -> tuple[np.ndarray, np.ndarray, TridiagonalOperator, np.ndarray,
+                                        float]:
+    """A Newton step's start: (w, rho, op, r, ||r||) for w renormalised, rho its beta term
+    beta * block_density(w * w), op = H[w^2] = bare + rho and r = op w - mu w."""
+    w = w / math.sqrt(grid.delta * np.dot(w, w))
+    rho = beta * block_density(w * w, parity)
+    op = replace(bare, diag=bare.diag + rho)
+    r = op.apply(w) - mu * w
+    return w, rho, op, r, math.sqrt(grid.delta * np.dot(r, r))
+
+
+def _jacobian_solve(op: TridiagonalOperator, rho: np.ndarray, mu: float,
+                    *columns: np.ndarray) -> list[np.ndarray] | None:
+    """A^-1 applied to each column, or None where A is singular.
+
+    A, the w-derivative of H[w^2] w - mu w, is H[w^2] plus twice its beta
+    term rho, minus mu; it is factored once (LAPACK gttrf) for one gttrs.
+    """
+    *lu, info = dgttrf(op.offdiag, op.diag + 2.0 * rho - mu, op.offdiag)
+    return None if info != 0 else list(dgttrs(*lu, np.column_stack(columns))[0].T)
+
+
 def _newton(grid: Grid, beta: float, bare: TridiagonalOperator, pair: Eigenpair, index: int,
             parity: int, cfg: ScfConfig) -> tuple[np.ndarray, float, int, bool]:
     """Newton steps from pair: (w, mu, steps, certified) of the last pair tested.
@@ -175,18 +198,15 @@ def _newton(grid: Grid, beta: float, bare: TridiagonalOperator, pair: Eigenpair,
     w, mu = pair.vector, pair.value
     limit = min(NEWTON_STEPS, cfg.max_iter)
     for steps in range(1, limit + 1):
-        w = w / math.sqrt(grid.delta * np.dot(w, w))
-        rho = beta * block_density(w * w, parity)
-        op = replace(bare, diag=bare.diag + rho)
-        r = op.apply(w) - mu * w
-        residual = math.sqrt(grid.delta * np.dot(r, r))
+        w, rho, op, r, residual = _newton_point(grid, beta, bare, w, mu, parity)
         if residual <= _stop(cfg, mu, op):
             return w, mu, steps, certified(op, mu, residual, index)
-        # A: d(H[w^2] w)/dw is H[w^2] plus twice its beta term rho
-        *lu, info = dgttrf(bare.offdiag, op.diag + 2.0 * rho - mu, bare.offdiag)
-        if steps == limit or info != 0 or not math.isfinite(residual):
+        if steps == limit or not math.isfinite(residual):
             break
-        z, y = dgttrs(*lu, np.column_stack((r, w)))[0].T
+        solved = _jacobian_solve(op, rho, mu, r, w)
+        if solved is None:
+            break
+        z, y = solved
         dmu = float(np.dot(w, z) / np.dot(w, y))
         w, mu = w - z + dmu * y, mu + dmu
     return w, mu, steps, False

@@ -498,7 +498,9 @@ class TestScanCritical:
         assert not out.exists()
 
     def test_failed_points_reported_in_band(self, tmp_path):
-        # five iterations are too few at beta = 10 and 20; the finished point keeps its row
+        # five steps are too few for the Newton run on (w, mu, a) at beta = 10 (it takes 7)
+        # and 20 (no root in the bracket), and five iterations too few for the cold bracket
+        # ends of the bisection it falls back to; the finished point keeps its row
         out = tmp_path / "scan.csv"
         code = main(["scan-critical", "--betas", "0:20:10", "--D", "400", "--max-iter", "5",
                      "--output", str(out)])
@@ -513,8 +515,9 @@ class TestScanCritical:
                              [(3, EXIT_CONVERGENCE, "MaxIterationsExceeded"), (5, EXIT_OK, "ok")])
     def test_linear_point_spends_newton_steps_of_the_budget(self, tmp_path, max_iter,
                                                             expected, status):
-        # at beta = 0 a warm solve from the neighbouring a takes several Newton steps,
-        # each one iteration of --max-iter: 3 are too few, 5 are enough
+        # at beta = 0 the Newton run on (w, mu, a) takes 4 steps, each one iteration of
+        # --max-iter: 3 are too few, and so they are for the warm solves of the bisection
+        # it falls back to; 5 are enough
         out = tmp_path / "scan.csv"
         code = main(["scan-critical", "--betas", "0", "--D", "400", "--max-iter",
                      str(max_iter), "--output", str(out)])
@@ -522,7 +525,7 @@ class TestScanCritical:
         assert _columns(out)["status"] == [status]
 
     def test_points_share_the_bare_eigensolves(self, tmp_path, monkeypatch):
-        # every point starts its searches from the two bracket ends' bare pairs,
+        # every point starts its Newton run from the bare pair at the bracket's midpoint,
         # solved once in this process and shared by the later points
         gpdwell.scf._bare_start.cache_clear()
         calls = []
@@ -536,7 +539,7 @@ class TestScanCritical:
         code = main(["scan-critical", "--betas", "0:1.5:0.5", "--D", "600", "--tol", "1e-3",
                      "--output", str(tmp_path / "scan.csv")])
         assert code == EXIT_OK
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestWkbAndOverlaps:

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 import gpdwell.critical
-from gpdwell.critical import curvature_at_origin, find_critical_a, fit_quadratic
+import gpdwell.scf
+from gpdwell.critical import NoSignChange, curvature_at_origin, find_critical_a, fit_quadratic
 from gpdwell.grid import TrapConfig, make_grid
-from gpdwell.scf import solve_state
+from gpdwell.scf import ScfConfig, solve_state
 from gpdwell.semiclassics import transmission
+
+from test_scf import miss_next_certificate
 
 
 @pytest.fixture(scope="module")
@@ -14,9 +17,42 @@ def grid_crit():
     return make_grid(6.0, 1000)
 
 
-def _curvature(grid, a, beta):
+@pytest.fixture(scope="module")
+def grid600():
+    return make_grid(6.0, 600)
+
+
+def _curvature(grid, a, beta, cfg=None):
     """Ground-state curvature at the origin."""
-    return curvature_at_origin(solve_state(grid, TrapConfig(a=a, beta=beta), 0).state)
+    return curvature_at_origin(solve_state(grid, TrapConfig(a=a, beta=beta), 0, cfg).state)
+
+
+def _record_solves(monkeypatch):
+    """(a, warm, result) of every solve find_critical_a makes from here on."""
+    solves = []
+    solve_state = gpdwell.critical.solve_state
+
+    def recording(grid, trap, n, cfg=None, start=None):
+        result = solve_state(grid, trap, n, cfg, start)
+        solves.append((trap.a, start is not None, result))
+        return result
+
+    monkeypatch.setattr(gpdwell.critical, "solve_state", recording)
+    return solves
+
+
+def _bisected_root(grid, beta, lo=1.0, hi=2.0):
+    """a_c by plain bisection on the curvature of cold solves at SCF tol 1e-12."""
+    cfg = ScfConfig(tol=1e-12)
+    while hi - lo > 1e-11:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _curvature(grid, mid, beta, cfg) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _fell_back(solves, bracket=(0.5, 3.0)):
+    """Whether the bisection ran: its cold solves of both bracket ends are among solves."""
+    return {a for a, warm, _ in solves if not warm} == set(bracket)
 
 
 class TestCurvatureSign:
@@ -49,21 +85,13 @@ class TestFindCriticalA:
         assert 1.0 < res.a_c < 2.5
 
     def test_few_solves_none_repeated(self, grid_crit, monkeypatch):
-        solves = []
-        solve_state = gpdwell.critical.solve_state
-
-        def recording(grid, trap, n, *args):
-            result = solve_state(grid, trap, n, *args)
-            solves.append((trap.a, result))
-            return result
-
-        monkeypatch.setattr(gpdwell.critical, "solve_state", recording)
+        # the Newton run on (w, mu, a) needs no solve; one solve at a_c certifies its pair
+        solves = _record_solves(monkeypatch)
         res = find_critical_a(1.0, tol=1e-4, grid=grid_crit)
-        assert len(solves) <= 8
-        at_ac = [r for a, r in solves if a == res.a_c]
-        assert len(at_ac) == 1  # E_c and the curvature come from the search's own solve
-        assert res.E_c == at_ac[0].state.energy
-        assert len({a for a, _ in solves}) == len(solves)
+        [(a, warm, result)] = solves
+        assert (a, warm, result.iterations) == (res.a_c, True, 1)
+        assert res.E_c == result.state.energy  # E_c and the curvature come from that solve
+        assert res.curvature_at_ac == curvature_at_origin(result.state)
 
     def test_few_scf_iterations_near_critical(self, monkeypatch):
         # Guards the work count, not seconds: the plain fixed point took 565.
@@ -94,8 +122,9 @@ class TestFindCriticalA:
             find_critical_a(0.0, bracket=(2.5, 3.0), grid=grid_crit)
 
     def test_tol_below_float_spacing_ends(self, monkeypatch):
-        # The least Brent step used to round away below one ulp of a, and the
-        # search solved the same a forever; the floor 4 eps max|a| stops it.
+        # The bisection halves the bracket only while a float lies strictly between
+        # its ends, so a tol below one ulp of a ends there.
+        monkeypatch.setattr(gpdwell.critical, "NEWTON_STEPS", 1)  # forces the bisection
         grid = make_grid(6.0, 400)
         floor = 4.0 * np.finfo(float).eps * 3.0  # the default bracket's ends are 0.5, 3
         at_floor = find_critical_a(0.0, grid, tol=floor)
@@ -109,7 +138,8 @@ class TestFindCriticalA:
             return solve_state(*args)
 
         monkeypatch.setattr(gpdwell.critical, "solve_state", bounded)
-        assert find_critical_a(0.0, grid, tol=1e-20).a_c == at_floor.a_c
+        assert find_critical_a(0.0, grid, tol=1e-20).a_c == pytest.approx(at_floor.a_c, abs=floor)
+        assert len(solves) > 50  # halved down to one ulp of a
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_tol_rejected_before_any_solve(self, tol, monkeypatch):
@@ -125,6 +155,78 @@ class TestFindCriticalA:
         with pytest.raises(ValueError, match="tol"):
             find_critical_a(0.0, tol=tol, grid=make_grid(6.0, 200))
         assert solves == []
+
+
+class TestBorderedNewton:
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 4.0])
+    def test_root_to_scf_precision(self, grid600, beta):
+        res = find_critical_a(beta, grid600)
+        assert res.a_c == pytest.approx(_bisected_root(grid600, beta), abs=1e-8)
+        assert _curvature(grid600, res.a_c - 1e-6, beta) < 0.0 < _curvature(
+            grid600, res.a_c + 1e-6, beta)
+
+    @pytest.mark.parametrize("beta, bracket", [(10.0, (0.5, 3.0)), (6.0, (1.0, 2.5))])
+    def test_root_near_a_bracket_end_without_fallback(self, grid600, monkeypatch, beta,
+                                                      bracket):
+        # Newton's first two steps in a would leave the bracket; each is scaled to move a
+        # half way to the end, and the run still ends at the root
+        solves = _record_solves(monkeypatch)
+        res = find_critical_a(beta, grid600, bracket)
+        assert [(a, warm) for a, warm, _ in solves] == [(res.a_c, True)]
+        assert min(res.a_c - bracket[0], bracket[1] - res.a_c) < 0.25 * (bracket[1] - bracket[0])
+        assert _curvature(grid600, res.a_c - 1e-6, beta) < 0.0 < _curvature(
+            grid600, res.a_c + 1e-6, beta)
+
+    @pytest.mark.parametrize("force", ["step budget", "certificate miss"])
+    def test_forced_fallback_reaches_the_same_root(self, grid_crit, monkeypatch, force):
+        tol = 1e-4
+        newton = find_critical_a(1.0, grid_crit, tol=tol)
+        solves = _record_solves(monkeypatch)
+        if force == "step budget":
+            monkeypatch.setattr(gpdwell.critical, "NEWTON_STEPS", 3)
+        else:  # the first certificate is the final solve's
+            miss_next_certificate(monkeypatch)
+        res = find_critical_a(1.0, grid_crit, tol=tol)
+        assert _fell_back(solves)
+        assert res.a_c == pytest.approx(newton.a_c, abs=tol)
+        [at_ac] = [result for a, _, result in solves if a == res.a_c]
+        assert (res.E_c, res.curvature_at_ac) == (at_ac.state.energy,
+                                                  curvature_at_origin(at_ac.state))
+        assert len({a for a, _, _ in solves}) == len(solves)  # none repeated
+
+    def test_final_solve_growing_the_domain_falls_back(self, monkeypatch):
+        # at L = 2.5 the walls hold the Newton run's state; its solve grows L to 3.75,
+        # and so do the bisection's, whose root is that of the grown grid
+        tol = 1e-4
+        solves = _record_solves(monkeypatch)
+        res = find_critical_a(0.0, make_grid(2.5, 400), tol=tol)
+        assert solves[0][1] and solves[0][2].state.grid.L == 3.75
+        assert _fell_back(solves)
+        [at_ac] = [result for a, _, result in solves if a == res.a_c]
+        assert res.E_c == at_ac.state.energy
+        assert res.a_c == pytest.approx(find_critical_a(0.0, make_grid(3.75, 400)).a_c, abs=tol)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_final_solve_on_another_state_falls_back(self, grid600, monkeypatch, beta):
+        # Started from the second even pair, the run meets g = 0 on that excited state
+        # near a = 4.3; the solve there falls to the ground state, whose a_c is not that
+        tol = 1e-4
+        bare_start = gpdwell.scf._bare_start
+        monkeypatch.setattr(gpdwell.critical, "_bare_start",
+                            lambda grid, a, parity, index: bare_start(grid, a, parity, 1))
+        solves = _record_solves(monkeypatch)
+        bracket = (1.0, 10.0)
+        res = find_critical_a(beta, grid600, bracket, tol)
+        excited = solves[0]
+        assert excited[1] and excited[2].iterations > 1 and excited[0] > 4.0
+        assert _fell_back(solves, bracket)
+        assert res.a_c == pytest.approx(_bisected_root(grid600, beta), abs=tol)
+
+    def test_bracket_without_root_raises_after_the_run(self, grid600, monkeypatch):
+        solves = _record_solves(monkeypatch)
+        with pytest.raises(NoSignChange):
+            find_critical_a(0.0, grid600, (2.5, 3.0))
+        assert [a for a, _, _ in solves] == [2.5, 3.0]  # only the two cold ends
 
 
 class TestSubmergedBarrier:
