@@ -33,8 +33,10 @@ A or 2x2 system, a non-finite value, or a final solve that misses its
 certificate, grows the domain or ends on another state) a bisection takes
 over: it solves both bracket ends cold, raises NoSignChange if their
 curvatures have the same sign, and halves the bracket by warm-started
-solves until it is narrower than tol. Either way a_c lies within tol of
-the root, the Newton run's to the SCF tolerance.
+solves until it is narrower than tol. a_c lies within tol of the root: the
+bisection's by the width of its last bracket, the Newton run's to the
+precision of its stop on |g| (about 1e-9 in a at the default SCF
+tolerance), which does not depend on tol.
 """
 
 from __future__ import annotations

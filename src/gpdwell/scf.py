@@ -19,7 +19,9 @@ Bifurcations of Dynamical Equilibria, SIAM (2000)). A step renormalises w
 (without that, (a, beta, n) = (2, 4, 2) ended on a wrong state), tests the
 stop below, factors A once (LAPACK gttrf) and solves it for z = A^-1 r, r
 the residual, and y = A^-1 w together (gttrs); then dmu = (w.z) / (w.y),
-w <- w - z + dmu y and mu <- mu + dmu.
+w <- w - z + dmu y and mu <- mu + dmu. critical.find_critical_a takes
+the same steps (_newton_point, _jacobian_solve) with the well depth a as
+one more unknown.
 
 Newton may land on another eigenpair, so its pair is kept only if two
 Sturm counts on H[w^2] certify it (eigensolver.certified). On a miss, a

@@ -41,9 +41,9 @@ def _record_solves(monkeypatch):
     return solves
 
 
-def _bisected_root(grid, beta, lo=1.0, hi=2.0):
-    """a_c by plain bisection on the curvature of cold solves at SCF tol 1e-12."""
-    cfg = ScfConfig(tol=1e-12)
+def _bisected_root(grid, beta):
+    """a_c in (1, 2) by plain bisection on the curvature of cold solves at SCF tol 1e-12."""
+    lo, hi, cfg = 1.0, 2.0, ScfConfig(tol=1e-12)
     while hi - lo > 1e-11:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if _curvature(grid, mid, beta, cfg) < 0.0 else (lo, mid)
@@ -223,6 +223,7 @@ class TestBorderedNewton:
         assert res.a_c == pytest.approx(_bisected_root(grid600, beta), abs=tol)
 
     def test_bracket_without_root_raises_after_the_run(self, grid600, monkeypatch):
+        # the damped run stays inside (2.5, 3), away from the root near 1.76 below it
         solves = _record_solves(monkeypatch)
         with pytest.raises(NoSignChange):
             find_critical_a(0.0, grid600, (2.5, 3.0))
