@@ -20,13 +20,15 @@ derivative, as dV/da = -x^2) and by the rows of the two conditions
 Govaerts, Numerical Methods for Bifurcations of Dynamical Equilibria,
 SIAM (2000)). A step renormalises w as scf's Newton does, factors A once
 and solves it for r, w and x^2 w together, then solves a 2x2 Schur system
-for (dmu, da); a step that would take a out of the bracket is scaled so
-that a moves half the way to that end. The run starts from the shared
-bare ground pair at the bracket's midpoint and stops once both ||F|| and
-|g| are within scf's residual stop, at a_c. E_c and the curvature are
-read off one solve_state at a_c, warm-started from the run's pair: the
-pair is accepted only if that solve returns it, certified, at its first
-step and on the same grid.
+for (dmu, da). A step that would take a out of the bracket moves a half
+the way to that end instead, and (w, mu) by scf's step at fixed a, from
+the same solves; where the state at a already meets scf's residual stop,
+the root lies past that end and the run fails. The run starts from the
+shared bare ground pair at the bracket's midpoint and stops once both
+||F|| and |g| are within scf's residual stop, at a_c. E_c and the
+curvature are read off one solve_state at a_c, warm-started from the
+run's pair: the pair is accepted only if that solve returns it,
+certified, at its first step and on the same grid.
 
 Otherwise (the step budget min(NEWTON_STEPS, max_iter) spent, a singular
 A or 2x2 system, a non-finite value, or a final solve that misses its
@@ -123,8 +125,13 @@ def _bordered_newton(beta: float, grid: Grid, bracket: tuple[float, float],
         dmu, da = (b1 * m22 - m12 * b2) / det, (m11 * b2 - m21 * b1) / det
         if not math.isfinite(dmu + da):
             return None
-        t = 1.0 if a_lo < a + da < a_hi else 0.5 * ((a_hi if da > 0 else a_lo) - a) / da
-        w, mu, a = w + t * (dmu * y + da * q - z), mu + t * dmu, a + t * da
+        if a_lo < a + da < a_hi:
+            w, mu, a = w + (dmu * y + da * q - z), mu + dmu, a + da
+        elif residual <= stop:  # the state at a is solved and g != 0: the root lies past the end
+            return None
+        else:  # scf's step at fixed a, then a half way to the end
+            dmu = float(np.dot(w, z) / np.dot(w, y))
+            w, mu, a = w - z + dmu * y, mu + dmu, 0.5 * (a + (a_hi if da > 0 else a_lo))
         bare = assemble_block(grid, a, 0)
     trap = TrapConfig(a=a, beta=beta)
     psi = np.pad(unfold(fix_sign(w), 0), 1)

@@ -6,13 +6,9 @@ discrete-L2 normalization delta*sum(v^2) = 1, and deterministic sign
 (largest magnitude entry positive). It knows nothing of parity; the SCF
 hands it one parity block at a time, bare or plus beta * rho (hamiltonian).
 
-There are two ways to a pair. lowest_eigenpairs is the cold path: LAPACK
-bisection over the whole spectrum plus inverse iteration. follow_eigenpair
-is the warm path for an operator close to one whose pair is known: two
-steps of inverse iteration shifted to the old vector's Rayleigh quotient
-(Parlett, The Symmetric Eigenvalue Problem, ch. 4). It returns a pair
-only if Sturm counts certify it as eigenvalue `index` (certified), and
-None otherwise; the caller then takes the cold path.
+lowest_eigenpairs is the full eigensolve: LAPACK bisection over the whole
+spectrum plus inverse iteration. certified checks by two Sturm counts
+that a pair found otherwise (the SCF's Newton steps) is eigenpair `index`.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
+from scipy.linalg.lapack import dstebz
 
 from .grid import Grid
 from .hamiltonian import TridiagonalOperator
@@ -73,38 +69,6 @@ def certified(op: TridiagonalOperator, value: float, residual: float, index: int
     """
     h = max(residual, 1e-12 * (1.0 + abs(value)))
     return count_below(op, value - h) == index and count_below(op, value + h) == index + 1
-
-
-def follow_eigenpair(
-    op: TridiagonalOperator, previous: Eigenpair, index: int, grid: Grid
-) -> Eigenpair | None:
-    """Eigenpair `index` of op by inverse iteration from a pair of a nearby operator.
-
-    The shift sigma is the Rayleigh quotient of previous.vector on op;
-    op - sigma is factored once (LAPACK gttrf) and two solves (gttrs) follow.
-    The result is normalized and sign-fixed like the pairs of
-    lowest_eigenpairs, and its residual sits at the float64 floor of op
-    (measured on the four lowest pairs at a = 5, D = 4000: up to
-    6.2e-11 * (1 + |lambda|)). It is returned only if certified; otherwise
-    the result is None.
-    """
-    delta = grid.delta
-    v = previous.vector
-    sigma = np.dot(v, op.apply(v)) / np.dot(v, v)
-    dl, d, du, du2, ipiv, info = dgttrf(op.offdiag, op.diag - sigma, op.offdiag)
-    if info != 0:  # op - sigma exactly singular, or LAPACK failed
-        return None
-    for _ in range(2):
-        v = dgttrs(dl, d, du, du2, ipiv, v)[0]
-        v = v / np.sqrt(delta * np.dot(v, v))
-    av = op.apply(v)
-    lam = float(delta * np.dot(v, av))
-    if not np.isfinite(lam):
-        return None
-    r = av - lam * v
-    if not certified(op, lam, float(np.sqrt(delta * np.dot(r, r))), index):
-        return None
-    return Eigenpair(value=lam, vector=fix_sign(v))
 
 
 def lowest_eigenpairs(op: TridiagonalOperator, k: int, grid: Grid) -> list[Eigenpair]:

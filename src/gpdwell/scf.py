@@ -27,9 +27,10 @@ Newton may land on another eigenpair, so its pair is kept only if two
 Sturm counts on H[w^2] certify it (eigensolver.certified). On a miss, a
 singular A, a non-finite value or NEWTON_STEPS steps, the solve starts
 again from the same pair by the fixed-point loop (_mix): each iterate
-follows eigenpair n // 2 of H[density] by certified inverse iteration
-(eigensolver.follow_eigenpair, or a full eigensolve where that fails), and
-Anderson (type II) mixing combines its output density with earlier ones
+follows eigenpair n // 2 of its linear operator H[density] from the last
+iterate's pair by the same steps at beta = 0 (_newton, certified alike),
+or by a full eigensolve where they miss, and Anderson (type II) mixing
+combines its output density with earlier ones
 (Anderson, J. ACM 12, 547 (1965); Walker & Ni, SIAM J. Numer. Anal. 49,
 1715 (2011)). ScfResult.iterations counts the Newton steps and the loop's
 iterations, which share cfg.max_iter, and ScfResult.eigensolves the loop's
@@ -53,9 +54,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .eigensolver import (EPS, Eigenpair, certified, dgttrf, dgttrs, fix_sign, follow_eigenpair,
-                          lowest_eigenpairs, norm_inf)
+from .eigensolver import EPS, Eigenpair, certified, fix_sign, lowest_eigenpairs, norm_inf
 from .grid import Grid, TrapConfig, make_grid
 from .hamiltonian import TridiagonalOperator, assemble_block, block_density, block_vector, unfold
 from .observables import energy as _fill_energy  # the name perfbench traces
@@ -221,11 +222,12 @@ def _mix(grid: Grid, beta: float, bare: TridiagonalOperator, pair: Eigenpair, in
     inputs, outputs, eigensolves = [], [], 0
     for iterations in range(1, budget + 1):
         op = replace(bare, diag=bare.diag + beta * block_density(density, parity))
-        pair = follow_eigenpair(op, pair, index, grid)
-        if pair is None:
+        w, mu, _, found = _newton(grid, 0.0, op, pair, index, parity, cfg)
+        pair = Eigenpair(value=mu, vector=w)
+        if not found:
             pair = lowest_eigenpairs(op, index + 1, grid)[index]
             eigensolves += 1
-        w, mu = pair.vector, pair.value
+            w, mu = pair.vector, pair.value
         rho = w * w
         r = op.apply(w) + beta * block_density(rho - density, parity) * w - mu * w
         residual = math.sqrt(grid.delta * np.dot(r, r))

@@ -41,9 +41,9 @@ def _record_solves(monkeypatch):
     return solves
 
 
-def _bisected_root(grid, beta):
-    """a_c in (1, 2) by plain bisection on the curvature of cold solves at SCF tol 1e-12."""
-    lo, hi, cfg = 1.0, 2.0, ScfConfig(tol=1e-12)
+def _bisected_root(grid, beta, bracket=(1.0, 2.0)):
+    """a_c in bracket by plain bisection on the curvature of cold solves at SCF tol 1e-12."""
+    (lo, hi), cfg = bracket, ScfConfig(tol=1e-12)
     while hi - lo > 1e-11:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if _curvature(grid, mid, beta, cfg) < 0.0 else (lo, mid)
@@ -168,8 +168,8 @@ class TestBorderedNewton:
     @pytest.mark.parametrize("beta, bracket", [(10.0, (0.5, 3.0)), (6.0, (1.0, 2.5))])
     def test_root_near_a_bracket_end_without_fallback(self, grid600, monkeypatch, beta,
                                                       bracket):
-        # Newton's first two steps in a would leave the bracket; each is scaled to move a
-        # half way to the end, and the run still ends at the root
+        # Newton's first two steps in a would leave the bracket; each takes scf's step at
+        # fixed a and moves a half way to the end, and the run still ends at the root
         solves = _record_solves(monkeypatch)
         res = find_critical_a(beta, grid600, bracket)
         assert [(a, warm) for a, warm, _ in solves] == [(res.a_c, True)]
@@ -222,12 +222,33 @@ class TestBorderedNewton:
         assert _fell_back(solves, bracket)
         assert res.a_c == pytest.approx(_bisected_root(grid600, beta), abs=tol)
 
+    @pytest.mark.parametrize("beta, bracket", [(12.0, (0.6, 3.0)), (16.0, (0.5, 3.0)),
+                                               (9.0, (0.5, 2.0))])
+    def test_root_near_the_low_end_without_fallback(self, grid1200, monkeypatch, beta,
+                                                    bracket):
+        # the roots lie near the low end; the steps in a that would leave the bracket
+        # there move w and mu by scf's step at fixed a, so they keep up with a
+        monkeypatch.setattr(gpdwell.critical, "_bisection",
+                            lambda *args: pytest.fail("fell back"))
+        res = find_critical_a(beta, grid1200, bracket)
+        assert res.a_c == pytest.approx(_bisected_root(grid1200, beta, bracket), abs=1e-8)
+
     def test_bracket_without_root_raises_after_the_run(self, grid600, monkeypatch):
-        # the damped run stays inside (2.5, 3), away from the root near 1.76 below it
+        # the start, the bare ground pair, is solved at a = 2.75 and its step in a leaves
+        # (2.5, 3) below, toward the root near 1.76: the run stops there
         solves = _record_solves(monkeypatch)
+        jacobian_solves = []
+        jacobian_solve = gpdwell.critical._jacobian_solve
+
+        def counting(*args):
+            jacobian_solves.append(args)
+            return jacobian_solve(*args)
+
+        monkeypatch.setattr(gpdwell.critical, "_jacobian_solve", counting)
         with pytest.raises(NoSignChange):
             find_critical_a(0.0, grid600, (2.5, 3.0))
         assert [a for a, _, _ in solves] == [2.5, 3.0]  # only the two cold ends
+        assert len(jacobian_solves) <= 2
 
 
 class TestSubmergedBarrier:

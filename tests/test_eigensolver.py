@@ -5,11 +5,11 @@ from scipy.linalg import eigh_tridiagonal
 from gpdwell.eigensolver import (
     certified,
     count_below,
-    follow_eigenpair,
     lowest_eigenpairs,
 )
 from gpdwell.grid import TrapConfig, make_grid
 from gpdwell.hamiltonian import TridiagonalOperator, assemble_block
+from gpdwell.scf import ScfConfig, _newton
 
 from oracles import (
     assemble,
@@ -81,16 +81,28 @@ def test_orthogonality():
             assert dot == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
 
 
+def _follow(op, pair, index, grid):
+    """The pair that the SCF's fallback loop keeps: Newton at beta = 0 from a known pair.
+
+    Its (w, mu), or None where the two Sturm counts do not certify it as pair `index`.
+    """
+    w, mu, _, found = _newton(grid, 0.0, op, pair, index, 0, ScfConfig())
+    return (w, mu) if found else None
+
+
 def test_residuals_within_contract():
-    # the followed pairs are the ones the SCF keeps; they measure <= 6.2e-11 here
+    # the followed pairs are the ones the SCF keeps; followed from those of a = 5.01,
+    # after 3 steps each, they measure <= 1.5e-11 here
     grid = make_grid(6.0, 4000)
     op = assemble(grid, TrapConfig(a=5.0, beta=0.0), np.zeros(grid.D - 1))
-    for index, cold in enumerate(lowest_eigenpairs(op, 4, grid)):
-        pair = follow_eigenpair(op, cold, index, grid)
+    near = assemble(grid, TrapConfig(a=5.01, beta=0.0), np.zeros(grid.D - 1))
+    for index, old in enumerate(lowest_eigenpairs(near, 4, grid)):
+        pair = _follow(op, old, index, grid)
         assert pair is not None
-        r = op.apply(pair.vector) - pair.value * pair.vector
+        w, mu = pair
+        r = op.apply(w) - mu * w
         norm = np.sqrt(grid.delta * np.dot(r, r))
-        assert norm <= 1e-10 * (1.0 + abs(pair.value))
+        assert norm <= 1e-10 * (1.0 + abs(mu))
 
 
 def test_cold_pairs_are_lapack_pairs_normalized():
@@ -161,20 +173,21 @@ def test_follow_reaches_the_cold_pair_of_a_nearby_operator():
     grid, _, old = _block_and_pairs(1.0)
     _, op, cold = _block_and_pairs(1.01)
     for index in range(3):
-        pair = follow_eigenpair(op, old[index], index, grid)
+        pair = _follow(op, old[index], index, grid)
         assert pair is not None
-        assert pair.value == pytest.approx(cold[index].value, abs=1e-10)
-        np.testing.assert_allclose(pair.vector, cold[index].vector, atol=1e-8)
-        assert grid.delta * np.dot(pair.vector, pair.vector) == pytest.approx(1.0, abs=1e-12)
-        assert pair.vector[np.argmax(np.abs(pair.vector))] > 0
+        w, mu = pair
+        assert mu == pytest.approx(cold[index].value, abs=1e-10)
+        np.testing.assert_allclose(w, cold[index].vector, atol=1e-8)
+        assert grid.delta * np.dot(w, w) == pytest.approx(1.0, abs=1e-12)
+        assert w[np.argmax(np.abs(w))] > 0
 
 
 def test_follow_rejects_a_pair_of_another_index():
-    # inverse iteration from eigenpair 1 stays there; the Sturm counts say so
+    # Newton from eigenpair 1 stays there; the Sturm counts say so
     grid, op, pairs = _block_and_pairs(1.0)
-    assert follow_eigenpair(op, pairs[1], 0, grid) is None
-    assert follow_eigenpair(op, pairs[0], 1, grid) is None
-    assert follow_eigenpair(op, pairs[1], 1, grid) is not None
+    assert _follow(op, pairs[1], 0, grid) is None
+    assert _follow(op, pairs[0], 1, grid) is None
+    assert _follow(op, pairs[1], 1, grid) is not None
 
 
 @pytest.mark.parametrize("a", [5.0, 12.0])
@@ -185,11 +198,12 @@ def test_window_certified_pair_is_the_counted_pair(sturm_counts, a, parity, inde
     grid = make_grid(6.0, 4000)
     previous = lowest_eigenpairs(assemble_block(grid, a, parity), index + 1, grid)[index]
     op = block_operator(grid, TrapConfig(a=a, beta=0.5), previous.vector**2, parity)
-    counted = follow_eigenpair(op, previous, index, grid)
+    counted = _follow(op, previous, index, grid)
     assert counted is not None
-    r = op.apply(counted.vector) - counted.value * counted.vector
-    h = max(float(np.sqrt(grid.delta * np.dot(r, r))), 1e-12 * (1.0 + abs(counted.value)))
-    assert sturm_counts == [counted.value - h, counted.value + h]
+    w, mu = counted
+    r = op.apply(w) - mu * w
+    h = max(float(np.sqrt(grid.delta * np.dot(r, r))), 1e-12 * (1.0 + abs(mu)))
+    assert sturm_counts == [mu - h, mu + h]
 
 
 def test_certified_is_two_counts_around_the_residual_ball(sturm_counts):

@@ -35,6 +35,20 @@ def miss_next_certificate(monkeypatch):
     monkeypatch.setattr(gpdwell.eigensolver, "count_below", lying)
 
 
+def miss_loop_newton(monkeypatch):
+    """Make every beta = 0 _newton call, the fallback loop's step to each iterate's pair, miss.
+
+    The loop then solves each of its operators in full (lowest_eigenpairs).
+    """
+    newton = gpdwell.scf._newton
+
+    def missing(grid, beta, *args):
+        w, mu, steps, certified = newton(grid, beta, *args)
+        return w, mu, steps, certified and beta != 0.0
+
+    monkeypatch.setattr(gpdwell.scf, "_newton", missing)
+
+
 class TestScfConfig:
     def test_defaults(self):
         cfg = ScfConfig()
@@ -246,7 +260,7 @@ class TestWarmEigenpairs:
         # the fallback loop solves in full each operator whose followed pair fails
         trap = TrapConfig(a=5.0, beta=0.5)
         newton = solve_state(grid4000, trap, 1)
-        monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", lambda *args: None)
+        miss_loop_newton(monkeypatch)
         miss_next_certificate(monkeypatch)
         result = solve_state(grid4000, trap, 1)
         loop = result.iterations - newton.iterations  # Newton's steps run as before the miss
@@ -336,7 +350,7 @@ class TestWarmEigenpairs:
         steps = solve_state(grid1200, trap, n, start=start).iterations  # Newton's, before a miss
         miss_next_certificate(monkeypatch)
         followed = solve_state(grid1200, trap, n, start=start)
-        monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", lambda *args: None)
+        miss_loop_newton(monkeypatch)
         miss_next_certificate(monkeypatch)
         solved = solve_state(grid1200, trap, n, start=start)
         assert solved.eigensolves == solved.iterations - steps  # the first follow counts too
@@ -351,17 +365,18 @@ class TestWarmEigenpairs:
         # take the same iterations to within one
         cases = [(a, beta, n) for a in (5.0, 12.0) for beta in (0.0, 0.5, 1.0) for n in range(4)]
         cases += [(5.0, 9.0, 0), (2.0, 20.0, 0)]
-        follow = gpdwell.scf.follow_eigenpair
+        newton = gpdwell.scf._newton
         for a, b, n in cases:
             trap = TrapConfig(a=a, beta=b)
             w = solve_state(grid4000, trap, n)
             miss_next_certificate(monkeypatch)
             followed = solve_state(grid4000, trap, n)
-            monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", lambda *args: None)
+            miss_loop_newton(monkeypatch)
             miss_next_certificate(monkeypatch)
             cold = solve_state(grid4000, trap, n)
-            monkeypatch.setattr(gpdwell.scf, "follow_eigenpair", follow)
+            monkeypatch.setattr(gpdwell.scf, "_newton", newton)
             assert cold.eigensolves == cold.iterations - w.iterations > 0
+            assert followed.eigensolves < cold.eigensolves
             assert abs((cold.iterations - w.iterations)
                        - (followed.iterations - w.iterations)) <= 1
             scale = 1e-9 * (1.0 + abs(cold.state.mu))
@@ -383,7 +398,7 @@ class TestNewton:
 
         monkeypatch.setattr(gpdwell.scf, "_newton", recording)
         result = solve_state(grid, trap, 2)
-        [(_, _, steps, certified)] = ends
+        _, _, steps, certified = ends[0]  # the solve's own; the loop's, at beta = 0, follow
         assert not certified
         bare, pair = gpdwell.scf._bare_start(grid, trap.a, 0, 1)  # state 2: even pair 1
         _, mu, iterations, converged, eigensolves = gpdwell.scf._mix(
