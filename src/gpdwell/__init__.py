@@ -4,7 +4,6 @@ negativity, WKB transmission, eigenstate overlaps, and separatrix dynamics.
 """
 
 from .critical import (
-    CriticalResult,
     NoSignChange,
     QuadraticFit,
     curvature_at_origin,

@@ -28,7 +28,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .critical import NoSignChange, find_critical_a, fit_quadratic
+from .critical import NoSignChange, curvature_at_origin, find_critical_a, fit_quadratic
 from .dynamics import MIN_SNAPSHOTS, coherent_state, fotoc, growth_rate, propagate, snapshot_count
 from .eigensolver import EigensolverError
 from .grid import Grid, TrapConfig, make_grid
@@ -373,9 +373,9 @@ def cmd_scan_critical(args) -> int:
         raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
 
     def point(beta):
-        res = find_critical_a(beta, make_grid(args.L, args.D), bracket, args.tol,
-                              _scf_config(args))
-        return [(beta, res.a_c, res.E_c, res.curvature_at_ac)]
+        s = find_critical_a(beta, make_grid(args.L, args.D), bracket, args.tol,
+                            _scf_config(args)).state
+        return [(beta, s.trap.a, s.energy, curvature_at_origin(s))]
     return _sweep(args, ["beta", "a_c", "E_c", "curvature", "status"], point,
                   footer=_critical_fits)
 

@@ -21,24 +21,28 @@ Govaerts, Numerical Methods for Bifurcations of Dynamical Equilibria,
 SIAM (2000)). A step renormalises w as scf's Newton does, factors A once
 and solves it for r, w and x^2 w together, then solves a 2x2 Schur system
 for (dmu, da). A step that would take a out of the bracket moves a half
-the way to that end instead, and (w, mu) by scf's step at fixed a, from
-the same solves; where the state at a already meets scf's residual stop,
-the root lies past that end and the run fails. The run starts from the
-shared bare ground pair at the bracket's midpoint and stops once both
-||F|| and |g| are within scf's residual stop, at a_c. E_c and the
-curvature are read off one solve_state at a_c, warm-started from the
-run's pair: the pair is accepted only if that solve returns it,
-certified, at its first step and on the same grid.
+the way to that end instead, and (w, mu) by the Schur system's first row
+alone, da = 0: scf's step at fixed a. Where the state at a already meets
+scf's residual stop, the root lies past that end and the run fails. The
+run starts from the shared bare ground pair at the bracket's midpoint and
+stops once both ||F|| and |g| are within scf's residual stop, at a_c.
+There one solve_state, warm-started from the run's pair, certifies it:
+the pair is accepted only if that solve returns it, certified, at its
+first step and on the same grid.
 
 Otherwise (the step budget min(NEWTON_STEPS, max_iter) spent, a singular
-A or 2x2 system, a non-finite value, or a final solve that misses its
-certificate, grows the domain or ends on another state) a bisection takes
-over: it solves both bracket ends cold, raises NoSignChange if their
-curvatures have the same sign, and halves the bracket by warm-started
-solves until it is narrower than tol. a_c lies within tol of the root: the
-bisection's by the width of its last bracket, the Newton run's to the
-precision of its stop on |g| (about 1e-9 in a at the default SCF
-tolerance), which does not depend on tol.
+A, 2x2 system or fixed-a step, a non-finite value, or a final solve that
+misses its certificate, grows the domain or ends on another state) a
+bisection takes over: it solves both bracket ends cold, raises
+NoSignChange if their curvatures have the same sign, and halves the
+bracket by warm-started solves until it is narrower than tol. a_c lies
+within tol of the root: the bisection's by the width of its last bracket,
+the Newton run's to the precision of its stop on |g| (about 1e-9 in a at
+the default SCF tolerance), which does not depend on tol.
+
+Either way the critical point is the ScfResult of the solve that
+certified it, as solve_state returns it: a_c is its state.trap.a, E_c its
+state.energy and the curvature curvature_at_origin(state).
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import fix_sign
 from .grid import Grid, TrapConfig
 from .hamiltonian import assemble_block, unfold
 from .observables import energy
@@ -58,13 +61,6 @@ from .scf import (NEWTON_STEPS, ScfConfig, ScfError, ScfResult, StationaryState,
 
 class NoSignChange(ValueError):
     """The curvature has the same sign at both ends of the bracket."""
-
-
-@dataclass(frozen=True)
-class CriticalResult:
-    a_c: float
-    E_c: float
-    curvature_at_ac: float
 
 
 @dataclass(frozen=True)
@@ -125,16 +121,16 @@ def _bordered_newton(beta: float, grid: Grid, bracket: tuple[float, float],
         dmu, da = (b1 * m22 - m12 * b2) / det, (m11 * b2 - m21 * b1) / det
         if not math.isfinite(dmu + da):
             return None
-        if a_lo < a + da < a_hi:
-            w, mu, a = w + (dmu * y + da * q - z), mu + dmu, a + da
-        elif residual <= stop:  # the state at a is solved and g != 0: the root lies past the end
-            return None
-        else:  # scf's step at fixed a, then a half way to the end
-            dmu = float(np.dot(w, z) / np.dot(w, y))
-            w, mu, a = w - z + dmu * y, mu + dmu, 0.5 * (a + (a_hi if da > 0 else a_lo))
+        if not a_lo < a + da < a_hi:
+            # solved at a with g != 0, so the root lies past the end; or no fixed-a step
+            if residual <= stop or m11 == 0.0:
+                return None
+            # scf's step at fixed a, the first row alone, then a half way to the end
+            dmu, da, a = b1 / m11, 0.0, 0.5 * (a + (a_hi if da > 0 else a_lo))
+        w, mu, a = w + (dmu * y + da * q - z), mu + dmu, a + da
         bare = assemble_block(grid, a, 0)
     trap = TrapConfig(a=a, beta=beta)
-    psi = np.pad(unfold(fix_sign(w), 0), 1)
+    psi = np.pad(unfold(w, 0), 1)  # solve_state fixes the sign of the state it returns
     start = StationaryState(0, psi, mu, energy(grid, psi, trap), trap, grid)
     try:
         result = solve_state(grid, trap, 0, cfg, start)
@@ -172,26 +168,24 @@ def find_critical_a(
     bracket: tuple[float, float] = (0.5, 3.0),
     tol: float = 1e-4,
     cfg: ScfConfig | None = None,
-) -> CriticalResult:
+) -> ScfResult:
     """Locate a_c inside the search interval bracket, to within tol of the root.
 
     Newton on (w, mu, a) first, bisection where it fails (see the module
-    docstring); a_c is an a that was solved, and E_c and the curvature are
-    read off that solve. Raises ValueError unless a_lo < a_hi and tol is
-    positive and finite, and NoSignChange where the bisection finds the
-    curvature of the same sign at both bracket ends.
+    docstring). Returns the solve that certified a_c: the Newton run's
+    final solve_state, or the bisection's solve of its nearest end; a_c is
+    result.state.trap.a and E_c result.state.energy. Raises ValueError,
+    before any solve, unless 0 < a_lo < a_hi < inf and tol is positive and
+    finite, and NoSignChange where the bisection finds the curvature of the
+    same sign at both bracket ends.
     """
     a_lo, a_hi = bracket
-    if not a_lo < a_hi:
-        raise ValueError("bracket must satisfy a_lo < a_hi")
+    if not 0.0 < a_lo < a_hi < math.inf:  # also rejects nan
+        raise ValueError(f"bracket must satisfy 0 < a_lo < a_hi < inf, got ({a_lo:g}, {a_hi:g})")
     if not 0.0 < tol < math.inf:  # also rejects nan
         raise ValueError(f"tol must be positive and finite, got {tol:g}")
     cfg = cfg or ScfConfig()
-    result = _bordered_newton(beta, grid, bracket, cfg) or _bisection(beta, grid, bracket, tol,
-                                                                         cfg)
-    state = result.state
-    return CriticalResult(a_c=state.trap.a, E_c=state.energy,
-                          curvature_at_ac=curvature_at_origin(state))
+    return _bordered_newton(beta, grid, bracket, cfg) or _bisection(beta, grid, bracket, tol, cfg)
 
 
 def fit_quadratic(points: list[tuple[float, float]]) -> QuadraticFit:

@@ -112,7 +112,7 @@ def test_04_gp_identity_suite(grid4000):
 
 def test_05_pair_structure(grid4000, spectrum_a5_b01):
     states = [r.state for r in spectrum_a5_b01]
-    e_c = find_critical_a(0.1, grid=grid4000).E_c
+    e_c = find_critical_a(0.1, grid=grid4000).state.energy
     gaps = [states[i + 1].energy - states[i].energy for i in range(3)]
     ratio = gaps[0] / gaps[2]
     _report(5, "doublet structure at a=5, beta=0.1", [

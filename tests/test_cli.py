@@ -727,6 +727,17 @@ class TestDynamicsCommands:
         assert 0.75 * lam <= footer["fit_rate"] <= 2.5 * lam
         assert footer["fit_r2"] >= 0.98
 
+    def test_dynamics_without_growth_window(self, tmp_path):
+        # a packet at rest on the barrier top over a short run: no FOTOC growth window, so
+        # the data and the footer go out unfitted
+        out = tmp_path / "dyn.csv"
+        code = main(["dynamics", "--a", "10", "--x0", "0", "--p0", "0", "--tmax", "0.02",
+                     "--D", "400", "--output", str(out)])
+        assert code == EXIT_OK
+        _, columns, rows, footer = read_csv(str(out))
+        assert columns == ["t", "F", "var_x", "var_p"] and rows
+        assert sorted(footer) == ["lyapunov", "norm_drift", "two_lyapunov"]
+
     def test_classical_energy(self, tmp_path):
         out = tmp_path / "cl.csv"
         code = main(["classical", "--a", "2", "--x0", "1.2", "--p0", "0",

@@ -5,7 +5,7 @@ import gpdwell.critical
 import gpdwell.scf
 from gpdwell.critical import NoSignChange, curvature_at_origin, find_critical_a, fit_quadratic
 from gpdwell.grid import TrapConfig, make_grid
-from gpdwell.scf import ScfConfig, solve_state
+from gpdwell.scf import MaxIterationsExceeded, ScfConfig, solve_state
 from gpdwell.semiclassics import transmission
 
 from test_scf import miss_next_certificate
@@ -50,6 +50,16 @@ def _bisected_root(grid, beta, bracket=(1.0, 2.0)):
     return 0.5 * (lo + hi)
 
 
+# the bordered run's A^-1 [r, w, x^2 w] = [z, y, q], each broken so that its first step fails
+_BROKEN_SOLVES = {
+    "singular A": lambda z, y, q: None,
+    "singular 2x2": lambda z, y, q: [z, y, 0.0 * q],  # m12 = m22 = 0, so det = 0
+    "non-finite step": lambda z, y, q: [z, y, np.full_like(q, np.nan)],
+    # m11 = w.y = 0 and da = w.z / w.q leaves the bracket: no step at fixed a
+    "no fixed-a step": lambda z, y, q: [z, 0.0 * y, 1e-6 * q],
+}
+
+
 def _fell_back(solves, bracket=(0.5, 3.0)):
     """Whether the bisection ran: its cold solves of both bracket ends are among solves."""
     return {a for a, warm, _ in solves if not warm} == set(bracket)
@@ -72,26 +82,25 @@ class TestCurvatureSign:
 class TestFindCriticalA:
     def test_linear_reference_point(self, grid_crit):
         res = find_critical_a(0.0, grid=grid_crit)
-        assert res.a_c == pytest.approx(1.7616, abs=0.01)
-        assert abs(res.E_c) <= 0.01
+        assert res.state.trap.a == pytest.approx(1.7616, abs=0.01)
+        assert abs(res.state.energy) <= 0.01
 
     def test_interacting_point(self, grid_crit):
         res = find_critical_a(1.0, grid=grid_crit)
-        assert res.a_c < 1.7616
-        assert res.E_c == pytest.approx(0.2696, rel=0.15)
+        assert res.state.trap.a < 1.7616
+        assert res.state.energy == pytest.approx(0.2696, rel=0.15)
 
     def test_bracket_width_respected(self, grid_crit):
         res = find_critical_a(0.0, grid_crit, bracket=(1.0, 2.5), tol=1e-3)
-        assert 1.0 < res.a_c < 2.5
+        assert 1.0 < res.state.trap.a < 2.5
 
     def test_few_solves_none_repeated(self, grid_crit, monkeypatch):
         # the Newton run on (w, mu, a) needs no solve; one solve at a_c certifies its pair
         solves = _record_solves(monkeypatch)
         res = find_critical_a(1.0, tol=1e-4, grid=grid_crit)
         [(a, warm, result)] = solves
-        assert (a, warm, result.iterations) == (res.a_c, True, 1)
-        assert res.E_c == result.state.energy  # E_c and the curvature come from that solve
-        assert res.curvature_at_ac == curvature_at_origin(result.state)
+        assert result is res  # the critical point is the solve that certified it
+        assert (a, warm, res.iterations) == (res.state.trap.a, True, 1)
 
     def test_few_scf_iterations_near_critical(self, monkeypatch):
         # Guards the work count, not seconds: the plain fixed point took 565.
@@ -110,16 +119,25 @@ class TestFindCriticalA:
     def test_sign_change_within_tol(self, grid_crit):
         tol = 1e-3
         res = find_critical_a(0.5, tol=tol, grid=grid_crit)
-        below = _curvature(grid_crit, res.a_c - tol, 0.5)
-        above = _curvature(grid_crit, res.a_c + tol, 0.5)
+        below = _curvature(grid_crit, res.state.trap.a - tol, 0.5)
+        above = _curvature(grid_crit, res.state.trap.a + tol, 0.5)
         assert below < 0.0 < above
-        assert res.curvature_at_ac == pytest.approx(0.0, abs=min(-below, above))
+        assert curvature_at_origin(res.state) == pytest.approx(0.0, abs=min(-below, above))
 
-    def test_bad_bracket_rejected(self, grid_crit):
-        with pytest.raises(ValueError, match="bracket"):
-            find_critical_a(0.0, bracket=(3.0, 0.5), grid=grid_crit)
+    def test_bad_bracket_rejected(self, grid_crit, monkeypatch):
         with pytest.raises(ValueError, match="sign"):
             find_critical_a(0.0, bracket=(2.5, 3.0), grid=grid_crit)
+        # refused as scan-critical --bracket refuses them, before any solve: a bracket end
+        # at a <= 0 or at inf is no trap the search or its bisection could solve
+        solves = _record_solves(monkeypatch)
+        bare_starts = []
+        monkeypatch.setattr(gpdwell.critical, "_bare_start",
+                            lambda *args: bare_starts.append(args))
+        for bracket in [(3.0, 0.5), (-1.0, 3.0), (0.0, 3.0), (-2.0, 0.5), (0.5, np.inf),
+                        (np.nan, 3.0)]:
+            with pytest.raises(ValueError, match="bracket"):
+                find_critical_a(1.0, bracket=bracket, grid=grid_crit)
+        assert solves == [] and bare_starts == []
 
     def test_tol_below_float_spacing_ends(self, monkeypatch):
         # The bisection halves the bracket only while a float lies strictly between
@@ -138,7 +156,8 @@ class TestFindCriticalA:
             return solve_state(*args)
 
         monkeypatch.setattr(gpdwell.critical, "solve_state", bounded)
-        assert find_critical_a(0.0, grid, tol=1e-20).a_c == pytest.approx(at_floor.a_c, abs=floor)
+        a_c = find_critical_a(0.0, grid, tol=1e-20).state.trap.a
+        assert a_c == pytest.approx(at_floor.state.trap.a, abs=floor)
         assert len(solves) > 50  # halved down to one ulp of a
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -160,10 +179,9 @@ class TestFindCriticalA:
 class TestBorderedNewton:
     @pytest.mark.parametrize("beta", [0.0, 1.0, 4.0])
     def test_root_to_scf_precision(self, grid600, beta):
-        res = find_critical_a(beta, grid600)
-        assert res.a_c == pytest.approx(_bisected_root(grid600, beta), abs=1e-8)
-        assert _curvature(grid600, res.a_c - 1e-6, beta) < 0.0 < _curvature(
-            grid600, res.a_c + 1e-6, beta)
+        a_c = find_critical_a(beta, grid600).state.trap.a
+        assert a_c == pytest.approx(_bisected_root(grid600, beta), abs=1e-8)
+        assert _curvature(grid600, a_c - 1e-6, beta) < 0.0 < _curvature(grid600, a_c + 1e-6, beta)
 
     @pytest.mark.parametrize("beta, bracket", [(10.0, (0.5, 3.0)), (6.0, (1.0, 2.5))])
     def test_root_near_a_bracket_end_without_fallback(self, grid600, monkeypatch, beta,
@@ -171,27 +189,40 @@ class TestBorderedNewton:
         # Newton's first two steps in a would leave the bracket; each takes scf's step at
         # fixed a and moves a half way to the end, and the run still ends at the root
         solves = _record_solves(monkeypatch)
-        res = find_critical_a(beta, grid600, bracket)
-        assert [(a, warm) for a, warm, _ in solves] == [(res.a_c, True)]
-        assert min(res.a_c - bracket[0], bracket[1] - res.a_c) < 0.25 * (bracket[1] - bracket[0])
-        assert _curvature(grid600, res.a_c - 1e-6, beta) < 0.0 < _curvature(
-            grid600, res.a_c + 1e-6, beta)
+        a_c = find_critical_a(beta, grid600, bracket).state.trap.a
+        assert [(a, warm) for a, warm, _ in solves] == [(a_c, True)]
+        assert min(a_c - bracket[0], bracket[1] - a_c) < 0.25 * (bracket[1] - bracket[0])
+        assert _curvature(grid600, a_c - 1e-6, beta) < 0.0 < _curvature(grid600, a_c + 1e-6, beta)
 
-    @pytest.mark.parametrize("force", ["step budget", "certificate miss"])
+    @pytest.mark.parametrize("force", ["step budget", "certificate miss", "final solve raises",
+                                       *_BROKEN_SOLVES])
     def test_forced_fallback_reaches_the_same_root(self, grid_crit, monkeypatch, force):
         tol = 1e-4
         newton = find_critical_a(1.0, grid_crit, tol=tol)
         solves = _record_solves(monkeypatch)
         if force == "step budget":
             monkeypatch.setattr(gpdwell.critical, "NEWTON_STEPS", 3)
-        else:  # the first certificate is the final solve's
+        elif force == "certificate miss":  # the first certificate is the final solve's
             miss_next_certificate(monkeypatch)
+        elif force == "final solve raises":
+            recording = gpdwell.critical.solve_state
+
+            def raising_first(*args):
+                result = recording(*args)
+                if len(solves) == 1:  # the Newton run's certifying solve
+                    raise MaxIterationsExceeded(result, 1e-9)
+                return result
+
+            monkeypatch.setattr(gpdwell.critical, "solve_state", raising_first)
+        else:
+            jacobian_solve, broken = gpdwell.critical._jacobian_solve, _BROKEN_SOLVES[force]
+            monkeypatch.setattr(gpdwell.critical, "_jacobian_solve",
+                                lambda *args: broken(*jacobian_solve(*args)))
         res = find_critical_a(1.0, grid_crit, tol=tol)
         assert _fell_back(solves)
-        assert res.a_c == pytest.approx(newton.a_c, abs=tol)
-        [at_ac] = [result for a, _, result in solves if a == res.a_c]
-        assert (res.E_c, res.curvature_at_ac) == (at_ac.state.energy,
-                                                  curvature_at_origin(at_ac.state))
+        assert res.state.trap.a == pytest.approx(newton.state.trap.a, abs=tol)
+        [at_ac] = [result for a, _, result in solves if a == res.state.trap.a]
+        assert res is at_ac  # the bisection's solve at a_c
         assert len({a for a, _, _ in solves}) == len(solves)  # none repeated
 
     def test_final_solve_growing_the_domain_falls_back(self, monkeypatch):
@@ -202,9 +233,10 @@ class TestBorderedNewton:
         res = find_critical_a(0.0, make_grid(2.5, 400), tol=tol)
         assert solves[0][1] and solves[0][2].state.grid.L == 3.75
         assert _fell_back(solves)
-        [at_ac] = [result for a, _, result in solves if a == res.a_c]
-        assert res.E_c == at_ac.state.energy
-        assert res.a_c == pytest.approx(find_critical_a(0.0, make_grid(3.75, 400)).a_c, abs=tol)
+        [at_ac] = [result for a, _, result in solves if a == res.state.trap.a]
+        assert res is at_ac
+        grown = find_critical_a(0.0, make_grid(3.75, 400))
+        assert res.state.trap.a == pytest.approx(grown.state.trap.a, abs=tol)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_final_solve_on_another_state_falls_back(self, grid600, monkeypatch, beta):
@@ -220,7 +252,7 @@ class TestBorderedNewton:
         excited = solves[0]
         assert excited[1] and excited[2].iterations > 1 and excited[0] > 4.0
         assert _fell_back(solves, bracket)
-        assert res.a_c == pytest.approx(_bisected_root(grid600, beta), abs=tol)
+        assert res.state.trap.a == pytest.approx(_bisected_root(grid600, beta), abs=tol)
 
     @pytest.mark.parametrize("beta, bracket", [(12.0, (0.6, 3.0)), (16.0, (0.5, 3.0)),
                                                (9.0, (0.5, 2.0))])
@@ -230,8 +262,8 @@ class TestBorderedNewton:
         # there move w and mu by scf's step at fixed a, so they keep up with a
         monkeypatch.setattr(gpdwell.critical, "_bisection",
                             lambda *args: pytest.fail("fell back"))
-        res = find_critical_a(beta, grid1200, bracket)
-        assert res.a_c == pytest.approx(_bisected_root(grid1200, beta, bracket), abs=1e-8)
+        a_c = find_critical_a(beta, grid1200, bracket).state.trap.a
+        assert a_c == pytest.approx(_bisected_root(grid1200, beta, bracket), abs=1e-8)
 
     def test_bracket_without_root_raises_after_the_run(self, grid600, monkeypatch):
         # the start, the bare ground pair, is solved at a = 2.75 and its step in a leaves
@@ -258,7 +290,7 @@ class TestSubmergedBarrier:
         tol = 1e-4
         res = find_critical_a(beta, grid4000, tol=tol)
         below, above = (solve_state(grid4000, TrapConfig(a=a, beta=beta), 0).state
-                        for a in (res.a_c - tol, res.a_c + tol))
+                        for a in (res.state.trap.a - tol, res.state.trap.a + tol))
         assert transmission(below) == 1.0
         assert transmission(above) < 1.0
 

@@ -74,6 +74,9 @@ class TestAssemble:
         grid = make_grid(4.0, 40)
         with pytest.raises(ValueError):
             assemble(grid, TrapConfig(a=2.0), np.zeros(grid.D))
+        for length in (3, 5):
+            with pytest.raises(ValueError, match="offdiag"):
+                TridiagonalOperator(diag=np.zeros(5), offdiag=np.zeros(length))
 
     def test_dense_form_is_symmetric(self):
         grid = make_grid(2.0, 12)

@@ -75,6 +75,10 @@ class TestOverlapMatrix:
             c02.append(overlap_matrix([r.state for r in rs])[0, 2])
         assert c02[0] < c02[1] < c02[2]
 
+    def test_no_states_refused(self):
+        with pytest.raises(ValueError, match="at least one state"):
+            overlap_matrix([])
+
     def test_grid_mismatch(self, grid4000):
         other = make_grid(5.0, 4000)
         s1, s2 = (StationaryState(n=0, psi=np.zeros(g.D + 1), mu=0.0, energy=0.0,

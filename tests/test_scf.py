@@ -452,6 +452,17 @@ class TestNewton:
         assert result.eigensolves == eigensolves
 
 
+    def test_singular_jacobian_falls_back_to_the_loop(self, grid1200, monkeypatch):
+        # with every A singular, Newton stops at its first point, and the loop solves each
+        # of its operators in full; it ends at the state Newton finds
+        trap = TrapConfig(a=5.0, beta=0.5)
+        mu = solve_state(grid1200, trap, 1).state.mu
+        monkeypatch.setattr(gpdwell.scf, "_jacobian_solve", lambda *args: None)
+        result = solve_state(grid1200, trap, 1)
+        assert result.converged and result.eigensolves == result.iterations - 1 > 0
+        assert result.state.mu == pytest.approx(mu, rel=0, abs=1e-9 * (1.0 + abs(mu)))
+
+
 class TestFailureModes:
     def test_budget_exhausted_reports_residual(self):
         grid = make_grid(6.0, 2000)
