@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .critical import NoSignChange, curvature_at_origin, find_critical_a, fit_quadratic
-from .dynamics import MIN_SNAPSHOTS, coherent_state, fotoc, growth_rate, propagate, snapshot_count
+from .dynamics import MIN_SNAPSHOTS, coherent_state, fotoc, growth_rate, propagate
 from .eigensolver import EigensolverError
 from .grid import Grid, TrapConfig, make_grid
 from .observables import overlap_matrix
@@ -41,7 +41,8 @@ from .scf import (
     solve_spectrum,
     solve_state,
 )
-from .semiclassics import classical_trajectory, lyapunov_exponent, step_count, transmission
+from .semiclassics import (classical_trajectory, kept_steps, lyapunov_exponent, step_count,
+                           transmission)
 from .wigner import momentum_cells, negativity, wigner_transform
 
 EXIT_OK = 0
@@ -429,7 +430,7 @@ def _check_stepping(args) -> None:
 def cmd_dynamics(args) -> int:
     _check_stepping(args)
     steps = step_count(args.tmax, args.dt)
-    count = snapshot_count(steps, args.stride)
+    count = len(kept_steps(steps, args.stride))
     if count < MIN_SNAPSHOTS:
         raise ValueError(f"--stride {args.stride} keeps {count} snapshots of {steps} steps; "
                          f"the FOTOC series needs at least {MIN_SNAPSHOTS}")

@@ -5,8 +5,9 @@ dynamics of interest lives at beta = 0, so propagate builds the bare
 3-point Hamiltonian on the full grid itself: a packet off the origin has no
 parity, and the hamiltonian module's parity blocks do not apply. A packet
 is its complex vector on grid.nodes, and a run its kept times with one
-array of snapshot rows. The FOTOC is the sum of position and momentum
-variances of the evolving packet; near the separatrix it grows
+array of snapshot rows; like the RK4 orbit it keeps semiclassics.kept_steps,
+step 0, every stride-th step and the last. The FOTOC is the sum of position
+and momentum variances of the evolving packet; near the separatrix it grows
 exponentially at a rate set by the fixed-point instability.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .grid import Grid, integrate, potential
-from .semiclassics import MAX_STEPS
+from .semiclassics import MAX_STEPS, kept_steps
 
 MIN_SNAPSHOTS = 10  # the shortest series fotoc takes
 
@@ -61,11 +62,6 @@ def coherent_state(grid: Grid, x0: float, p0: float) -> np.ndarray:
     return psi
 
 
-def snapshot_count(steps: int, snapshot_stride: int) -> int:
-    """Snapshots propagate keeps: the start, then ceil(steps / stride)."""
-    return 1 + -(-steps // snapshot_stride)
-
-
 def propagate(
     grid: Grid,
     a: float,
@@ -83,24 +79,20 @@ def propagate(
     psi_k. 1 + zH is LU-factored once (LAPACK zgttrf, partial pivoting) and
     every step is one zgttrs solve, bitwise a fresh banded solve per step.
 
-    Returns the kept steps k (0, every snapshot_stride-th and the last) as
-    times dt k, and a (count, D+1) complex array of the states there. Before
-    any step a psi0 of another length is refused, and so are a run whose
-    snapshots would hold more than MAX_STEPS values in all and an a that is
-    not positive and finite.
+    Returns the kept steps k, kept_steps(steps, snapshot_stride), as times
+    dt k, and a (count, D+1) complex array of the states there. Before any
+    step a psi0 of another length is refused, and so are steps or a stride
+    kept_steps refuses, a run whose snapshots would hold more than MAX_STEPS
+    values in all and an a that is not positive and finite.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
-    if snapshot_stride < 1:
-        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     if np.shape(psi0) != (grid.D + 1,):
         raise ValueError(f"psi0 must have shape (D+1,) = ({grid.D + 1},), got {np.shape(psi0)}")
-    count = snapshot_count(steps, snapshot_stride)
-    if count * (grid.D + 1) > MAX_STEPS:
-        raise ValueError(
-            f"{count} snapshots of {grid.D + 1} values exceed {MAX_STEPS} in all; "
-            f"raise the snapshot stride"
-        )
+    kept = kept_steps(steps, snapshot_stride)
+    if len(kept) * (grid.D + 1) > MAX_STEPS:
+        raise ValueError(f"{len(kept)} snapshots of {grid.D + 1} values exceed {MAX_STEPS} "
+                         f"in all; raise the snapshot stride")
     if not 0 < a < np.inf:  # also rejects nan
         raise ValueError(f"well-depth parameter a must be positive and finite, got {a}")
     inv_d2 = 1.0 / grid.delta**2
@@ -111,11 +103,10 @@ def propagate(
     if info != 0:
         raise np.linalg.LinAlgError("Crank-Nicolson matrix is singular")
 
-    kept = np.append(np.arange(0, steps, snapshot_stride), steps)
-    snapshots = np.zeros((count, grid.D + 1), dtype=complex)
+    snapshots = np.zeros((len(kept), grid.D + 1), dtype=complex)
     snapshots[0] = psi0
     psi = snapshots[0, 1:-1].copy()
-    for row in range(1, count):
+    for row in range(1, len(kept)):
         for _ in range(kept[row] - kept[row - 1]):
             psi = 2.0 * zgttrs(*lu, psi)[0] - psi
         snapshots[row, 1:-1] = psi

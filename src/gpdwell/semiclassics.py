@@ -8,8 +8,8 @@ x >= 0 alone; the scan mirrored to x <= 0 would give -x2 bitwise.
 
 Classical motion in the bare double well follows H = p^2/2 - a x^2 + x^4,
 with separatrix at E = 0 and Lyapunov exponent sqrt(2a) at the hyperbolic
-fixed point (0, 0). Trajectories and Crank-Nicolson propagations are capped
-at MAX_STEPS steps, and a propagation's snapshots at MAX_STEPS values.
+fixed point (0, 0). Trajectories and Crank-Nicolson propagations run at most
+MAX_STEPS steps and keep kept_steps: step 0, every stride-th step and the last.
 """
 
 from __future__ import annotations
@@ -96,6 +96,18 @@ def step_count(t_max: float, dt: float) -> int:
     return int(round(t_max / dt))
 
 
+def kept_steps(steps: int, stride: int) -> np.ndarray:
+    """The steps a run keeps: 0, stride, 2 stride, ... and always the last, steps.
+
+    Raises ValueError unless steps is an integer in [0, MAX_STEPS] and stride one >= 1.
+    """
+    if not (isinstance(steps, (int, np.integer)) and 0 <= steps <= MAX_STEPS):
+        raise ValueError(f"steps must be an integer in [0, {MAX_STEPS}], got {steps!r}")
+    if not (isinstance(stride, (int, np.integer)) and stride >= 1):
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    return np.append(np.arange(0, steps, stride), steps)
+
+
 def _rk4(a: float, dt: float, x: float, p: float, blocks):
     """RK4 for xdot = p, pdot = 2a x - 4 x^3 from (x, p): the point after each block of steps.
 
@@ -103,18 +115,18 @@ def _rk4(a: float, dt: float, x: float, p: float, blocks):
     y + (dt/6)(k1 + 2 k2 + 2 k3 + k4), so every point is bitwise that of the
     vector form. An x**3 past the float range yields (nan, nan) and ends it.
     """
-    def force(x):
-        return 2.0 * a * x - 4.0 * x**3
-
-    half, sixth = 0.5 * dt, dt / 6.0
+    two_a, half, sixth = 2.0 * a, 0.5 * dt, dt / 6.0
     for block in blocks:
         try:
             for _ in range(block):
-                # stage slopes k1 = (p, dp1), k2 = (dx2, dp2), k3 = (dx3, dp3), k4 = (dx4, dp4)
-                dp1 = force(x)
-                dx2, dp2 = p + half * dp1, force(x + half * p)
-                dx3, dp3 = p + half * dp2, force(x + half * dx2)
-                dx4, dp4 = p + dt * dp3, force(x + dt * dx3)
+                # slopes k1 = (p, dp1), k2 = (dx2, dp2), ..., force 2a y - 4 y^3 at stage point y
+                dp1 = two_a * x - 4.0 * x**3
+                y = x + half * p
+                dx2, dp2 = p + half * dp1, two_a * y - 4.0 * y**3
+                y = x + half * dx2
+                dx3, dp3 = p + half * dp2, two_a * y - 4.0 * y**3
+                y = x + dt * dx3
+                dx4, dp4 = p + dt * dp3, two_a * y - 4.0 * y**3
                 x = x + sixth * (p + 2 * dx2 + 2 * dx3 + dx4)
                 p = p + sixth * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
         except OverflowError:
@@ -125,32 +137,26 @@ def _rk4(a: float, dt: float, x: float, p: float, blocks):
 
 def classical_trajectory(a: float, x0: float, p0: float, dt: float, t_max: float,
                          stride: int = 1) -> ClassicalTrajectory:
-    """RK4 (_rk4) from (x0, p0) for round(t_max / dt) steps dt, keeping steps 0, stride, ...
+    """RK4 (_rk4) from (x0, p0) for step_count(t_max, dt) steps dt, keeping kept_steps.
 
-    The kept points go into arrays of their final size as the run goes. A
-    run that leaves the float range raises ValueError, naming the last time
-    it reached, also past the last kept point.
+    The kept points go into arrays of their final size as the run goes; a run
+    that leaves the float range raises ValueError, naming the last time reached.
     """
     if not all(map(math.isfinite, (a, x0, p0))):
         raise ValueError(f"a, x0 and p0 must be finite, got {a:g}, {x0:g}, {p0:g}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    n_steps = step_count(t_max, dt)
-    kept = n_steps // stride + 1
-    points = np.empty((kept, 2))
+    kept = kept_steps(step_count(t_max, dt), stride)
+    points = np.empty((len(kept), 2))
     points[0] = x0, p0
-    blocks = itertools.chain(itertools.repeat(stride, kept - 1), [n_steps % stride])
-    for j, (x, p) in enumerate(_rk4(a, dt, float(x0), float(p0), blocks), 1):
+    for j, (x, p) in enumerate(_rk4(a, dt, float(x0), float(p0), np.diff(kept)), 1):
         if not (math.isfinite(x) and math.isfinite(p)):
-            # inf and nan never go away: step the block again to its first such point
-            again = _rk4(a, dt, *points[j - 1].tolist(), itertools.repeat(1, stride))
-            last = (j - 1) * stride + sum(1 for _ in itertools.takewhile(
+            # inf and nan never go away: step the block again, bitwise, to its first such point
+            again = _rk4(a, dt, *points[j - 1].tolist(), itertools.repeat(1))
+            last = kept[j - 1] + sum(1 for _ in itertools.takewhile(
                 lambda point: all(map(math.isfinite, point)), again))
             raise ValueError(f"the RK4 step overflowed after t = {dt * last:g}; "
                              f"use a smaller time step dt (--dt)")
-        if j < kept:
-            points[j] = x, p
-    return ClassicalTrajectory(times=dt * np.arange(0, n_steps + 1, stride), points=points,
+        points[j] = x, p
+    return ClassicalTrajectory(times=dt * kept, points=points,
                                energy=float(0.5 * p0**2 + potential(x0, a)))
 
 

@@ -738,6 +738,20 @@ class TestDynamicsCommands:
         assert columns == ["t", "F", "var_x", "var_p"] and rows
         assert sorted(footer) == ["lyapunov", "norm_drift", "two_lyapunov"]
 
+    def test_dynamics_and_classical_keep_the_same_steps(self, tmp_path):
+        # 25 steps at stride 2: both keep steps 0, 2, ..., 24 and the last, 25
+        stepping = ["--a", "10", "--x0", "0.5", "--p0", "0", "--dt", "1e-4", "--tmax", "0.0025",
+                    "--stride", "2"]
+        t = {}
+        for command in ("dynamics", "classical"):
+            out = tmp_path / f"{command}.csv"
+            extra = ["--D", "400"] if command == "dynamics" else []
+            assert main([command, *stepping, *extra, "--output", str(out)]) == EXIT_OK
+            _, columns, rows, _ = read_csv(str(out))
+            t[command] = [row[columns.index("t")] for row in rows]
+        assert t["dynamics"] == t["classical"]
+        assert t["classical"] == pytest.approx(1e-4 * np.array([*range(0, 25, 2), 25]))
+
     def test_classical_energy(self, tmp_path):
         out = tmp_path / "cl.csv"
         code = main(["classical", "--a", "2", "--x0", "1.2", "--p0", "0",

@@ -125,6 +125,16 @@ class TestPropagate:
             with pytest.raises(ValueError, match="a must be positive and finite"):
                 propagate(grid_dyn, a, packet, dt=0.01, steps=10)
 
+    def test_rejects_bad_steps_before_any_step(self, grid_dyn, monkeypatch):
+        def no_factor(*args, **kwargs):
+            raise AssertionError("factored")
+
+        monkeypatch.setattr(gpdwell.dynamics, "zgttrf", no_factor)
+        packet = coherent_state(grid_dyn, 0.0, 0.0)
+        for steps in (-1, 2.5):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                propagate(grid_dyn, 2.0, packet, 0.01, steps)
+
     def test_snapshot_memory_bounded(self, grid_dyn, monkeypatch):
         # The start and ceil(10 / 4) = 3 snapshots of D + 1 values each
         packet = coherent_state(grid_dyn, 0.0, 0.0)

@@ -2,16 +2,18 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import rk4_vector, turning_points
 
 from gpdwell.grid import TrapConfig, make_grid, potential
 from gpdwell.scf import solve_spectrum, solve_state
 from gpdwell.semiclassics import (
+    MAX_STEPS,
     ClassicalTrajectory,
     TurningPointError,
     _barrier_edge,
     classical_trajectory,
+    kept_steps,
     lyapunov_exponent,
     transmission,
 )
@@ -156,12 +158,20 @@ class TestClassicalTrajectory:
 
     @pytest.mark.parametrize("stride", [1, 3, 10, 1000])
     def test_stride_keeps_every_stride_th_point(self, stride):
-        # the rows the whole run would give, 0, stride, 2 stride, ..., bitwise
+        # the rows the whole run would give at 0, stride, 2 stride, ... and the last, bitwise
         full = classical_trajectory(2.0, -0.7, 1.3, 1e-3, 2.0)
         kept = classical_trajectory(2.0, -0.7, 1.3, 1e-3, 2.0, stride)
-        assert kept.points.tobytes() == full.points[::stride].tobytes()
-        assert kept.times.tobytes() == full.times[::stride].tobytes()
+        rows = kept_steps(2000, stride)
+        assert kept.points.tobytes() == full.points[rows].tobytes()
+        assert kept.times.tobytes() == full.times[rows].tobytes()
         assert kept.energy == full.energy
+
+    def test_stride_that_does_not_divide_keeps_the_last_step(self):
+        # 10 steps at stride 3 keep steps 0, 3, 6, 9 and 10
+        full = classical_trajectory(10.0, 1.5, 0.0, 1e-4, 0.001)
+        kept = classical_trajectory(10.0, 1.5, 0.0, 1e-4, 0.001, 3)
+        assert kept.times.tobytes() == (1e-4 * np.array([0, 3, 6, 9, 10])).tobytes()
+        assert kept.points[-1].tobytes() == full.points[-1].tobytes()
 
     def test_peak_memory_is_the_kept_points(self):
         # 10^5 steps at stride 10: the points held were 97 bytes a step when every
@@ -200,6 +210,34 @@ class TestClassicalTrajectory:
         # the step is found inside the block of steps between kept points
         with pytest.raises(ValueError, match=re.escape(f"overflowed after t = {reached:g};")):
             classical_trajectory(10.0, x0, 0.0, dt, 100 * dt, stride)
+
+    def test_overflow_in_the_last_short_block(self):
+        # 7 steps at stride 4 keep steps 0, 4 and 7; step 7 overflows
+        with pytest.raises(ValueError, match=re.escape("overflowed after t = 3;")):
+            classical_trajectory(10.0, 1.5, 0.0, 0.5, 3.5, 4)
+
+
+class TestKeptSteps:
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.integers(0, 10_000), stride=st.integers(1, 20_000))
+    @example(steps=0, stride=5)
+    @example(steps=10, stride=3)
+    def test_start_every_stride_th_step_and_the_last(self, steps, stride):
+        kept = kept_steps(steps, stride)
+        gaps = np.diff(kept)
+        assert kept.dtype.kind == "i"
+        assert kept[0] == 0 and kept[-1] == steps
+        assert np.all(gaps > 0)
+        assert np.all(gaps[:-1] == stride)
+        assert np.all(gaps[-1:] <= stride)
+
+    @pytest.mark.parametrize("steps, stride", [
+        (-1, 1), (2.5, 1), (10.0, 1), (MAX_STEPS + 1, 1), ("10", 1),
+        (10, 0), (10, -1), (10, 1.5),
+    ])
+    def test_refusals(self, steps, stride):
+        with pytest.raises(ValueError, match="must be an integer"):
+            kept_steps(steps, stride)
 
 
 class TestLyapunov:
