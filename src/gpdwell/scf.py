@@ -25,17 +25,15 @@ one more unknown.
 
 Newton may land on another eigenpair, so its pair is kept only if two
 Sturm counts on H[w^2] certify it (eigensolver.certified). On a miss, a
-singular A, a non-finite value or NEWTON_STEPS steps, the solve starts
-again from the same pair by the fixed-point loop (_mix): each iterate
-follows eigenpair n // 2 of its linear operator H[density] from the last
-iterate's pair by the same steps at beta = 0 (_newton, certified alike),
-or by a full eigensolve where they miss, and Anderson (type II) mixing
-combines its output density with earlier ones
-(Anderson, J. ACM 12, 547 (1965); Walker & Ni, SIAM J. Numer. Anal. 49,
-1715 (2011)). ScfResult.iterations counts the Newton steps and the loop's
-iterations, which share cfg.max_iter, and ScfResult.eigensolves the loop's
-full eigensolves, not the shared bare pairs: no result depends on what the
-process solved before.
+singular A, a non-finite value or NEWTON_STEPS steps, the solve climbs a
+ladder in beta from the bare pair (_ladder): Newton steps at b + h from the
+pair certified at b, the step h doubled after each certified rung and
+halved after each miss (Chang, Chien & Jeng, J. Comput. Phys. 226, 104
+(2007); Allgower & Georg, Introduction to Numerical Continuation Methods,
+SIAM (2003)). Every rung is certified alike, and the ladder depends only
+on (grid, a, beta, n). ScfResult.iterations counts every Newton point of
+both, which share cfg.max_iter; no result depends on what the process
+solved before.
 
 A solve stops on the nonlinear residual ||H[psi^2] psi - mu psi|| of the
 iterate's pair, once it is at most max(tol * (1 + |mu|), ROUNDOFF_FLOOR *
@@ -51,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,7 +62,6 @@ from .observables import energy as _fill_energy  # the name perfbench traces
 
 MAX_DOMAIN_GROWTHS = 3
 DOMAIN_GROWTH = 1.5  # factor on L per domain enlargement
-ANDERSON_DEPTH = 5  # earlier iterates kept by the mixing
 # Residual stop floor in units of eps * ||op||_inf. A row of the residual
 # sums the three products of op psi, mu psi and a beta term small beside
 # them, so rounding alone moves it by up to about 4 eps (|op| |psi|)_i, or
@@ -71,9 +69,11 @@ ANDERSON_DEPTH = 5  # earlier iterates kept by the mixing
 # tridiagonal solve, carries a true residual of the same order. Residuals
 # stalled at up to 2.5 eps ||op||_inf at D = 16000.
 ROUNDOFF_FLOOR = 8.0
-# Newton steps before the fallback. Of 512 states (a 0.25-16, beta 0-40, n <= 7; D = 600,
-# 2400) those certified took <= 32; the rest met the stop at a wrong state in <= 91.
+# Newton steps before the fallback, and per rung of its ladder. Of 512 states (a 0.25-16,
+# beta 0-40, n <= 7; D = 600, 2400) those certified took <= 32; the rest met the stop at a
+# wrong state in <= 91.
 NEWTON_STEPS = 50
+MIN_RUNG = 1e-6  # the fallback's ladder in beta gives up below a step of MIN_RUNG * beta
 
 
 class ScfError(RuntimeError):
@@ -104,8 +104,8 @@ class ScfConfig:
     def __post_init__(self):
         if not 0 < self.tol < math.inf:  # also rejects nan
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -132,26 +132,10 @@ class StationaryState:
 @dataclass
 class ScfResult:
     state: StationaryState
-    iterations: int  # Newton steps plus the fallback loop's iterations
+    iterations: int  # Newton points, the fallback ladder's included
     converged: bool = False
     residual: float = math.inf  # ||H[psi^2] psi - mu psi|| of the returned psi and mu
-    eigensolves: int = 0  # lowest_eigenpairs calls of the fallback loop: failed certificates
-
-
-def _anderson(inputs: list[np.ndarray], outputs: list[np.ndarray]) -> np.ndarray:
-    """Next input density from the last iterates' inputs x_i and outputs g_i = G(x_i).
-
-    Type II: with f_i = g_i - x_i and the columns of dF, dG the differences of
-    consecutive f_i and g_i, x_next = g - dG @ gamma where gamma minimizes
-    ||f - dF @ gamma||.
-    """
-    g = outputs[-1]
-    if len(inputs) == 1:
-        return g
-    f = [gi - xi for xi, gi in zip(inputs, outputs)]
-    d_f = np.column_stack([b - a for a, b in zip(f, f[1:])])
-    d_g = np.column_stack([b - a for a, b in zip(outputs, outputs[1:])])
-    return g - d_g @ np.linalg.lstsq(d_f, f[-1], rcond=None)[0]
+    eigensolves: int = 0  # full eigensolves: always 0 now, kept for the solve record's key
 
 
 @functools.lru_cache(maxsize=32)
@@ -215,30 +199,31 @@ def _newton(grid: Grid, beta: float, bare: TridiagonalOperator, pair: Eigenpair,
     return w, mu, steps, False
 
 
-def _mix(grid: Grid, beta: float, bare: TridiagonalOperator, pair: Eigenpair, index: int,
-         parity: int, cfg: ScfConfig, budget: int) -> tuple[np.ndarray, float, int, bool, int]:
-    """The loop from pair, first input w * w: (w, mu, iterations, converged, eigensolves)."""
-    density = pair.vector * pair.vector
-    inputs, outputs, eigensolves = [], [], 0
-    for iterations in range(1, budget + 1):
-        op = replace(bare, diag=bare.diag + beta * block_density(density, parity))
-        w, mu, _, found = _newton(grid, 0.0, op, pair, index, parity, cfg)
-        pair = Eigenpair(value=mu, vector=w)
+def _ladder(grid: Grid, trap: TrapConfig, index: int, parity: int, cfg: ScfConfig,
+            budget: int) -> tuple[np.ndarray, float, int, bool]:
+    """Continuation in beta from the bare pair: (w, mu, steps, converged) of the last pair tried.
+
+    Each rung takes Newton steps at min(b + h, beta) from the pair certified at b; a
+    certified pair moves b there and doubles h, a miss halves h. At beta = 0 the bare
+    pair is the rung, kept if it meets the stop: its certificate can fail by roundoff.
+    """
+    beta, (bare, pair) = trap.beta, _bare_start(grid, trap.a, parity, index)
+    if beta == 0.0:
+        w, _, op, _, residual = _newton_point(grid, 0.0, bare, pair.vector, pair.value, parity)
+        return w, pair.value, 1, residual <= _stop(cfg, pair.value, op)
+    b, h, steps = 0.0, beta / 2, 0
+    while steps < budget and h >= MIN_RUNG * beta:
+        rung = min(b + h, beta)
+        w, mu, more, found = _newton(grid, rung, bare, pair, index, parity,
+                                     replace(cfg, max_iter=budget - steps))
+        steps += more
         if not found:
-            pair = lowest_eigenpairs(op, index + 1, grid)[index]
-            eigensolves += 1
-            w, mu = pair.vector, pair.value
-        rho = w * w
-        r = op.apply(w) + beta * block_density(rho - density, parity) * w - mu * w
-        residual = math.sqrt(grid.delta * np.dot(r, r))
-        if residual <= _stop(cfg, mu, op):
-            return w, mu, iterations, True, eigensolves
-        inputs.append(density)
-        outputs.append(rho)
-        del inputs[:-(ANDERSON_DEPTH + 1)], outputs[:-(ANDERSON_DEPTH + 1)]
-        density = np.maximum(_anderson(inputs, outputs), 0.0)
-        density /= grid.delta * density.sum()
-    return w, mu, budget, False, eigensolves
+            h /= 2
+        elif rung == beta:
+            return w, mu, steps, True
+        else:
+            b, h, pair = rung, 2 * h, Eigenpair(value=mu, vector=w)
+    return w, mu, steps, False
 
 
 def _iterate(grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig,
@@ -250,17 +235,16 @@ def _iterate(grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig,
         bare = assemble_block(grid, trap.a, parity)
         pair = Eigenpair(value=start.mu, vector=block_vector(start.psi[1:-1], parity))
     w, mu, iterations, converged = _newton(grid, trap.beta, bare, pair, index, parity, cfg)
-    eigensolves = 0
     if not converged and iterations < cfg.max_iter:
-        w, mu, more, converged, eigensolves = _mix(grid, trap.beta, bare, pair, index, parity,
-                                                   cfg, cfg.max_iter - iterations)
+        w, mu, more, converged = _ladder(grid, trap, index, parity, cfg,
+                                         cfg.max_iter - iterations)
         iterations += more
     psi = np.pad(unfold(fix_sign(w), parity), 1)  # zeros at the walls
     w = block_vector(psi[1:-1], parity)  # the returned state's own, for its residual
     r = replace(bare, diag=bare.diag + trap.beta * block_density(w * w, parity)).apply(w) - mu * w
     residual = math.sqrt(grid.delta * np.dot(r, r))
     state = StationaryState(n, psi, mu, _fill_energy(grid, psi, trap), trap, grid)
-    result = ScfResult(state, iterations, converged, residual, eigensolves)
+    result = ScfResult(state, iterations, converged, residual)
     if not converged:
         raise MaxIterationsExceeded(result, cfg.tol)
     return result

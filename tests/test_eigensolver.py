@@ -82,7 +82,7 @@ def test_orthogonality():
 
 
 def _follow(op, pair, index, grid):
-    """The pair that the SCF's fallback loop keeps: Newton at beta = 0 from a known pair.
+    """Newton at beta = 0 on op from a known pair, certified as the SCF certifies its pairs.
 
     Its (w, mu), or None where the two Sturm counts do not certify it as pair `index`.
     """

@@ -1,13 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import gpdwell.eigensolver
 import gpdwell.scf
-from gpdwell.eigensolver import Eigenpair, count_below, fix_sign, lowest_eigenpairs
+from gpdwell.eigensolver import count_below, fix_sign, lowest_eigenpairs
 from gpdwell.grid import TrapConfig, integrate, make_grid
-from gpdwell.hamiltonian import assemble_block, block_vector, unfold
+from gpdwell.hamiltonian import block_vector, unfold
 from gpdwell.scf import (
     DomainTooSmall,
     MaxIterationsExceeded,
@@ -35,18 +36,26 @@ def miss_next_certificate(monkeypatch):
     monkeypatch.setattr(gpdwell.eigensolver, "count_below", lying)
 
 
-def miss_loop_newton(monkeypatch):
-    """Make every beta = 0 _newton call, the fallback loop's step to each iterate's pair, miss.
+def assert_own_eigenpair(result):
+    """The oracle's check that mu is eigenvalue n // 2 of the block of its own H[psi^2].
 
-    The loop then solves each of its operators in full (lowest_eigenpairs).
+    That eigenvalue lies within the residual of mu, and no other does.
     """
-    newton = gpdwell.scf._newton
+    state, (index, parity) = result.state, divmod(result.state.n, 2)
+    w = block_vector(state.psi[1:-1], parity)
+    op = block_operator(state.grid, state.trap, w * w, parity)
+    h = max(result.residual, 1e-12 * (1.0 + abs(state.mu)))
+    assert sturm_count(op.diag, op.offdiag, state.mu - h) == index
+    assert sturm_count(op.diag, op.offdiag, state.mu + h) == index + 1
 
-    def missing(grid, beta, *args):
-        w, mu, steps, certified = newton(grid, beta, *args)
-        return w, mu, steps, certified and beta != 0.0
 
-    monkeypatch.setattr(gpdwell.scf, "_newton", missing)
+def assert_same_state(result, newton):
+    """result, a solve that fell back, holds the Newton path's state to 1e-9 (1 + |mu|)."""
+    assert result.converged and result.eigensolves == 0
+    scale = 1e-9 * (1.0 + abs(newton.state.mu))
+    assert result.state.mu == pytest.approx(newton.state.mu, rel=0, abs=scale)
+    assert result.state.energy == pytest.approx(newton.state.energy, rel=0, abs=scale)
+    assert_own_eigenpair(result)
 
 
 class TestScfConfig:
@@ -58,6 +67,7 @@ class TestScfConfig:
     @pytest.mark.parametrize("kwargs", [
         {"tol": 0.0}, {"tol": -1e-6}, {"tol": float("nan")},
         {"max_iter": 0}, {"max_iter": -1}, {"tol": float("inf")},
+        {"max_iter": 2.5}, {"max_iter": float("nan")}, {"max_iter": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -256,16 +266,15 @@ class TestWarmEigenpairs:
         # 3, 3, 4 and 4 iterations: the start pair's own density is the first input
         assert sum(r.iterations for r in spectrum_a5_b01) <= 14
 
-    def test_failed_certificate_falls_back_to_eigensolve(self, grid4000, monkeypatch):
-        # the fallback loop solves in full each operator whose followed pair fails
+    def test_failed_certificate_falls_back_to_the_ladder(self, grid4000, monkeypatch):
+        # a missed certificate sends the solve up the ladder in beta, which ends at the
+        # Newton path's state with no eigensolve
         trap = TrapConfig(a=5.0, beta=0.5)
         newton = solve_state(grid4000, trap, 1)
-        miss_loop_newton(monkeypatch)
         miss_next_certificate(monkeypatch)
         result = solve_state(grid4000, trap, 1)
-        loop = result.iterations - newton.iterations  # Newton's steps run as before the miss
-        assert loop > 1
-        assert result.eigensolves == loop  # the first iterate follows too
+        assert result.iterations > newton.iterations  # Newton's steps run as before the miss
+        assert_same_state(result, newton)
 
     def test_result_does_not_depend_on_the_shared_pairs(self, grid1200):
         cases = [(TrapConfig(a=5.0, beta=0.5), 1), (TrapConfig(a=2.0, beta=1.0), 0),
@@ -344,123 +353,136 @@ class TestWarmEigenpairs:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_warm_start_without_certificates_reaches_the_same_state(self, grid1200,
                                                                     monkeypatch, n):
-        # the fallback loop from a warm start, following its pairs or solving each in full
+        # the ladder starts from the bare pair, not the start state: a warm solve that falls
+        # back returns what a cold one does, after its own Newton steps
         trap = TrapConfig(a=5.0, beta=1.0)
         start = solve_state(grid1200, TrapConfig(a=5.1, beta=1.0), n).state
-        steps = solve_state(grid1200, trap, n, start=start).iterations  # Newton's, before a miss
+        newton = solve_state(grid1200, trap, n, start=start)
+        cold_steps = solve_state(grid1200, trap, n).iterations
         miss_next_certificate(monkeypatch)
-        followed = solve_state(grid1200, trap, n, start=start)
-        miss_loop_newton(monkeypatch)
+        warm = solve_state(grid1200, trap, n, start=start)
         miss_next_certificate(monkeypatch)
-        solved = solve_state(grid1200, trap, n, start=start)
-        assert solved.eigensolves == solved.iterations - steps  # the first follow counts too
-        assert abs(solved.iterations - followed.iterations) <= 1
-        assert solved.state.mu == pytest.approx(followed.state.mu,
-                                                abs=1e-9 * (1.0 + abs(followed.state.mu)))
-        np.testing.assert_allclose(solved.state.psi, followed.state.psi, rtol=0, atol=1e-7)
+        cold = solve_state(grid1200, trap, n)
+        assert np.array_equal(warm.state.psi, cold.state.psi)
+        assert warm.state.mu == cold.state.mu
+        assert warm.iterations - newton.iterations == cold.iterations - cold_steps > 0
+        assert_same_state(warm, newton)
+        np.testing.assert_allclose(warm.state.psi, newton.state.psi, rtol=0, atol=1e-7)
 
-    def test_same_states_as_full_eigensolves(self, grid4000, monkeypatch):
-        # Newton's states against those of the loop that solves every operator in
-        # full; from a cold start that loop and the one that follows its pairs
-        # take the same iterations to within one
+    def test_same_states_as_the_ladder(self, grid4000, monkeypatch):
+        # Newton's states against those the ladder reaches when each solve's certificate
+        # is missed, at beta = 0 the bare pair itself
         cases = [(a, beta, n) for a in (5.0, 12.0) for beta in (0.0, 0.5, 1.0) for n in range(4)]
         cases += [(5.0, 9.0, 0), (2.0, 20.0, 0)]
-        newton = gpdwell.scf._newton
         for a, b, n in cases:
             trap = TrapConfig(a=a, beta=b)
-            w = solve_state(grid4000, trap, n)
+            newton = solve_state(grid4000, trap, n)
             miss_next_certificate(monkeypatch)
-            followed = solve_state(grid4000, trap, n)
-            miss_loop_newton(monkeypatch)
-            miss_next_certificate(monkeypatch)
-            cold = solve_state(grid4000, trap, n)
-            monkeypatch.setattr(gpdwell.scf, "_newton", newton)
-            assert cold.eigensolves == cold.iterations - w.iterations > 0
-            assert followed.eigensolves < cold.eigensolves
-            assert abs((cold.iterations - w.iterations)
-                       - (followed.iterations - w.iterations)) <= 1
-            scale = 1e-9 * (1.0 + abs(cold.state.mu))
-            assert w.state.mu == pytest.approx(cold.state.mu, abs=scale)
-            assert w.state.energy == pytest.approx(cold.state.energy, abs=scale)
+            assert_same_state(solve_state(grid4000, trap, n), newton)
 
 
 class TestNewton:
     def test_forced_fallback_returns_the_loops_state(self, monkeypatch):
-        # Newton meets the stop at a wrong state of the sector here, so the loop runs
+        # Newton meets the stop at a wrong state of the sector here, so the ladder runs
         grid = make_grid(6.0, 600)
         trap = TrapConfig(a=5.0, beta=40.0)
-        ends = []
+        calls = []
         newton = gpdwell.scf._newton
 
-        def recording(*args):
-            ends.append(newton(*args))
-            return ends[-1]
+        def recording(grid, beta, *args):
+            calls.append((beta, newton(grid, beta, *args)))
+            return calls[-1][1]
 
         monkeypatch.setattr(gpdwell.scf, "_newton", recording)
         result = solve_state(grid, trap, 2)
-        _, _, steps, certified = ends[0]  # the solve's own; the loop's, at beta = 0, follow
+        _, _, steps, certified = calls[0][1]  # the solve's own; the ladder's rungs follow
         assert not certified
-        bare, pair = gpdwell.scf._bare_start(grid, trap.a, 0, 1)  # state 2: even pair 1
-        _, mu, iterations, converged, eigensolves = gpdwell.scf._mix(
-            grid, trap.beta, bare, pair, 1, 0, ScfConfig(), ScfConfig().max_iter)
-        assert result.converged and converged
-        assert result.state.mu == pytest.approx(mu, rel=1e-9, abs=0)
-        assert result.iterations == steps + iterations
-        assert result.eigensolves == eigensolves
-        # the loop gets what Newton left of the one budget
+        rungs = [beta for beta, _ in calls[1:]]
+        assert rungs[0] == trap.beta / 2 and rungs[-1] == trap.beta and calls[-1][1][3]
+        assert result.converged and result.eigensolves == 0
+        assert_own_eigenpair(result)
+        cfg = ScfConfig()
+        w, mu, ladder_steps, converged = gpdwell.scf._ladder(grid, trap, 1, 0, cfg,
+                                                             cfg.max_iter - steps)
+        assert converged and result.state.mu == mu
+        assert result.iterations == steps + ladder_steps
+        # the ladder gets what Newton left of the one budget
         cfg = ScfConfig(max_iter=steps + 2)
         with pytest.raises(MaxIterationsExceeded) as exc:
             solve_state(grid, trap, 2, cfg)
         assert exc.value.result.iterations == cfg.max_iter
 
+    def test_every_newton_point_is_counted(self, monkeypatch):
+        # a solve that falls back counts its Newton points and its rungs' alike
+        grid = make_grid(6.0, 600)
+        points = []
+        newton_point = gpdwell.scf._newton_point
+
+        def counting(*args):
+            points.append(args[1])
+            return newton_point(*args)
+
+        monkeypatch.setattr(gpdwell.scf, "_newton_point", counting)
+        result = solve_state(grid, TrapConfig(a=5.0, beta=40.0), 2)
+        assert result.converged and len(set(points)) > 1  # the ladder ran
+        assert result.iterations == len(points)
+
+    def test_strong_coupling_low_states_solve(self):
+        # The fixed-point loop this ladder replaced diverged here: at beta = 200 and 400 it
+        # solved 7 and 0 of these 24 states within the default budget
+        grid = make_grid(6.0, 600)
+        for beta in (200.0, 400.0):
+            for a in (0.25, 0.5, 1.0, 1.76, 3.0, 5.0, 8.0, 16.0):
+                for n in range(3):
+                    result = solve_state(grid, TrapConfig(a=a, beta=beta), n)
+                    assert result.converged
+                    assert_own_eigenpair(result)
+
     def test_state_set_certified_without_fallback(self, grid1200, monkeypatch):
-        monkeypatch.setattr(gpdwell.scf, "_mix", lambda *args: pytest.fail("fell back"))
+        monkeypatch.setattr(gpdwell.scf, "_ladder", lambda *args: pytest.fail("fell back"))
         for a in (0.5, 2.0, 5.0, 12.0):
             for beta in (0.0, 0.5, 4.0, 20.0):
                 trap = TrapConfig(a=a, beta=beta)
                 for n in range(4):
                     result = solve_state(grid1200, trap, n)
-                    state, (index, parity) = result.state, divmod(n, 2)
                     assert result.converged and result.eigensolves == 0
-                    # eigenvalue n // 2 of the block of H[psi^2] lies within the residual
-                    # of mu, and no other does
-                    w = block_vector(state.psi[1:-1], parity)
-                    op = block_operator(state.grid, trap, w * w, parity)
-                    h = max(result.residual, 1e-12 * (1.0 + abs(state.mu)))
-                    assert sturm_count(op.diag, op.offdiag, state.mu - h) == index
-                    assert sturm_count(op.diag, op.offdiag, state.mu + h) == index + 1
+                    assert_own_eigenpair(result)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_certificate_miss_returns_the_loops_result(self, grid1200, monkeypatch, warm):
+        # the result is the ladder's from the bare pair, whatever the solve started from
         trap, (index, parity) = TrapConfig(a=5.0, beta=1.0), divmod(1, 2)
         start = solve_state(grid1200, TrapConfig(a=5.1, beta=1.0), 1).state if warm else None
-        steps = solve_state(grid1200, trap, 1, start=start).iterations
+        newton = solve_state(grid1200, trap, 1, start=start)
         miss_next_certificate(monkeypatch)
         result = solve_state(grid1200, trap, 1, start=start)
-        if warm:  # the start pair of a warm solve
-            bare = assemble_block(grid1200, trap.a, parity)
-            pair = Eigenpair(value=start.mu, vector=block_vector(start.psi[1:-1], parity))
-        else:
-            bare, pair = gpdwell.scf._bare_start(grid1200, trap.a, parity, index)
         cfg = ScfConfig()
-        w, mu, iterations, converged, eigensolves = gpdwell.scf._mix(
-            grid1200, trap.beta, bare, pair, index, parity, cfg, cfg.max_iter - steps)
-        assert result.converged and converged
-        assert result.state.mu == mu
+        w, mu, steps, converged = gpdwell.scf._ladder(grid1200, trap, index, parity, cfg,
+                                                      cfg.max_iter - newton.iterations)
+        assert converged and result.state.mu == mu
         assert np.array_equal(result.state.psi, np.pad(unfold(fix_sign(w), parity), 1))
-        assert result.iterations == steps + iterations
-        assert result.eigensolves == eigensolves
-
+        assert result.iterations == newton.iterations + steps
+        assert_same_state(result, newton)
 
     def test_singular_jacobian_falls_back_to_the_loop(self, grid1200, monkeypatch):
-        # with every A singular, Newton stops at its first point, and the loop solves each
-        # of its operators in full; it ends at the state Newton finds
+        # a singular first A stops Newton at its first point, and the ladder ends at the
+        # state Newton finds; with every A singular, each rung stops at its first point
+        # and the ladder halves its step until it is below MIN_RUNG * beta
         trap = TrapConfig(a=5.0, beta=0.5)
-        mu = solve_state(grid1200, trap, 1).state.mu
+        newton = solve_state(grid1200, trap, 1)
+        jacobian_solve, calls = gpdwell.scf._jacobian_solve, []
+
+        def singular_first(*args):
+            calls.append(args)
+            return None if len(calls) == 1 else jacobian_solve(*args)
+
+        monkeypatch.setattr(gpdwell.scf, "_jacobian_solve", singular_first)
+        assert_same_state(solve_state(grid1200, trap, 1), newton)
         monkeypatch.setattr(gpdwell.scf, "_jacobian_solve", lambda *args: None)
-        result = solve_state(grid1200, trap, 1)
-        assert result.converged and result.eigensolves == result.iterations - 1 > 0
-        assert result.state.mu == pytest.approx(mu, rel=0, abs=1e-9 * (1.0 + abs(mu)))
+        with pytest.raises(MaxIterationsExceeded) as exc:
+            solve_state(grid1200, trap, 1)
+        rungs = int(math.log2(1.0 / gpdwell.scf.MIN_RUNG))  # h = beta / 2 ... beta / 2^19
+        assert exc.value.result.iterations == 1 + rungs
 
 
 class TestFailureModes:
