@@ -476,8 +476,8 @@ def _add_scf_args(p):
                    help="SCF stop: ||H psi - mu psi|| <= scf_tol * (1 + |mu|), "
                         "or the float64 roundoff floor of that residual on fine grids")
     p.add_argument("--max-iter", type=int, default=ScfConfig.max_iter,
-                   help="iteration budget per state: the Newton steps, those of the "
-                        "fallback ladder in beta included")
+                   help="iteration budget per state: the Newton steps of every rung of "
+                        "its ladder in beta")
 
 
 def _add_sweep(sub, name, func, help, betas="0:0.5:0.1", L=6.0, D=4000):

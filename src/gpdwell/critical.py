@@ -25,24 +25,26 @@ the way to that end instead, and (w, mu) by the Schur system's first row
 alone, da = 0: scf's step at fixed a. Where the state at a already meets
 scf's residual stop, the root lies past that end and the run fails. The
 run starts from the shared bare ground pair at the bracket's midpoint and
-stops once both ||F|| and |g| are within scf's residual stop, at a_c.
-There one solve_state, warm-started from the run's pair, certifies it:
-the pair is accepted only if that solve returns it, certified, at its
-first step and on the same grid.
+stops once both ||F|| and |g| are within scf's residual stop, at a_c. Its
+last pair is accepted only if two Sturm counts on the operator of that
+point certify it as the ground pair (eigensolver.certified) and the walls
+do not bias it (scf's wall-slope test); it is then returned as scf returns
+a state, sign-fixed and with its own residual and energy, and its
+iterations are the run's Newton points.
 
 Otherwise (the step budget min(NEWTON_STEPS, max_iter) spent, a singular
-A, 2x2 system or fixed-a step, a non-finite value, or a final solve that
-misses its certificate, grows the domain or ends on another state) a
-bisection takes over: it solves both bracket ends cold, raises
-NoSignChange if their curvatures have the same sign, and halves the
-bracket by warm-started solves until it is narrower than tol. a_c lies
-within tol of the root: the bisection's by the width of its last bracket,
-the Newton run's to the precision of its stop on |g| (about 1e-9 in a at
-the default SCF tolerance), which does not depend on tol.
+A, 2x2 system or fixed-a step, a non-finite value, or a last pair that
+misses its certificate or leaks past the walls) a bisection takes over:
+it solves both bracket ends, raises NoSignChange if their curvatures have
+the same sign, and halves the bracket by solve_state at its midpoints
+until it is narrower than tol. a_c lies within tol of the root: the
+bisection's by the width of its last bracket, the Newton run's to the
+precision of its stop on |g| (about 1e-9 in a at the default SCF
+tolerance), which does not depend on tol.
 
-Either way the critical point is the ScfResult of the solve that
-certified it, as solve_state returns it: a_c is its state.trap.a, E_c its
-state.energy and the curvature curvature_at_origin(state).
+Either way the critical point is the ScfResult that certified it: a_c is
+its state.trap.a, E_c its state.energy and the curvature
+curvature_at_origin(state).
 """
 
 from __future__ import annotations
@@ -52,11 +54,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigensolver import certified
 from .grid import Grid, TrapConfig
-from .hamiltonian import assemble_block, unfold
-from .observables import energy
-from .scf import (NEWTON_STEPS, ScfConfig, ScfError, ScfResult, StationaryState, _bare_start,
-                  _jacobian_solve, _newton_point, _stop, solve_state)
+from .hamiltonian import assemble_block
+from .scf import (NEWTON_STEPS, ScfConfig, ScfResult, StationaryState, _bare_start,
+                  _jacobian_solve, _leaks, _newton_point, _result, _stop, solve_state)
 
 
 class NoSignChange(ValueError):
@@ -89,7 +91,8 @@ def _bordered_newton(beta: float, grid: Grid, bracket: tuple[float, float],
                      cfg: ScfConfig) -> ScfResult | None:
     """The critical ground state by Newton on (w, mu, a), or None where the run fails.
 
-    The result is the solve_state at the run's a that certified its pair.
+    The result holds the run's last pair, certified on its own operator, and
+    counts the run's Newton points as its iterations.
     """
     a_lo, a_hi = bracket
     a = 0.5 * (a_lo + a_hi)
@@ -129,24 +132,18 @@ def _bordered_newton(beta: float, grid: Grid, bracket: tuple[float, float],
             dmu, da, a = b1 / m11, 0.0, 0.5 * (a + (a_hi if da > 0 else a_lo))
         w, mu, a = w + (dmu * y + da * q - z), mu + dmu, a + da
         bare = assemble_block(grid, a, 0)
-    trap = TrapConfig(a=a, beta=beta)
-    psi = np.pad(unfold(w, 0), 1)  # solve_state fixes the sign of the state it returns
-    start = StationaryState(0, psi, mu, energy(grid, psi, trap), trap, grid)
-    try:
-        result = solve_state(grid, trap, 0, cfg, start)
-    except ScfError:
+    if not certified(op, mu, residual, 0):  # Newton may have met g = 0 on another state
         return None
-    # one iteration: the solve's first Newton point, the run's own pair, was certified
-    return result if result.iterations == 1 and result.state.grid == grid else None
+    result = _result(grid, TrapConfig(a=a, beta=beta), 0, bare, w, mu, steps, True)
+    return None if _leaks(result.state, cfg) else result
 
 
 def _bisection(beta: float, grid: Grid, bracket: tuple[float, float], tol: float,
                cfg: ScfConfig) -> ScfResult:
     """The solve of the bracket end with the smaller |curvature| once the bracket is below tol.
 
-    The ends start cold; each midpoint is warm-started from the end with the
-    smaller |curvature|. Halving stops also where no float lies strictly
-    between the ends.
+    Every end and midpoint is a solve_state of its own. Halving stops also where
+    no float lies strictly between the ends.
     """
     ends = [solve_state(grid, TrapConfig(a=a, beta=beta), 0, cfg) for a in bracket]
     signs = [np.sign(curvature_at_origin(end.state)) for end in ends]
@@ -158,7 +155,7 @@ def _bisection(beta: float, grid: Grid, bracket: tuple[float, float], tol: float
         a_mid = 0.5 * (a_lo + a_hi)
         if a_hi - a_lo < tol or not a_lo < a_mid < a_hi:
             return nearest
-        mid = solve_state(grid, TrapConfig(a=a_mid, beta=beta), 0, cfg, nearest.state)
+        mid = solve_state(grid, TrapConfig(a=a_mid, beta=beta), 0, cfg)
         ends[int(np.sign(curvature_at_origin(mid.state)) == signs[1])] = mid
 
 
@@ -172,8 +169,8 @@ def find_critical_a(
     """Locate a_c inside the search interval bracket, to within tol of the root.
 
     Newton on (w, mu, a) first, bisection where it fails (see the module
-    docstring). Returns the solve that certified a_c: the Newton run's
-    final solve_state, or the bisection's solve of its nearest end; a_c is
+    docstring). Returns the result that certified a_c: the Newton run's
+    certified last point, or the bisection's solve of its nearest end; a_c is
     result.state.trap.a and E_c result.state.energy. Raises ValueError,
     before any solve, unless 0 < a_lo < a_hi < inf and tol is positive and
     finite, and NoSignChange where the bisection finds the curvature of the

@@ -23,6 +23,12 @@ from .grid import Grid
 from .hamiltonian import TridiagonalOperator
 
 EPS = float(np.finfo(float).eps)
+# Roundoff of a tridiagonal operator's residual and Sturm counts in units of eps *
+# ||op||_inf. A row of op v - value v sums three products of op v and value v, so
+# rounding alone moves it by up to about 4 eps (|op| |v|)_i, or 4 eps ||op||_inf in
+# norm; a backward-stable tridiagonal solve or eigensolve leaves an error of the same
+# order. Residuals stalled at up to 2.5 eps ||op||_inf at D = 16000.
+ROUNDOFF_FLOOR = 8.0
 
 
 class EigensolverError(RuntimeError):
@@ -65,9 +71,11 @@ def certified(op: TridiagonalOperator, value: float, residual: float, index: int
     """Whether eigenvalue `index` of op, and no other, lies within h of value.
 
     residual, ||op v - value v|| / ||v|| for some v, puts an eigenvalue within
-    h = max(residual, 1e-12 * (1 + |value|)); Sturm counts at value -+ h number it.
+    h = max(residual, ROUNDOFF_FLOOR * EPS * ||op||_inf), the second term the
+    roundoff of the residual and of the Sturm counts themselves; Sturm counts at
+    value -+ h number it.
     """
-    h = max(residual, 1e-12 * (1.0 + abs(value)))
+    h = max(residual, ROUNDOFF_FLOOR * EPS * norm_inf(op))
     return count_below(op, value - h) == index and count_below(op, value + h) == index + 1
 
 

@@ -8,6 +8,7 @@ parity blocks split the grid at that node.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,9 @@ class Grid:
     def __post_init__(self):
         if not 0 < self.L < np.inf:  # also rejects nan
             raise ValueError(f"half-width L must be positive and finite, got {self.L}")
+        if isinstance(self.D, bool) or not isinstance(self.D, numbers.Integral):
+            raise ValueError(f"D must be an integer, got {self.D!r}")
+        object.__setattr__(self, "D", int(self.D))  # a numpy integer D makes the same grid
         if self.D % 2 != 0:
             raise ValueError(f"D must be even so that x=0 is a node, got D={self.D}")
         if self.D < 8:
@@ -71,8 +75,8 @@ class TrapConfig:
 
 
 def make_grid(L: float, D: int) -> Grid:
-    """Build a uniform grid on [-L, L] with D subintervals (D even, >= 8)."""
-    return Grid(L=float(L), D=int(D))
+    """Build a uniform grid on [-L, L] with D subintervals (D an even integer >= 8)."""
+    return Grid(L=float(L), D=D)
 
 
 def potential(x, a: float):

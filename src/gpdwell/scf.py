@@ -8,13 +8,13 @@ so it is exactly even or odd, and its per-particle energy
 (observables.energy) is taken from the returned psi: a StationaryState is
 complete and frozen when the solver returns it, converged or not.
 
-A solve starts from a known pair: a cold one from eigenpair n // 2 of the
-bare block, cached per process and shared read-only (_bare_start), a warm
-one from the start state's psi and mu. It takes Newton steps on
-F(w, mu) = (H[w^2] w - mu w, (delta w.w - 1) / 2), whose Jacobian is the
-tridiagonal A = bare + 3 beta * block_density(w * w) - mu bordered by the
-column -w and the row delta w^T (Keller, in Applications of Bifurcation
-Theory, Academic Press (1977); Govaerts, Numerical Methods for
+A solve climbs a ladder in beta from a known pair, eigenpair n // 2 of
+the bare block, cached per process and shared read-only (_bare_start).
+Each rung takes Newton steps at min(b + h, beta) from the pair certified at
+b on F(w, mu) = (H[w^2] w - mu w, (delta w.w - 1) / 2), whose Jacobian is
+the tridiagonal A = bare + 3 beta * block_density(w * w) - mu bordered by
+the column -w and the row delta w^T (Keller, in Applications of
+Bifurcation Theory, Academic Press (1977); Govaerts, Numerical Methods for
 Bifurcations of Dynamical Equilibria, SIAM (2000)). A step renormalises w
 (without that, (a, beta, n) = (2, 4, 2) ended on a wrong state), tests the
 stop below, factors A once (LAPACK gttrf) and solves it for z = A^-1 r, r
@@ -23,17 +23,16 @@ w <- w - z + dmu y and mu <- mu + dmu. critical.find_critical_a takes
 the same steps (_newton_point, _jacobian_solve) with the well depth a as
 one more unknown.
 
-Newton may land on another eigenpair, so its pair is kept only if two
-Sturm counts on H[w^2] certify it (eigensolver.certified). On a miss, a
-singular A, a non-finite value or NEWTON_STEPS steps, the solve climbs a
-ladder in beta from the bare pair (_ladder): Newton steps at b + h from the
-pair certified at b, the step h doubled after each certified rung and
-halved after each miss (Chang, Chien & Jeng, J. Comput. Phys. 226, 104
-(2007); Allgower & Georg, Introduction to Numerical Continuation Methods,
-SIAM (2003)). Every rung is certified alike, and the ladder depends only
-on (grid, a, beta, n). ScfResult.iterations counts every Newton point of
-both, which share cfg.max_iter; no result depends on what the process
-solved before.
+Newton may land on another eigenpair, so a rung's pair is kept only if
+two Sturm counts on H[w^2] certify it (eigensolver.certified). The first
+rung is beta itself (b = 0, h = beta), Newton from the bare pair. After a
+miss, a singular A, a non-finite value or NEWTON_STEPS steps, h is halved;
+after each certified rung short of beta, b moves there and h is doubled
+(Chang, Chien & Jeng, J. Comput. Phys. 226, 104 (2007); Allgower & Georg,
+Introduction to Numerical Continuation Methods, SIAM (2003)). The ladder
+depends only on (grid, a, beta, n), and ScfResult.iterations counts the
+Newton points of all its rungs, which share cfg.max_iter; no result
+depends on what the process solved before.
 
 A solve stops on the nonlinear residual ||H[psi^2] psi - mu psi|| of the
 iterate's pair, once it is at most max(tol * (1 + |mu|), ROUNDOFF_FLOOR *
@@ -55,25 +54,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .eigensolver import EPS, Eigenpair, certified, fix_sign, lowest_eigenpairs, norm_inf
+from .eigensolver import (EPS, ROUNDOFF_FLOOR, Eigenpair, certified, fix_sign, lowest_eigenpairs,
+                          norm_inf)
 from .grid import Grid, TrapConfig, make_grid
 from .hamiltonian import TridiagonalOperator, assemble_block, block_density, block_vector, unfold
 from .observables import energy as _fill_energy  # the name perfbench traces
 
 MAX_DOMAIN_GROWTHS = 3
 DOMAIN_GROWTH = 1.5  # factor on L per domain enlargement
-# Residual stop floor in units of eps * ||op||_inf. A row of the residual
-# sums the three products of op psi, mu psi and a beta term small beside
-# them, so rounding alone moves it by up to about 4 eps (|op| |psi|)_i, or
-# 4 eps ||op||_inf in norm; the float64 pair, from a backward-stable
-# tridiagonal solve, carries a true residual of the same order. Residuals
-# stalled at up to 2.5 eps ||op||_inf at D = 16000.
-ROUNDOFF_FLOOR = 8.0
-# Newton steps before the fallback, and per rung of its ladder. Of 512 states (a 0.25-16,
-# beta 0-40, n <= 7; D = 600, 2400) those certified took <= 32; the rest met the stop at a
+# Newton steps per rung of the ladder. Of 512 states (a 0.25-16, beta 0-40, n <= 7;
+# D = 600, 2400) those certified at the first rung took <= 32; the rest met the stop at a
 # wrong state in <= 91.
 NEWTON_STEPS = 50
-MIN_RUNG = 1e-6  # the fallback's ladder in beta gives up below a step of MIN_RUNG * beta
+MIN_RUNG = 1e-6  # the ladder in beta gives up at a step of MIN_RUNG * beta or below
 
 
 class ScfError(RuntimeError):
@@ -132,7 +125,7 @@ class StationaryState:
 @dataclass
 class ScfResult:
     state: StationaryState
-    iterations: int  # Newton points, the fallback ladder's included
+    iterations: int  # Newton points: of every rung of the ladder, or of critical's bordered run
     converged: bool = False
     residual: float = math.inf  # ||H[psi^2] psi - mu psi|| of the returned psi and mu
     eigensolves: int = 0  # full eigensolves: always 0 now, kept for the solve record's key
@@ -199,23 +192,19 @@ def _newton(grid: Grid, beta: float, bare: TridiagonalOperator, pair: Eigenpair,
     return w, mu, steps, False
 
 
-def _ladder(grid: Grid, trap: TrapConfig, index: int, parity: int, cfg: ScfConfig,
-            budget: int) -> tuple[np.ndarray, float, int, bool]:
+def _ladder(grid: Grid, beta: float, bare: TridiagonalOperator, pair: Eigenpair, index: int,
+            parity: int, cfg: ScfConfig) -> tuple[np.ndarray, float, int, bool]:
     """Continuation in beta from the bare pair: (w, mu, steps, converged) of the last pair tried.
 
-    Each rung takes Newton steps at min(b + h, beta) from the pair certified at b; a
-    certified pair moves b there and doubles h, a miss halves h. At beta = 0 the bare
-    pair is the rung, kept if it meets the stop: its certificate can fail by roundoff.
+    Each rung takes Newton steps at min(b + h, beta) from the pair certified at b, from
+    b = 0 and h = beta; a certified pair moves b there and doubles h, a miss halves h.
+    It gives up once cfg.max_iter steps are spent or h <= MIN_RUNG * beta.
     """
-    beta, (bare, pair) = trap.beta, _bare_start(grid, trap.a, parity, index)
-    if beta == 0.0:
-        w, _, op, _, residual = _newton_point(grid, 0.0, bare, pair.vector, pair.value, parity)
-        return w, pair.value, 1, residual <= _stop(cfg, pair.value, op)
-    b, h, steps = 0.0, beta / 2, 0
-    while steps < budget and h >= MIN_RUNG * beta:
+    b, h, steps = 0.0, beta, 0
+    while True:
         rung = min(b + h, beta)
         w, mu, more, found = _newton(grid, rung, bare, pair, index, parity,
-                                     replace(cfg, max_iter=budget - steps))
+                                     replace(cfg, max_iter=cfg.max_iter - steps))
         steps += more
         if not found:
             h /= 2
@@ -223,70 +212,61 @@ def _ladder(grid: Grid, trap: TrapConfig, index: int, parity: int, cfg: ScfConfi
             return w, mu, steps, True
         else:
             b, h, pair = rung, 2 * h, Eigenpair(value=mu, vector=w)
-    return w, mu, steps, False
+        if steps == cfg.max_iter or h <= MIN_RUNG * beta:
+            return w, mu, steps, False
 
 
-def _iterate(grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig,
-             start: StationaryState | None) -> ScfResult:
-    index, parity = divmod(n, 2)  # state n is eigenpair n // 2 of sector n % 2
-    if start is None:
-        bare, pair = _bare_start(grid, trap.a, parity, index)
-    else:
-        bare = assemble_block(grid, trap.a, parity)
-        pair = Eigenpair(value=start.mu, vector=block_vector(start.psi[1:-1], parity))
-    w, mu, iterations, converged = _newton(grid, trap.beta, bare, pair, index, parity, cfg)
-    if not converged and iterations < cfg.max_iter:
-        w, mu, more, converged = _ladder(grid, trap, index, parity, cfg,
-                                         cfg.max_iter - iterations)
-        iterations += more
+def _result(grid: Grid, trap: TrapConfig, n: int, bare: TridiagonalOperator, w: np.ndarray,
+            mu: float, iterations: int, converged: bool) -> ScfResult:
+    """The result for the pair (w, mu) of state n, bare the block of its sector: psi
+    sign-fixed and unfolded, with its own residual and energy."""
+    parity = n % 2
     psi = np.pad(unfold(fix_sign(w), parity), 1)  # zeros at the walls
     w = block_vector(psi[1:-1], parity)  # the returned state's own, for its residual
     r = replace(bare, diag=bare.diag + trap.beta * block_density(w * w, parity)).apply(w) - mu * w
     residual = math.sqrt(grid.delta * np.dot(r, r))
     state = StationaryState(n, psi, mu, _fill_energy(grid, psi, trap), trap, grid)
-    result = ScfResult(state, iterations, converged, residual)
-    if not converged:
-        raise MaxIterationsExceeded(result, cfg.tol)
-    return result
+    return ScfResult(state, iterations, converged, residual)
 
 
-def solve_state(
-    grid: Grid,
-    trap: TrapConfig,
-    n: int,
-    cfg: ScfConfig | None = None,
-    start: StationaryState | None = None,
-) -> ScfResult:
+def _leaks(state: StationaryState, cfg: ScfConfig) -> bool:
+    """Whether the walls bias the state beyond cfg.tol through its slope there (see solve_state)."""
+    slope = abs(state.psi[1]) / state.grid.delta  # |psi'| at either wall
+    return 0.5 * slope**2 > cfg.tol * (1.0 + abs(state.mu))
+
+
+def solve_state(grid: Grid, trap: TrapConfig, n: int, cfg: ScfConfig | None = None) -> ScfResult:
     """Self-consistently solve for stationary state n on the given grid.
 
-    start, a state solved before (e.g. for a nearby trap), warm-starts the
-    solve on a grid equal to start.grid: its psi and mu take the place of
-    the bare pair; on any other grid the solve starts cold.
+    The solve climbs the ladder in beta from the bare pair (see the module
+    docstring) and raises MaxIterationsExceeded, with the last pair tried,
+    where it does not reach beta certified.
 
     The hard walls at +-L bias a state through its slope there: for a = 2,
     beta = 0.5 they moved mu by 0.1 to 0.2 times psi'(L)^2 / 2. So while
     (1/2) (psi(x_{D-1}) / delta)^2 > cfg.tol * (1 + |mu|), the solve is
     repeated on a grid with L enlarged by 1.5x, at most three times, keeping
-    D fixed; each repeat follows the warm-start rule on its own grid. The
-    state is exactly even or odd, so one wall gives the slope at both.
-    The test bounds the slope, which does not depend on delta, rather than
-    psi at the node next to the wall, which shrinks with delta.
+    D fixed. The state is exactly even or odd, so one wall gives the slope
+    at both. The test bounds the slope, which does not depend on delta,
+    rather than psi at the node next to the wall, which shrinks with delta.
     """
     if n < 0:
         raise ValueError(f"quantum index n must be >= 0, got {n}")
     cfg = cfg or ScfConfig()
-
+    index, parity = divmod(n, 2)  # state n is eigenpair n // 2 of sector n % 2
     for _ in range(MAX_DOMAIN_GROWTHS + 1):
-        warm = start is not None and start.grid == grid
-        result = _iterate(grid, trap, n, cfg, start if warm else None)
-        state = result.state
-        slope = abs(state.psi[1]) / grid.delta  # |psi'| at either wall
-        if 0.5 * slope**2 <= cfg.tol * (1.0 + abs(state.mu)):
+        bare, pair = _bare_start(grid, trap.a, parity, index)
+        result = _result(grid, trap, n, bare,
+                         *_ladder(grid, trap.beta, bare, pair, index, parity, cfg))
+        if not result.converged:
+            raise MaxIterationsExceeded(result, cfg.tol)
+        if not _leaks(result.state, cfg):
             return result
         grid = make_grid(DOMAIN_GROWTH * grid.L, grid.D)
+    state = result.state
     raise DomainTooSmall(
         f"state still leaks past the walls after {MAX_DOMAIN_GROWTHS} enlargements "
-        f"(final L={grid.L / DOMAIN_GROWTH:g}, wall slope={slope:.2e})"
+        f"(final L={state.grid.L:g}, wall slope={abs(state.psi[1]) / state.grid.delta:.2e})"
     )
 
 

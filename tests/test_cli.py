@@ -14,6 +14,7 @@ import pytest
 from oracles import csv_payload_rowwise, csv_rows_fieldwise
 
 import gpdwell.cli
+import gpdwell.critical
 import gpdwell.dynamics
 import gpdwell.eigensolver
 import gpdwell.scf
@@ -512,17 +513,25 @@ class TestScanCritical:
         assert np.isnan(col["a_c"][1]) and np.isnan(col["a_c"][2])
 
     @pytest.mark.parametrize("max_iter, expected, status",
-                             [(3, EXIT_CONVERGENCE, "MaxIterationsExceeded"), (5, EXIT_OK, "ok")])
-    def test_linear_point_spends_newton_steps_of_the_budget(self, tmp_path, max_iter,
-                                                            expected, status):
+                             [(3, EXIT_OK, "ok"), (5, EXIT_OK, "ok")])
+    def test_linear_point_spends_newton_steps_of_the_budget(self, tmp_path, monkeypatch,
+                                                            max_iter, expected, status):
         # at beta = 0 the Newton run on (w, mu, a) takes 4 steps, each one iteration of
-        # --max-iter: 3 are too few, and so they are for the warm solves of the bisection
-        # it falls back to; 5 are enough
+        # --max-iter: 3 are too few, and the bisection takes over, whose solves at beta = 0
+        # take 1 step each; 5 are enough for the Newton run
+        bisections, bisection = [], gpdwell.critical._bisection
+
+        def recording(*args):
+            bisections.append(args)
+            return bisection(*args)
+
+        monkeypatch.setattr(gpdwell.critical, "_bisection", recording)
         out = tmp_path / "scan.csv"
         code = main(["scan-critical", "--betas", "0", "--D", "400", "--max-iter",
                      str(max_iter), "--output", str(out)])
         assert code == expected
         assert _columns(out)["status"] == [status]
+        assert len(bisections) == (max_iter < 4)
 
     def test_points_share_the_bare_eigensolves(self, tmp_path, monkeypatch):
         # every point starts its Newton run from the bare pair at the bracket's midpoint,
@@ -822,18 +831,18 @@ class TestDynamicsCommands:
 
 @pytest.fixture
 def iterate_calls(monkeypatch):
-    """The scf._iterate calls made; a Crank-Nicolson step fails the test."""
+    """The scf._ladder calls made, one per solve; a Crank-Nicolson step fails the test."""
     calls = []
-    iterate = gpdwell.scf._iterate
+    ladder = gpdwell.scf._ladder
 
     def counting(*args):
         calls.append(args)
-        return iterate(*args)
+        return ladder(*args)
 
     def no_step(*args, **kwargs):
         raise AssertionError("stepped")
 
-    monkeypatch.setattr(gpdwell.scf, "_iterate", counting)
+    monkeypatch.setattr(gpdwell.scf, "_ladder", counting)
     monkeypatch.setattr(gpdwell.dynamics, "zgttrs", no_step)
     return calls
 

@@ -5,7 +5,7 @@ import gpdwell.critical
 import gpdwell.scf
 from gpdwell.critical import NoSignChange, curvature_at_origin, find_critical_a, fit_quadratic
 from gpdwell.grid import TrapConfig, make_grid
-from gpdwell.scf import MaxIterationsExceeded, ScfConfig, solve_state
+from gpdwell.scf import ScfConfig, solve_state
 from gpdwell.semiclassics import transmission
 
 from test_scf import assert_own_eigenpair, miss_next_certificate
@@ -28,13 +28,13 @@ def _curvature(grid, a, beta, cfg=None):
 
 
 def _record_solves(monkeypatch):
-    """(a, warm, result) of every solve find_critical_a makes from here on."""
+    """(a, result) of every solve find_critical_a makes from here on."""
     solves = []
     solve_state = gpdwell.critical.solve_state
 
-    def recording(grid, trap, n, cfg=None, start=None):
-        result = solve_state(grid, trap, n, cfg, start)
-        solves.append((trap.a, start is not None, result))
+    def recording(grid, trap, n, cfg=None):
+        result = solve_state(grid, trap, n, cfg)
+        solves.append((trap.a, result))
         return result
 
     monkeypatch.setattr(gpdwell.critical, "solve_state", recording)
@@ -61,8 +61,8 @@ _BROKEN_SOLVES = {
 
 
 def _fell_back(solves, bracket=(0.5, 3.0)):
-    """Whether the bisection ran: its cold solves of both bracket ends are among solves."""
-    return {a for a, warm, _ in solves if not warm} == set(bracket)
+    """Whether the bisection ran: its solves of both bracket ends come first."""
+    return [a for a, _ in solves[:2]] == list(bracket)
 
 
 class TestCurvatureSign:
@@ -95,15 +95,16 @@ class TestFindCriticalA:
         assert 1.0 < res.state.trap.a < 2.5
 
     def test_few_solves_none_repeated(self, grid_crit, monkeypatch):
-        # the Newton run on (w, mu, a) needs no solve; one solve at a_c certifies its pair
+        # the Newton run on (w, mu, a) needs no solve, and certifies its own last point
         solves = _record_solves(monkeypatch)
         res = find_critical_a(1.0, tol=1e-4, grid=grid_crit)
-        [(a, warm, result)] = solves
-        assert result is res  # the critical point is the solve that certified it
-        assert (a, warm, res.iterations) == (res.state.trap.a, True, 1)
+        assert solves == []
+        assert res.converged and res.state.grid == grid_crit
+        assert 0.5 < res.state.trap.a < 3.0
 
     def test_few_scf_iterations_near_critical(self, monkeypatch):
-        # Guards the work count, not seconds: the plain fixed point took 565.
+        # Guards the work count, not seconds: the plain fixed point took 565. The
+        # Newton run's own points count as the result's iterations.
         iterations = []
         solve_state = gpdwell.critical.solve_state
 
@@ -113,8 +114,8 @@ class TestFindCriticalA:
             return result
 
         monkeypatch.setattr(gpdwell.critical, "solve_state", recording)
-        find_critical_a(4.0, tol=1e-4, grid=make_grid(6.0, 600))
-        assert sum(iterations) <= 100
+        res = find_critical_a(4.0, tol=1e-4, grid=make_grid(6.0, 600))
+        assert 0 < res.iterations + sum(iterations) <= 100
 
     def test_sign_change_within_tol(self, grid_crit):
         tol = 1e-3
@@ -183,6 +184,27 @@ class TestBorderedNewton:
         assert a_c == pytest.approx(_bisected_root(grid600, beta), abs=1e-8)
         assert _curvature(grid600, a_c - 1e-6, beta) < 0.0 < _curvature(grid600, a_c + 1e-6, beta)
 
+    def test_newton_path_certifies_its_own_last_point(self, grid4000, monkeypatch):
+        # no solve_state call: each run's last point is certified on its own operator, and
+        # the result counts the run's Newton points, 40 over the default 9-point scan
+        solves = _record_solves(monkeypatch)
+        points, newton_point = [], gpdwell.critical._newton_point
+
+        def counting(*args):
+            points.append(args)
+            return newton_point(*args)
+
+        monkeypatch.setattr(gpdwell.critical, "_newton_point", counting)
+        total = 0
+        for beta in np.arange(9) * 0.5:
+            points.clear()
+            res = find_critical_a(beta, grid4000)
+            assert res.converged and res.iterations == len(points) > 1
+            assert res.residual <= ScfConfig().tol * (1.0 + abs(res.state.mu))
+            assert_own_eigenpair(res)
+            total += res.iterations
+        assert solves == [] and total == 40
+
     @pytest.mark.parametrize("beta, bracket", [(10.0, (0.5, 3.0)), (6.0, (1.0, 2.5))])
     def test_root_near_a_bracket_end_without_fallback(self, grid600, monkeypatch, beta,
                                                       bracket):
@@ -190,30 +212,19 @@ class TestBorderedNewton:
         # fixed a and moves a half way to the end, and the run still ends at the root
         solves = _record_solves(monkeypatch)
         a_c = find_critical_a(beta, grid600, bracket).state.trap.a
-        assert [(a, warm) for a, warm, _ in solves] == [(a_c, True)]
+        assert solves == []
         assert min(a_c - bracket[0], bracket[1] - a_c) < 0.25 * (bracket[1] - bracket[0])
         assert _curvature(grid600, a_c - 1e-6, beta) < 0.0 < _curvature(grid600, a_c + 1e-6, beta)
 
-    @pytest.mark.parametrize("force", ["step budget", "certificate miss", "final solve raises",
-                                       *_BROKEN_SOLVES])
+    @pytest.mark.parametrize("force", ["step budget", "certificate miss", *_BROKEN_SOLVES])
     def test_forced_fallback_reaches_the_same_root(self, grid_crit, monkeypatch, force):
         tol = 1e-4
         newton = find_critical_a(1.0, grid_crit, tol=tol)
         solves = _record_solves(monkeypatch)
         if force == "step budget":
             monkeypatch.setattr(gpdwell.critical, "NEWTON_STEPS", 3)
-        elif force == "certificate miss":  # the first certificate is the final solve's
+        elif force == "certificate miss":  # the first certificate is that of the last point
             miss_next_certificate(monkeypatch)
-        elif force == "final solve raises":
-            recording = gpdwell.critical.solve_state
-
-            def raising_first(*args):
-                result = recording(*args)
-                if len(solves) == 1:  # the Newton run's certifying solve
-                    raise MaxIterationsExceeded(result, 1e-9)
-                return result
-
-            monkeypatch.setattr(gpdwell.critical, "solve_state", raising_first)
         else:
             jacobian_solve, broken = gpdwell.critical._jacobian_solve, _BROKEN_SOLVES[force]
             monkeypatch.setattr(gpdwell.critical, "_jacobian_solve",
@@ -221,19 +232,27 @@ class TestBorderedNewton:
         res = find_critical_a(1.0, grid_crit, tol=tol)
         assert _fell_back(solves)
         assert res.state.trap.a == pytest.approx(newton.state.trap.a, abs=tol)
-        [at_ac] = [result for a, _, result in solves if a == res.state.trap.a]
+        [at_ac] = [result for a, result in solves if a == res.state.trap.a]
         assert res is at_ac  # the bisection's solve at a_c
-        assert len({a for a, _, _ in solves}) == len(solves)  # none repeated
+        assert len({a for a, _ in solves}) == len(solves)  # none repeated
 
     def test_final_solve_growing_the_domain_falls_back(self, monkeypatch):
-        # at L = 2.5 the walls hold the Newton run's state; its solve grows L to 3.75,
-        # and so do the bisection's, whose root is that of the grown grid
+        # at L = 2.5 the walls bias the Newton run's certified last point, so the run
+        # fails; the bisection's solves grow L to 3.75, and its root is that of the grown grid
         tol = 1e-4
+        leaks, wall_test = [], gpdwell.critical._leaks
+
+        def recording(state, cfg):
+            leaks.append(wall_test(state, cfg))
+            return leaks[-1]
+
+        monkeypatch.setattr(gpdwell.critical, "_leaks", recording)
         solves = _record_solves(monkeypatch)
         res = find_critical_a(0.0, make_grid(2.5, 400), tol=tol)
-        assert solves[0][1] and solves[0][2].state.grid.L == 3.75
+        assert leaks == [True]
+        assert solves[0][1].state.grid.L == 3.75
         assert _fell_back(solves)
-        [at_ac] = [result for a, _, result in solves if a == res.state.trap.a]
+        [at_ac] = [result for a, result in solves if a == res.state.trap.a]
         assert res is at_ac
         grown = find_critical_a(0.0, make_grid(3.75, 400))
         assert res.state.trap.a == pytest.approx(grown.state.trap.a, abs=tol)
@@ -241,17 +260,24 @@ class TestBorderedNewton:
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_final_solve_on_another_state_falls_back(self, grid600, monkeypatch, beta):
         # Started from the second even pair, the run meets g = 0 on that excited state
-        # near a = 4.3; the solve there falls to the ground state, whose a_c is not that
+        # near a = 4.3; its last point misses the ground pair's certificate there
         tol = 1e-4
         bare_start = gpdwell.scf._bare_start
         monkeypatch.setattr(gpdwell.critical, "_bare_start",
                             lambda grid, a, parity, index: bare_start(grid, a, parity, 1))
+        certificates, certified = [], gpdwell.critical.certified
+
+        def recording(op, mu, residual, index):
+            certificates.append((index, certified(op, mu, residual, index),
+                                 certified(op, mu, residual, 1)))
+            return certificates[-1][1]
+
+        monkeypatch.setattr(gpdwell.critical, "certified", recording)
         solves = _record_solves(monkeypatch)
         bracket = (1.0, 10.0)
         res = find_critical_a(beta, grid600, bracket, tol)
-        excited = solves[0]
-        assert excited[1] and excited[0] > 4.0
-        assert_own_eigenpair(excited[2])  # the ground state, where Newton met the excited one
+        [(index, ground, excited)] = certificates
+        assert index == 0 and not ground and excited  # the excited pair, not the ground pair
         assert _fell_back(solves, bracket)
         assert res.state.trap.a == pytest.approx(_bisected_root(grid600, beta), abs=tol)
 
@@ -280,7 +306,7 @@ class TestBorderedNewton:
         monkeypatch.setattr(gpdwell.critical, "_jacobian_solve", counting)
         with pytest.raises(NoSignChange):
             find_critical_a(0.0, grid600, (2.5, 3.0))
-        assert [a for a, _, _ in solves] == [2.5, 3.0]  # only the two cold ends
+        assert [a for a, _ in solves] == [2.5, 3.0]  # only the two ends
         assert len(jacobian_solves) <= 2
 
 

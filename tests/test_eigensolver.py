@@ -3,9 +3,12 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from gpdwell.eigensolver import (
+    EPS,
+    ROUNDOFF_FLOOR,
     certified,
     count_below,
     lowest_eigenpairs,
+    norm_inf,
 )
 from gpdwell.grid import TrapConfig, make_grid
 from gpdwell.hamiltonian import TridiagonalOperator, assemble_block
@@ -202,7 +205,7 @@ def test_window_certified_pair_is_the_counted_pair(sturm_counts, a, parity, inde
     assert counted is not None
     w, mu = counted
     r = op.apply(w) - mu * w
-    h = max(float(np.sqrt(grid.delta * np.dot(r, r))), 1e-12 * (1.0 + abs(mu)))
+    h = max(float(np.sqrt(grid.delta * np.dot(r, r))), ROUNDOFF_FLOOR * EPS * norm_inf(op))
     assert sturm_counts == [mu - h, mu + h]
 
 
@@ -213,9 +216,24 @@ def test_certified_is_two_counts_around_the_residual_ball(sturm_counts):
         residual = float(np.sqrt(grid.delta * np.dot(r, r)))
         sturm_counts.clear()
         assert certified(op, pair.value, residual, index)
-        h = max(residual, 1e-12 * (1.0 + abs(pair.value)))
+        h = max(residual, ROUNDOFF_FLOOR * EPS * norm_inf(op))
         assert sturm_counts == [pair.value - h, pair.value + h]
         assert not certified(op, pair.value, residual, index + 1)
     # a ball that holds two eigenvalues certifies neither
     gap = pairs[1].value - pairs[0].value
     assert not certified(op, pairs[0].value, 1.5 * gap, 0)
+
+
+def test_bare_pair_of_a_coarse_wide_grid_certified():
+    # solve --a 0.5 --states 7 --D 8 --L 20 grows L to 45. There the Sturm counts place the
+    # ground eigenvalue 9.2e-11 below the pair's value, on the edge of its residual ball
+    # (residual 9.2e-11), so a window of max(residual, 1e-12 (1 + |value|)) misses it by
+    # roundoff; the counts' roundoff floor, 2.3e-9, takes it in
+    grid = make_grid(45.0, 8)
+    op = assemble_block(grid, 0.5, 0)
+    pair = lowest_eigenpairs(op, 1, grid)[0]
+    r = op.apply(pair.vector) - pair.value * pair.vector
+    residual = float(np.sqrt(grid.delta * np.dot(r, r)))
+    assert certified(op, pair.value, residual, 0)
+    h = max(residual, 1e-12 * (1.0 + abs(pair.value)))
+    assert not (count_below(op, pair.value - h) == 0 and count_below(op, pair.value + h) == 1)

@@ -33,6 +33,17 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match=re.escape(f"L={L} ")):
             make_grid(L, 400)
 
+    @pytest.mark.parametrize("D", [10.5, 10.0, np.float64(10.0), True, "10", None])
+    def test_rejects_non_integer_d(self, D):
+        # make_grid used to truncate 10.5 to 10, and Grid took 10.0 and failed only at assembly
+        for build in (make_grid, Grid):
+            with pytest.raises(ValueError, match="D must be an integer"):
+                build(6.0, D)
+
+    def test_numpy_integer_d_is_the_same_grid(self):
+        grid = make_grid(6.0, np.int64(400))
+        assert type(grid.D) is int and grid == make_grid(6.0, 400)
+
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             make_grid(5.0, 6)

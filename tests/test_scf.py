@@ -6,14 +6,13 @@ import pytest
 
 import gpdwell.eigensolver
 import gpdwell.scf
-from gpdwell.eigensolver import count_below, fix_sign, lowest_eigenpairs
+from gpdwell.eigensolver import Eigenpair, count_below, fix_sign, lowest_eigenpairs
 from gpdwell.grid import TrapConfig, integrate, make_grid
 from gpdwell.hamiltonian import block_vector, unfold
 from gpdwell.scf import (
     DomainTooSmall,
     MaxIterationsExceeded,
     ScfConfig,
-    StationaryState,
     solve_spectrum,
     solve_state,
 )
@@ -24,8 +23,9 @@ from oracles import assemble, block_operator, sturm_count
 def miss_next_certificate(monkeypatch):
     """Make the next Sturm count, the first of the next certificate, answer -1.
 
-    The next certificate to run is that of a solve's Newton pair, so that solve
-    falls back to the loop, whose own certificates are counted truly.
+    The next certificate to run is that of a solve's first rung, Newton at beta from
+    the bare pair, so that solve climbs the ladder, whose later certificates are
+    counted truly.
     """
     calls = []
 
@@ -50,7 +50,7 @@ def assert_own_eigenpair(result):
 
 
 def assert_same_state(result, newton):
-    """result, a solve that fell back, holds the Newton path's state to 1e-9 (1 + |mu|)."""
+    """result, a solve past its first rung, holds the Newton path's state to 1e-9 (1 + |mu|)."""
     assert result.converged and result.eigensolves == 0
     scale = 1e-9 * (1.0 + abs(newton.state.mu))
     assert result.state.mu == pytest.approx(newton.state.mu, rel=0, abs=scale)
@@ -176,38 +176,32 @@ class TestConvergedStates:
 
 class TestWarmStart:
     def test_fewer_iterations_same_mu(self):
-        grid = make_grid(6.0, 600)
-        trap = TrapConfig(a=1.25, beta=4.0)
-        near = solve_state(grid, TrapConfig(a=1.26, beta=4.0), 0)
-        cold = solve_state(grid, trap, 0)
-        warm = solve_state(grid, trap, 0, start=near.state)
-        assert warm.converged
-        assert warm.iterations < cold.iterations
-        assert warm.state.mu == pytest.approx(cold.state.mu, abs=1e-8)
-
-    def test_start_on_another_grid_is_cold(self):
-        grid = make_grid(6.0, 400)
-        trap = TrapConfig(a=2.0, beta=1.0)
-        cold = solve_state(grid, trap, 0)
-        for other in (make_grid(6.0, 600), make_grid(5.0, 400)):
-            start = solve_state(other, TrapConfig(a=2.1, beta=1.0), 0).state
-            warm = solve_state(grid, trap, 0, start=start)
-            assert warm.iterations == cold.iterations
-            assert np.array_equal(warm.state.psi, cold.state.psi)
-            assert warm.state.mu == cold.state.mu
+        # a rung starts warm from the pair certified at the rung below: from the state at
+        # beta = 3.9, Newton at beta = 4 takes fewer steps than from the bare pair
+        grid, cfg = make_grid(6.0, 600), ScfConfig()
+        bare, cold_pair = gpdwell.scf._bare_start(grid, 1.25, 0, 0)
+        below = solve_state(grid, TrapConfig(a=1.25, beta=3.9), 0).state
+        warm_pair = Eigenpair(below.mu, block_vector(below.psi[1:-1], 0))
+        _, cold_mu, cold_steps, cold_found = gpdwell.scf._newton(grid, 4.0, bare, cold_pair,
+                                                                 0, 0, cfg)
+        _, warm_mu, warm_steps, warm_found = gpdwell.scf._newton(grid, 4.0, bare, warm_pair,
+                                                                 0, 0, cfg)
+        assert cold_found and warm_found
+        assert warm_steps < cold_steps
+        assert warm_mu == pytest.approx(cold_mu, abs=1e-8)
 
     def test_domain_growth_starts_cold(self):
-        # The start lives on the requested grid, so only the first,
-        # discarded solve is warm; the repeats on wider grids start cold.
+        # every grid of a domain growth starts its ladder from its own bare pair, so the
+        # grown solve is the solve made directly on the grown grid
         grid = make_grid(2.0, 400)
         trap = TrapConfig(a=2.0, beta=1.0)
-        cold = solve_state(grid, trap, 0)
-        start = StationaryState(n=0, psi=np.pad(np.exp(-2.0 * grid.interior**2), 1),
-                                mu=0.0, energy=0.0, trap=trap, grid=grid)
-        warm = solve_state(grid, trap, 0, start=start)
-        assert warm.state.grid.L == cold.state.grid.L > grid.L
-        assert warm.iterations == cold.iterations
-        assert np.array_equal(warm.state.psi, cold.state.psi)
+        grown = solve_state(grid, trap, 0)
+        assert grown.state.grid.L > grid.L
+        direct = solve_state(grown.state.grid, trap, 0)
+        assert direct.state.grid == grown.state.grid
+        assert direct.iterations == grown.iterations
+        assert np.array_equal(direct.state.psi, grown.state.psi)
+        assert direct.state.mu == grown.state.mu
 
 
 class TestSpectrum:
@@ -304,12 +298,10 @@ class TestWarmEigenpairs:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_first_density_is_the_start_pairs_own(self, grid1200, monkeypatch, n):
-        # cold from the bare pair, warm from the start state, each renormalised
-        # and with its own w * w
+        # from the bare pair, renormalised and with its own w * w
         index, parity = divmod(n, 2)
         trap = TrapConfig(a=5.0, beta=1.0)
         _, bare_pair = gpdwell.scf._bare_start(grid1200, trap.a, parity, index)  # cached
-        start = solve_state(grid1200, TrapConfig(a=5.1, beta=1.0), n).state
         densities = []
         original = gpdwell.scf.block_density
 
@@ -319,24 +311,16 @@ class TestWarmEigenpairs:
 
         monkeypatch.setattr(gpdwell.scf, "block_density", recording)
         solve_state(grid1200, trap, n)
-        cold = densities[0]
-        densities.clear()
-        solve_state(grid1200, trap, n, start=start)
-        warm = densities[0]
-
-        def unit(w):
-            return w / np.sqrt(grid1200.delta * np.dot(w, w))
-
-        assert np.array_equal(cold, unit(bare_pair.vector) ** 2)
-        assert np.array_equal(warm, unit(block_vector(start.psi[1:-1], parity)) ** 2)
+        unit = bare_pair.vector / np.sqrt(grid1200.delta * np.dot(bare_pair.vector,
+                                                                  bare_pair.vector))
+        assert np.array_equal(densities[0], unit**2)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_one_bare_block_per_solve(self, grid1200, monkeypatch, n):
-        # every iterate adds beta * rho to the bare block: a cold solve finds it
-        # cached, a warm one builds it once before its loop
+        # every Newton point of every rung adds beta * rho to the cached bare block, so
+        # a solve builds none once the record is cached, nor does one that climbs
         trap = TrapConfig(a=5.0, beta=1.0)
-        start = solve_state(grid1200, TrapConfig(a=5.1, beta=1.0), n).state
-        solve_state(grid1200, trap, n)  # caches the bare record
+        newton = solve_state(grid1200, trap, n)  # caches the bare record
         builds = []
         original = gpdwell.scf.assemble_block
 
@@ -345,45 +329,61 @@ class TestWarmEigenpairs:
             return original(*args)
 
         monkeypatch.setattr(gpdwell.scf, "assemble_block", counting)
-        cold = solve_state(grid1200, trap, n)
-        assert cold.iterations > 1 and builds == []
-        warm = solve_state(grid1200, trap, n, start=start)
-        assert warm.iterations > 1 and len(builds) == 1
+        assert solve_state(grid1200, trap, n).iterations > 1 and builds == []
+        miss_next_certificate(monkeypatch)
+        assert solve_state(grid1200, trap, n).iterations > newton.iterations
+        assert builds == []
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_warm_start_without_certificates_reaches_the_same_state(self, grid1200,
                                                                     monkeypatch, n):
-        # the ladder starts from the bare pair, not the start state: a warm solve that falls
-        # back returns what a cold one does, after its own Newton steps
+        # each rung starts warm from the last certified pair, never from a missed one: after
+        # the first rung misses, the next starts from the bare pair again, and the climb
+        # ends at the state of the first rung's own Newton run
+        index, parity = divmod(n, 2)
         trap = TrapConfig(a=5.0, beta=1.0)
-        start = solve_state(grid1200, TrapConfig(a=5.1, beta=1.0), n).state
-        newton = solve_state(grid1200, trap, n, start=start)
-        cold_steps = solve_state(grid1200, trap, n).iterations
+        newton = solve_state(grid1200, trap, n)
+        _, bare_pair = gpdwell.scf._bare_start(grid1200, trap.a, parity, index)
+        calls, run = [], gpdwell.scf._newton
+
+        def recording(grid, beta, bare, pair, *args):
+            calls.append((beta, pair, run(grid, beta, bare, pair, *args)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(gpdwell.scf, "_newton", recording)
         miss_next_certificate(monkeypatch)
-        warm = solve_state(grid1200, trap, n, start=start)
-        miss_next_certificate(monkeypatch)
-        cold = solve_state(grid1200, trap, n)
-        assert np.array_equal(warm.state.psi, cold.state.psi)
-        assert warm.state.mu == cold.state.mu
-        assert warm.iterations - newton.iterations == cold.iterations - cold_steps > 0
-        assert_same_state(warm, newton)
-        np.testing.assert_allclose(warm.state.psi, newton.state.psi, rtol=0, atol=1e-7)
+        result = solve_state(grid1200, trap, n)
+        assert [beta for beta, _, _ in calls[:2]] == [trap.beta, trap.beta / 2]
+        assert calls[0][1] is bare_pair and calls[1][1] is bare_pair
+        for (_, _, (w, mu, _, found)), (_, pair, _) in zip(calls[1:], calls[2:]):
+            assert found and pair.vector is w and pair.value == mu
+        assert result.iterations == sum(steps for _, _, (_, _, steps, _) in calls)
+        assert_same_state(result, newton)
+        np.testing.assert_allclose(result.state.psi, newton.state.psi, rtol=0, atol=1e-7)
 
     def test_same_states_as_the_ladder(self, grid4000, monkeypatch):
-        # Newton's states against those the ladder reaches when each solve's certificate
-        # is missed, at beta = 0 the bare pair itself
+        # Newton's states against those the ladder reaches when each solve's first
+        # certificate is missed; at beta = 0 there is no rung below to climb from, so
+        # a miss there ends the solve after its one Newton point
         cases = [(a, beta, n) for a in (5.0, 12.0) for beta in (0.0, 0.5, 1.0) for n in range(4)]
         cases += [(5.0, 9.0, 0), (2.0, 20.0, 0)]
         for a, b, n in cases:
             trap = TrapConfig(a=a, beta=b)
             newton = solve_state(grid4000, trap, n)
             miss_next_certificate(monkeypatch)
-            assert_same_state(solve_state(grid4000, trap, n), newton)
+            if b > 0.0:
+                assert_same_state(solve_state(grid4000, trap, n), newton)
+                continue
+            with pytest.raises(MaxIterationsExceeded) as exc:
+                solve_state(grid4000, trap, n)
+            assert exc.value.result.iterations == newton.iterations == 1
+            assert np.array_equal(exc.value.result.state.psi, newton.state.psi)
 
 
 class TestNewton:
     def test_forced_fallback_returns_the_loops_state(self, monkeypatch):
-        # Newton meets the stop at a wrong state of the sector here, so the ladder runs
+        # Newton at beta meets the stop at a wrong state of the sector here, so the ladder
+        # climbs from beta / 2
         grid = make_grid(6.0, 600)
         trap = TrapConfig(a=5.0, beta=40.0)
         calls = []
@@ -395,18 +395,15 @@ class TestNewton:
 
         monkeypatch.setattr(gpdwell.scf, "_newton", recording)
         result = solve_state(grid, trap, 2)
-        _, _, steps, certified = calls[0][1]  # the solve's own; the ladder's rungs follow
-        assert not certified
+        _, _, steps, certified = calls[0][1]  # the first rung, at beta from the bare pair
+        assert calls[0][0] == trap.beta and not certified
         rungs = [beta for beta, _ in calls[1:]]
         assert rungs[0] == trap.beta / 2 and rungs[-1] == trap.beta and calls[-1][1][3]
         assert result.converged and result.eigensolves == 0
         assert_own_eigenpair(result)
-        cfg = ScfConfig()
-        w, mu, ladder_steps, converged = gpdwell.scf._ladder(grid, trap, 1, 0, cfg,
-                                                             cfg.max_iter - steps)
-        assert converged and result.state.mu == mu
-        assert result.iterations == steps + ladder_steps
-        # the ladder gets what Newton left of the one budget
+        assert result.state.mu == calls[-1][1][1]
+        assert result.iterations == sum(call[1][2] for call in calls)
+        # the rungs after the first get what it left of the one budget
         cfg = ScfConfig(max_iter=steps + 2)
         with pytest.raises(MaxIterationsExceeded) as exc:
             solve_state(grid, trap, 2, cfg)
@@ -438,36 +435,62 @@ class TestNewton:
                     assert result.converged
                     assert_own_eigenpair(result)
 
+    def test_loose_tolerance_spectra_converge(self):
+        # solve --a {0.25, 1, 5, 16} --beta 2 --states 8 --D 400 --scf-tol {0.1, 0.5, 1}: a
+        # loose stop meets Newton early, so a rung's certificate sees a wide residual ball;
+        # widening the window itself to the stop left 8 of these 12 spectra unsolved
+        grid = make_grid(6.0, 400)
+        for a in (0.25, 1.0, 5.0, 16.0):
+            for tol in (0.1, 0.5, 1.0):
+                results = solve_spectrum(grid, TrapConfig(a=a, beta=2.0), 8, ScfConfig(tol=tol))
+                assert all(r.converged for r in results), (a, tol)
+
     def test_state_set_certified_without_fallback(self, grid1200, monkeypatch):
-        monkeypatch.setattr(gpdwell.scf, "_ladder", lambda *args: pytest.fail("fell back"))
+        # each solve is certified at its first rung, Newton at beta from the bare pair
+        rungs, newton = [], gpdwell.scf._newton
+
+        def recording(grid, beta, *args):
+            rungs.append(beta)
+            return newton(grid, beta, *args)
+
+        monkeypatch.setattr(gpdwell.scf, "_newton", recording)
         for a in (0.5, 2.0, 5.0, 12.0):
             for beta in (0.0, 0.5, 4.0, 20.0):
                 trap = TrapConfig(a=a, beta=beta)
                 for n in range(4):
+                    rungs.clear()
                     result = solve_state(grid1200, trap, n)
-                    assert result.converged and result.eigensolves == 0
+                    assert result.converged and result.eigensolves == 0 and rungs == [beta]
                     assert_own_eigenpair(result)
 
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_certificate_miss_returns_the_loops_result(self, grid1200, monkeypatch, warm):
-        # the result is the ladder's from the bare pair, whatever the solve started from
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_certificate_miss_returns_the_loops_result(self, grid1200, monkeypatch, cached):
+        # after the first rung misses, the ladder climbs from the bare pair to beta / 2 and
+        # from there to beta, each rung the same certified Newton run, whether the bare
+        # record was cached before the solve or is made by it
         trap, (index, parity) = TrapConfig(a=5.0, beta=1.0), divmod(1, 2)
-        start = solve_state(grid1200, TrapConfig(a=5.1, beta=1.0), 1).state if warm else None
-        newton = solve_state(grid1200, trap, 1, start=start)
-        miss_next_certificate(monkeypatch)
-        result = solve_state(grid1200, trap, 1, start=start)
+        newton = solve_state(grid1200, trap, 1)
+        bare, pair = gpdwell.scf._bare_start(grid1200, trap.a, parity, index)
         cfg = ScfConfig()
-        w, mu, steps, converged = gpdwell.scf._ladder(grid1200, trap, index, parity, cfg,
-                                                      cfg.max_iter - newton.iterations)
-        assert converged and result.state.mu == mu
+        w, mu, half_steps, found = gpdwell.scf._newton(grid1200, 0.5, bare, pair, index, parity,
+                                                       cfg)
+        assert found
+        w, mu, steps, found = gpdwell.scf._newton(grid1200, 1.0, bare, Eigenpair(mu, w), index,
+                                                  parity, cfg)
+        assert found
+        if not cached:
+            gpdwell.scf._bare_start.cache_clear()
+        miss_next_certificate(monkeypatch)
+        result = solve_state(grid1200, trap, 1)
+        assert result.state.mu == mu
         assert np.array_equal(result.state.psi, np.pad(unfold(fix_sign(w), parity), 1))
-        assert result.iterations == newton.iterations + steps
+        assert result.iterations == newton.iterations + half_steps + steps
         assert_same_state(result, newton)
 
     def test_singular_jacobian_falls_back_to_the_loop(self, grid1200, monkeypatch):
-        # a singular first A stops Newton at its first point, and the ladder ends at the
-        # state Newton finds; with every A singular, each rung stops at its first point
-        # and the ladder halves its step until it is below MIN_RUNG * beta
+        # a singular first A stops the first rung at its first point, and the ladder ends
+        # at the state Newton finds; with every A singular, each rung stops at its first
+        # point and the ladder halves its step until it is at most MIN_RUNG * beta
         trap = TrapConfig(a=5.0, beta=0.5)
         newton = solve_state(grid1200, trap, 1)
         jacobian_solve, calls = gpdwell.scf._jacobian_solve, []
@@ -481,7 +504,7 @@ class TestNewton:
         monkeypatch.setattr(gpdwell.scf, "_jacobian_solve", lambda *args: None)
         with pytest.raises(MaxIterationsExceeded) as exc:
             solve_state(grid1200, trap, 1)
-        rungs = int(math.log2(1.0 / gpdwell.scf.MIN_RUNG))  # h = beta / 2 ... beta / 2^19
+        rungs = int(math.log2(1.0 / gpdwell.scf.MIN_RUNG))  # h = beta, beta / 2 ... beta / 2^19
         assert exc.value.result.iterations == 1 + rungs
 
 
