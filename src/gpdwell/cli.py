@@ -4,9 +4,9 @@ Subcommands map one-to-one onto the analysis workflows: solve, wigner,
 dynamics and classical compute one case; scan-critical, wkb, overlaps and
 negativity sweep beta over --betas, all through _sweep. Tables go out as
 RFC-4180 CSV with a '#' provenance header (tool version, config echo,
-content hash); summaries and fits as JSON. Identical configs produce
-byte-identical files: floats are written with 17 significant digits and
-no timestamps enter the data.
+content hash), the Wigner grid one x row at a time; summaries and fits as
+JSON. Identical configs produce byte-identical files: floats are written
+with 17 significant digits and no timestamps enter the data.
 
 Exit codes: 0 success; 2 validation error (output paths are checked
 before any work), or a sweep whose every point is a NoSignChange (a
@@ -75,48 +75,52 @@ def parse_range(spec: str) -> list[float]:
     return [start + i * step for i in range(int(n)) if start + i * step <= stop + 0.5 * step]
 
 
-CSV_CHUNK = 16384  # rows formatted, joined, encoded, hashed and spooled at a time
+CSV_CHUNK = 16384  # rows of columns formatted, joined, encoded, hashed and spooled at a time
 
 
-def _column_fields(col):
-    """fields(lo, hi): the fields of col[lo:hi], formatted as _fmt formats them.
-
-    A float64 array with repeats formats each distinct bit pattern of the
-    whole column once, up front; keying on the bits rather than the value
-    keeps -0.0 apart from 0.0. Finding them over the whole column rather
-    than per chunk costs less on tables like the Wigner grid, whose chunks
-    repeat each other's values. The distinct bits are found by sorting,
-    and each chunk looks its bits up among them, so the only per-row state
-    is the chunk's own. Where more than half of the bit patterns are
-    distinct, the strings would be kept for the whole write at little
-    saving, so such a column, like any other, is formatted per chunk.
-    """
+def _column_fields(col, lo, hi):
+    """The fields of col[lo:hi], formatted as _fmt formats them."""
     if isinstance(col, np.ndarray) and col.dtype == np.float64:
-        bits = np.sort(col.view(np.int64))  # and mask: np.unique takes 5x as long here
-        first = np.empty(bits.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(bits[1:], bits[:-1], out=first[1:])
-        bits = bits[first]
-        if 2 * bits.size <= col.size:
-            distinct = np.empty(bits.size, dtype=object)
-            for lo in range(0, bits.size, CSV_CHUNK):  # never a float object per value at once
-                distinct[lo:lo + CSV_CHUNK] = [
-                    f"{x:.17g}" for x in bits[lo:lo + CSV_CHUNK].view(np.float64).tolist()]
+        return [f"{x:.17g}" for x in col[lo:hi].tolist()]
+    return [_fmt(v) for v in col[lo:hi]]
 
-            def fields(lo, hi):
-                chunk = col[lo:hi].view(np.int64)
-                if bits.size <= CSV_CHUNK:
-                    return distinct[np.searchsorted(bits, chunk)].tolist()
-                # A table larger than the chunk is searched in the chunk's sorted
-                # order, which walks it front to back: twice as fast on the
-                # Wigner W (137,952 distinct values) as searching in row order.
-                order = np.argsort(chunk)
-                index = np.empty_like(order)
-                index[order] = np.searchsorted(bits, chunk[order])
-                return distinct[index].tolist()
-            return fields
-        return lambda lo, hi: [f"{x:.17g}" for x in col[lo:hi].tolist()]
-    return lambda lo, hi: [_fmt(v) for v in col[lo:hi]]
+
+def _add_columns(add, columns):
+    """Pass the rows of equal-length columns to add as text, CSV_CHUNK rows at a time."""
+    rows = len(columns[0]) if columns else 0
+    if any(len(col) != rows for col in columns):
+        raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")
+    for lo in range(0, rows, CSV_CHUNK):  # a chunk's fields are freed before its text is spooled
+        add("\n".join(map(",".join, zip(*[_column_fields(col, lo, lo + CSV_CHUNK)
+                                           for col in columns]))) + "\n")
+
+
+def _add_grid(add, x, p, values):
+    """Pass the rows (x[i], p[j], values[i, j]) of an x by p grid to add, one x row at a time.
+
+    A row bitwise even in p formats its p >= 0 half and mirrors the strings,
+    and a row bitwise equal to its mirror in x keeps them until then, as the
+    Wigner W of a state of definite parity allows; bits keep -0.0 apart from 0.0.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (len(x), len(p)):
+        raise ValueError(f"values of shape {values.shape} on a grid of {len(x)} x by {len(p)} p")
+    bits, n, last, kept = values.view(np.int64), len(p), len(x) - 1, {}
+    row = [None, None, None, "\n"] * n  # x, ",p,", W, newline for each p
+    row[1::4] = [f",{_fmt(v)}," for v in p]
+    for i, xi in enumerate(x):
+        fields = kept.pop(i, None)
+        if fields is None:
+            if np.array_equal(bits[i], bits[i, ::-1]):
+                half = [f"{v:.17g}" for v in values[i, n // 2:].tolist()]
+                fields = half[n % 2:][::-1] + half
+            else:
+                fields = [f"{v:.17g}" for v in values[i].tolist()]
+            if last - i > i and np.array_equal(bits[i], bits[last - i]):
+                kept[last - i] = fields
+        row[0::4] = [_fmt(xi)] * n
+        row[2::4] = fields
+        add("".join(row))
 
 
 def write_csv(path: str, names: list[str], columns: list, config: dict,
@@ -124,21 +128,19 @@ def write_csv(path: str, names: list[str], columns: list, config: dict,
     """CSV with provenance header: version, config echo, sha256 of the data.
 
     columns holds one sequence per name, all of the same length (a table
-    with no rows may pass no columns at all). Floats are written with 17
-    significant digits, anything else with str().
+    with no rows may pass no columns at all), or an x by p grid: the x
+    nodes, the p nodes and a 2-D array of values, written as the rows
+    (x[i], p[j], values[i, j]) in x-major order. Floats are written with
+    17 significant digits, anything else with str().
 
     The data are formatted, joined, encoded, hashed and written to an
-    anonymous spool file CSV_CHUNK rows at a time, so memory holds one
-    chunk and the distinct strings of the columns with repeats, never the
-    table. The header carries the digest and so goes out after the last
-    chunk is hashed, followed by a copy of the spool; the file is written
-    front to back without seeking, so path may be a pipe or /dev/stdout.
-    Nothing is opened at path until every row is formatted.
+    anonymous spool file CSV_CHUNK rows, or one grid x row, at a time, so
+    memory never holds the table. The header carries the digest and so
+    goes out after the last piece is hashed, followed by a copy of the
+    spool; the file is written front to back without seeking, so path may
+    be a pipe or /dev/stdout. Nothing is opened at path until every row
+    is formatted.
     """
-    rows = len(columns[0]) if columns else 0
-    if any(len(col) != rows for col in columns):
-        raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")
-    fields = [_column_fields(col) for col in columns]
     digest = hashlib.sha256()
     with tempfile.TemporaryFile() as spool:
 
@@ -148,9 +150,10 @@ def write_csv(path: str, names: list[str], columns: list, config: dict,
             spool.write(chunk)
 
         add(",".join(names) + "\n")
-        for lo in range(0, rows, CSV_CHUNK):
-            hi = min(lo + CSV_CHUNK, rows)
-            add("\n".join(map(",".join, zip(*(f(lo, hi) for f in fields)))) + "\n")
+        if len(columns) == 3 and np.ndim(columns[2]) == 2:
+            _add_grid(add, *columns)
+        else:
+            _add_columns(add, columns)
         if footer:
             add("".join(f"# {key} = {_fmt(val)}\n" for key, val in footer.items()))
         header = [f"# gpdwell {__version__}"]
@@ -306,12 +309,9 @@ def cmd_wigner(args) -> int:
     _check_count("--state", args.state, 0, make_grid(args.L, args.D))
     P = momentum_cells(args.D, args.P)  # a bad or too large --P is refused before the solve
     field = _wigner_field(args, args.beta, P)
-    columns = [np.repeat(field.x_nodes, field.p_nodes.size),
-               np.tile(field.p_nodes, field.x_nodes.size),
-               field.values.ravel()]
-    write_csv(args.output, ["x", "p", "W"], columns, _config_echo(args),
-              footer={"negativity": negativity(field),
-                      "phase_space_integral": field.phase_space_integral()})
+    write_csv(args.output, ["x", "p", "W"], [field.x_nodes, field.p_nodes, field.values],
+              _config_echo(args), footer={"negativity": negativity(field),
+                                          "phase_space_integral": field.phase_space_integral()})
     return EXIT_OK
 
 

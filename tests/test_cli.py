@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from oracles import csv_payload_rowwise, csv_rows_fieldwise
 
 import gpdwell.cli
@@ -181,10 +182,19 @@ def _payload(path):
 
 
 def _grid_table():
-    """A Wigner-like table of 200,704 rows: an x by p grid and a field even in both."""
+    """A Wigner-like grid of 200,704 rows: x, p and a field even in both in value.
+
+    In bits no row is even in p (linspace is not bitwise odd) and 116 of the
+    224 row pairs mirror each other in x.
+    """
     x = np.linspace(-6.0, 6.0, 448)
     p = np.linspace(-3.0, 3.0, 448)
-    return [np.repeat(x, p.size), np.tile(p, x.size), np.exp(-np.add.outer(x**2, p**2)).ravel()]
+    return [x, p, np.exp(-np.add.outer(x**2, p**2))]
+
+
+def _flat(x, p, values):
+    """A grid as the flat columns of its rows (x[i], p[j], values[i, j]) in x-major order."""
+    return [np.repeat(x, len(p)), np.tile(p, len(x)), values.ravel()]
 
 
 def _traced_peak(call):
@@ -268,14 +278,24 @@ class TestWriteCsv:
         assert digest == hashlib.sha256(ref).hexdigest()
 
     def test_peak_memory_near_payload(self, tmp_path):
-        # The writer spools each chunk to a file as soon as it is hashed, so it
-        # holds one chunk and the distinct strings of x, p and W: its tracemalloc
-        # peak reads 0.82x the payload, against 2.6x for a writer that keeps the
-        # encoded payload and an inverse per column until the digest is known.
-        columns = _grid_table()
+        # The writer formats each chunk and spools it as soon as it is hashed, so
+        # it holds one chunk's fields and text: on the grid's flat columns its
+        # tracemalloc peak reads 0.47x the payload, against 2.0x for a writer that
+        # keeps the encoded payload until the digest is known.
+        columns = _flat(*_grid_table())
         out = tmp_path / "grid.csv"
         peak = _traced_peak(lambda: write_csv(str(out), ["x", "p", "W"], columns, {}))
         assert peak < 1.0 * out.stat().st_size
+
+    def test_peak_memory_on_grid(self, tmp_path):
+        # Passed as a grid, the table is spooled one x row at a time; the writer
+        # also keeps the strings of each row whose mirror in x is still to come.
+        # Its tracemalloc peak reads 0.34x the payload.
+        grid = _grid_table()
+        out = tmp_path / "grid.csv"
+        peak = _traced_peak(lambda: write_csv(str(out), ["x", "p", "W"], grid, {}))
+        assert peak < 1.0 * out.stat().st_size
+        assert _payload(out)[1] == csv_payload_rowwise(["x", "p", "W"], zip(*_flat(*grid)))
 
     def test_mostly_distinct_columns_across_small_chunks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(gpdwell.cli, "CSV_CHUNK", 7)
@@ -291,10 +311,9 @@ class TestWriteCsv:
         assert _payload(out)[1] == csv_payload_rowwise(names, list(zip(*columns)), {"n": rows})
 
     def test_peak_memory_on_distinct_values(self, tmp_path):
-        # Three columns of 200,000 distinct values (12 MB of CSV), formatted per
-        # chunk: spooled, they read a tracemalloc peak of 0.47x the payload,
-        # against 2.5x held as bytes until the digest is known and 5.9x with
-        # each column's distinct strings kept for the whole write.
+        # Three columns of 200,000 distinct values (12 MB of CSV), formatted and
+        # spooled a chunk at a time: they read a tracemalloc peak of 0.47x the
+        # payload, against 2.5x held as bytes until the digest is known.
         rng = np.random.default_rng(0)
         columns = [rng.standard_normal(200_000) for _ in range(3)]
         out = tmp_path / "normal.csv"
@@ -322,10 +341,64 @@ class TestWriteCsv:
         assert list(spool_dir.iterdir()) == []
 
 
+_CELLS = [0.0, -0.0, 1.5, -2.25, 1e-300, 5e-324, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def _grids(draw):
+    """A small grid whose values are even in p, mirrored in x, both or neither, in bits.
+
+    Some zeros then get the other zero as their mirror partner, which leaves
+    the row even, or the rows mirrored, in value but not in bits.
+    """
+    nx, n = draw(st.integers(1, 7)), draw(st.integers(0, 7))  # n even: no p = 0 column
+    x = np.array(draw(st.lists(st.sampled_from(_CELLS), min_size=nx, max_size=nx)))
+    p = np.array(draw(st.lists(st.sampled_from(_CELLS), min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.sampled_from(_CELLS), min_size=nx * n, max_size=nx * n)))
+    w = w.reshape(nx, n)
+    if draw(st.booleans()):
+        w[:, :n // 2] = w[:, ::-1][:, :n // 2]
+    if draw(st.booleans()):
+        w[nx - nx // 2:] = w[:nx // 2][::-1]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        i, j = draw(st.integers(0, nx - 1)), draw(st.integers(0, n - 1))
+        partner = (i, n - 1 - j) if draw(st.booleans()) else (nx - 1 - i, j)
+        w[i, j], w[partner] = (-0.0, 0.0) if draw(st.booleans()) else (0.0, -0.0)
+    return x, p, w
+
+
+class TestWriteGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(grid=_grids())
+    @example(grid=(np.array([1.0]), np.array([-1.0, 0.0, 1.0]), np.array([[0.0, 2.0, -0.0]])))
+    @example(grid=(np.array([-1.0, 1.0]), np.array([0.5, 1.5]), np.array([[1.0, 0.0],
+                                                                          [1.0, -0.0]])))
+    def test_matches_rowwise_reference(self, grid):
+        import hashlib
+
+        footer = {"negativity": 0.25}
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "grid.csv"
+            write_csv(str(out), ["x", "p", "W"], list(grid), {"D": 4}, footer=footer)
+            digest, data = _payload(out)
+        ref = csv_payload_rowwise(["x", "p", "W"], zip(*_flat(*grid)), footer)
+        assert data == ref
+        assert digest == hashlib.sha256(ref).hexdigest()
+
+    def test_wrong_shape_rejected(self, tmp_path, spool_dir):
+        out = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="shape"):
+            write_csv(str(out), ["x", "p", "W"], [np.zeros(3), np.zeros(2), np.zeros((2, 3))], {})
+        assert not out.exists()
+        assert list(spool_dir.iterdir()) == []
+
+
 class TestWriteWignerTable:
     ARGV = ["wigner", "--a", "2", "--D", "200"]  # 201 x 101 = 20,301 rows
 
     def test_matches_rowwise_reference_across_chunks(self, tmp_path, monkeypatch, spool_dir):
+        # the grid goes out one x row at a time; W of states 0-3 is bitwise even
+        # in p and in x, so every row takes both of the writer's mirror paths
         import hashlib
 
         calls = []
@@ -336,16 +409,19 @@ class TestWriteWignerTable:
             write(path, names, columns, config, footer=footer)
 
         monkeypatch.setattr(gpdwell.cli, "write_csv", recording)
-        monkeypatch.setattr(gpdwell.cli, "CSV_CHUNK", 997)  # seams mid-row, 21 chunks
-        out = tmp_path / "w.csv"
-        assert main(self.ARGV + ["--output", str(out)]) == EXIT_OK
-        [(names, columns, footer)] = calls
-        assert len(columns[0]) == 201 * 101
-        digest, data = _payload(out)
-        ref = csv_payload_rowwise(names, list(zip(*columns)), footer)
-        assert data == ref
-        assert digest == hashlib.sha256(ref).hexdigest()
-        assert list(spool_dir.iterdir()) == []  # the spool is gone
+        for state in range(4):
+            out = tmp_path / f"w{state}.csv"
+            assert main(self.ARGV + ["--state", str(state), "--output", str(out)]) == EXIT_OK
+            [(names, (x, p, values), footer)] = calls
+            calls.clear()
+            assert values.shape == (x.size, p.size) == (201, 101)
+            bits = values.view(np.int64)
+            assert np.array_equal(bits, bits[::-1]) and np.array_equal(bits, bits[:, ::-1])
+            digest, data = _payload(out)
+            ref = csv_payload_rowwise(names, zip(*_flat(x, p, values)), footer)
+            assert data == ref
+            assert digest == hashlib.sha256(ref).hexdigest()
+        assert list(spool_dir.iterdir()) == []  # the spools are gone
 
     def test_output_to_pipe(self, tmp_path):
         out = tmp_path / "w.csv"

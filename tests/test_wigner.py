@@ -65,11 +65,18 @@ class TestWignerTransform:
             assert field.values[i, j] == pytest.approx(ref, abs=5e-4)
 
     def test_even_state_symmetry(self):
+        # W is even in p, and in x for either parity, in bits and not only in
+        # value (which takes -0.0 for 0.0): the CLI writes each mirrored half-row
+        # of the Wigner table from one set of strings
         grid = make_grid(12.0, 1200)
-        for psi in (_gaussian(grid), _hermite1(grid)):  # W is even for either parity
-            field = wigner_transform(grid, psi)
-            np.testing.assert_array_equal(field.values, field.values[::-1, :])
-            np.testing.assert_array_equal(field.values, field.values[:, ::-1])
+        states = [(grid, _gaussian(grid)), (grid, _hermite1(grid))]
+        for a, beta, n in [(2.0, 0.0, 0), (2.0, 0.0, 1), (5.0, 0.5, 2), (1.0, 1.0, 3)]:
+            state = solve_state(grid, TrapConfig(a=a, beta=beta), n).state
+            states.append((state.grid, state.psi))
+        for state_grid, psi in states:
+            bits = wigner_transform(state_grid, psi).values.view(np.int64)
+            np.testing.assert_array_equal(bits, bits[::-1, :])
+            np.testing.assert_array_equal(bits, bits[:, ::-1])
 
     @pytest.mark.parametrize("P", [None, 1200])
     @pytest.mark.parametrize("state", ["gaussian", 0, 1])
